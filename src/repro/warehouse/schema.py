@@ -19,7 +19,7 @@ import sqlite3
 from repro.core.errors import LagAlyzerError
 
 #: Version this code writes; files at lower versions migrate up on open.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Version 1: the core study tables — runs, per-session summaries, and
 # per-session pattern occurrence rows.
@@ -107,8 +107,18 @@ CREATE INDEX IF NOT EXISTS idx_causes_run_label
     ON causes (run_id, label);
 """
 
+# Version 4: the run/label cause index also carries the four value
+# columns, so the run-filtered cause sums of `study diff` read the index
+# alone, already in label order. Same name, same index count: session
+# writes maintain no extra B-tree.
+_V4 = """
+DROP INDEX IF EXISTS idx_causes_run_label;
+CREATE INDEX idx_causes_run_label ON causes (run_id, label,
+    total_ns, episodes, perceptible_ns, perceptible_episodes);
+"""
+
 #: ``MIGRATIONS[n]`` migrates a version-``n`` database to ``n + 1``.
-MIGRATIONS = (_V1, _V2, _V3)
+MIGRATIONS = (_V1, _V2, _V3, _V4)
 
 
 class StudyWarehouseError(LagAlyzerError):

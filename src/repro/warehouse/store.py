@@ -11,9 +11,15 @@ regression diffs between two run sets.
 
 Design rules (shared with :mod:`repro.obs.warehouse`):
 
-- **Repository pattern, short-lived connections.** Every operation
-  opens its own connection, walks the migration chain, commits, and
-  closes. Delete the file mid-run and the next write recreates it.
+- **Repository pattern, one connection per public call.** A public
+  method opens one connection on first use, walks the migration chain
+  once, and closes it when it returns; public methods it calls on the
+  same instance and thread (``diff`` -> ``cause_totals``,
+  ``ingest_bundles`` -> ``ingest_session``) reuse it. Delete the file
+  between calls and the next write recreates it. Each session write
+  still commits on its own, so a batch call's commits sit in the WAL
+  (surviving a process kill) and are checkpointed when the call's
+  connection closes.
 - **Parameterized SQL everywhere.** Application and session identifiers
   come straight off the ingest wire; they are always bound values,
   never spliced into statements.
@@ -30,18 +36,21 @@ Design rules (shared with :mod:`repro.obs.warehouse`):
 from __future__ import annotations
 
 import sqlite3
+import threading
 import time
-import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.statistics import SessionStats
 from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs_runtime
 from repro.warehouse.schema import (
-    SCHEMA_VERSION,
     StudyWarehouseError,
     ensure_schema,
+    stored_version,
 )
 from repro.warehouse.types import (
     AppAggregate,
@@ -87,6 +96,27 @@ _NUMERIC_GUARD = (
 #: ``sessions`` columns filled from :class:`SessionStats` fields.
 _STAT_COLUMNS: Tuple[str, ...] = SessionStats._NUMERIC_FIELDS
 
+#: How long a connection waits on another writer's lock.
+_BUSY_TIMEOUT_S = 10.0
+
+
+def _enable_wal(connection: sqlite3.Connection) -> None:
+    """Switch the file to WAL, waiting out a concurrent first open.
+
+    Switching a fresh file into WAL takes an exclusive lock without
+    consulting the busy handler, so the loser of two racing first opens
+    fails at once; it retries within the busy timeout instead.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while True:
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.005)
+
 
 def _cause_rows(partial: Any) -> Optional[Dict[str, Tuple[int, int, int, int]]]:
     """Flatten a ``causes`` partial into per-label warehouse rows.
@@ -109,6 +139,11 @@ def _cause_rows(partial: Any) -> Optional[Dict[str, Tuple[int, int, int, int]]]:
     return rows
 
 
+def _in(column: str, values: Sequence[Any]) -> str:
+    """``column IN (?, ...)`` with one placeholder per value."""
+    return f"{column} IN ({', '.join('?' * len(values))})"
+
+
 def _metric_sql(metric: str) -> str:
     sql = METRICS.get(metric)
     if sql is None:
@@ -128,34 +163,62 @@ class StudyWarehouse:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._local = threading.local()
+
+    def __reduce__(self) -> Tuple[type, Tuple[Path]]:
+        # Pickles as its path: the thread-local only ever holds the
+        # connection of a call in progress.
+        return (type(self), (self.path,))
 
     # ------------------------------------------------------------------
     # Connection / schema management
     # ------------------------------------------------------------------
 
-    def _connect(self) -> sqlite3.Connection:
-        """A fresh connection, schema migrated to the current version."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(str(self.path), timeout=10.0)
+    @contextmanager
+    def _connection(self) -> Iterator[Callable[[], sqlite3.Connection]]:
+        """Scope one public call to one connection, opened on first use.
+
+        Yields ``connect()``, which returns the scope's connection —
+        opening it (WAL, schema migrated) on the first call, so a query
+        that never calls it never creates the file. Re-entrant per
+        instance and thread: a scope entered inside another yields the
+        outer ``connect``, and the outermost exit closes the connection.
+        """
+        outer = getattr(self._local, "connect", None)
+        if outer is not None:
+            yield outer
+            return
+        opened: Optional[sqlite3.Connection] = None
+
+        def connect() -> sqlite3.Connection:
+            nonlocal opened
+            if opened is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                connection = sqlite3.connect(
+                    str(self.path), timeout=_BUSY_TIMEOUT_S
+                )
+                try:
+                    _enable_wal(connection)
+                    connection.execute("PRAGMA synchronous=NORMAL")
+                    ensure_schema(connection)
+                except BaseException:
+                    connection.close()
+                    raise
+                opened = connection
+            return opened
+
+        self._local.connect = connect
         try:
-            connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=NORMAL")
-            ensure_schema(connection)
-        except sqlite3.Error:
-            connection.close()
-            raise
-        return connection
+            yield connect
+        finally:
+            self._local.connect = None
+            if opened is not None:
+                opened.close()
 
     def schema_version(self) -> int:
         """The schema version of the file (migrating it if behind)."""
-        connection = self._connect()
-        try:
-            row = connection.execute(
-                "SELECT value FROM meta WHERE key = 'study_schema_version'"
-            ).fetchone()
-            return int(row[0]) if row else SCHEMA_VERSION
-        finally:
-            connection.close()
+        with self._connection() as connect:
+            return stored_version(connect())
 
     # ------------------------------------------------------------------
     # Writes
@@ -172,31 +235,27 @@ class StudyWarehouse:
     ) -> None:
         """Upsert one run row (idempotent; later calls refresh metadata)."""
         now = time.time() if ts is None else float(ts)
-        connection = self._connect()
-        try:
-            with connection:
-                connection.execute(
-                    "INSERT INTO runs (run_id, label, source,"
-                    " config_fingerprint, threshold_ms, created_ts)"
-                    " VALUES (?, ?, ?, ?, ?, ?)"
-                    " ON CONFLICT(run_id) DO UPDATE SET"
-                    " label = CASE WHEN excluded.label != ''"
-                    "   THEN excluded.label ELSE label END,"
-                    " source = CASE WHEN excluded.source != ''"
-                    "   THEN excluded.source ELSE source END,"
-                    " config_fingerprint ="
-                    "   CASE WHEN excluded.config_fingerprint != ''"
-                    "   THEN excluded.config_fingerprint"
-                    "   ELSE config_fingerprint END,"
-                    " threshold_ms = COALESCE(excluded.threshold_ms,"
-                    "   threshold_ms)",
-                    (
-                        run_id, label, source, config_fingerprint,
-                        threshold_ms, now,
-                    ),
-                )
-        finally:
-            connection.close()
+        with self._connection() as connect, connect() as connection:
+            connection.execute(
+                "INSERT INTO runs (run_id, label, source,"
+                " config_fingerprint, threshold_ms, created_ts)"
+                " VALUES (?, ?, ?, ?, ?, ?)"
+                " ON CONFLICT(run_id) DO UPDATE SET"
+                " label = CASE WHEN excluded.label != ''"
+                "   THEN excluded.label ELSE label END,"
+                " source = CASE WHEN excluded.source != ''"
+                "   THEN excluded.source ELSE source END,"
+                " config_fingerprint ="
+                "   CASE WHEN excluded.config_fingerprint != ''"
+                "   THEN excluded.config_fingerprint"
+                "   ELSE config_fingerprint END,"
+                " threshold_ms = COALESCE(excluded.threshold_ms,"
+                "   threshold_ms)",
+                (
+                    run_id, label, source, config_fingerprint,
+                    threshold_ms, now,
+                ),
+            )
 
     def ingest_session(
         self,
@@ -234,8 +293,8 @@ class StudyWarehouse:
         faults_runtime.check("warehouse.write", key=f"{app}/{session_id}")
         now = time.time() if ts is None else float(ts)
         counts = pattern_counts or {}
-        connection = self._connect()
-        try:
+        with self._connection() as connect:
+            connection = connect()
             existing = connection.execute(
                 "SELECT trace_digest FROM sessions"
                 " WHERE run_id = ? AND app = ? AND session_id = ?",
@@ -311,8 +370,6 @@ class StudyWarehouse:
                             for label, row in sorted(causes.items())
                         ],
                     )
-        finally:
-            connection.close()
         obs_runtime.count("warehouse.sessions_ingested")
         return True
 
@@ -427,47 +484,48 @@ class StudyWarehouse:
         """
         wanted = set(applications) if applications is not None else None
         ingested = skipped = ineligible = 0
-        for record in cache.iter_bundles():
-            meta = record.meta or {}
-            app = meta.get("application")
-            session_id = meta.get("session_id")
-            stats = record.partials.get("statistics")
-            occurrence = record.partials.get("occurrence")
-            if (
-                not app
-                or not session_id
-                or not isinstance(stats, SessionStats)
-                or occurrence is None
-                or not hasattr(occurrence, "counts")
-            ):
-                ineligible += 1
-                continue
-            if config_fingerprint and (
-                meta.get("config_fingerprint") != config_fingerprint
-            ):
-                ineligible += 1
-                continue
-            if wanted is not None and app not in wanted:
-                ineligible += 1
-                continue
-            changed = self.ingest_session(
-                run_id=run_id,
-                app=str(app),
-                session_id=str(session_id),
-                stats=stats,
-                pattern_counts=occurrence.counts,
-                excluded=int(getattr(occurrence, "excluded", 0)),
-                trace_digest=str(meta.get("trace_digest", "")),
-                config_fingerprint=str(meta.get("config_fingerprint", "")),
-                ts=ts,
-                family=str(meta.get("family", "gui")),
-                causes=_cause_rows(record.partials.get("causes")),
-            )
-            if changed:
-                ingested += 1
-                obs_runtime.count("warehouse.bundles_compacted")
-            else:
-                skipped += 1
+        with self._connection():
+            for record in cache.iter_bundles():
+                meta = record.meta or {}
+                app = meta.get("application")
+                session_id = meta.get("session_id")
+                stats = record.partials.get("statistics")
+                occurrence = record.partials.get("occurrence")
+                if (
+                    not app
+                    or not session_id
+                    or not isinstance(stats, SessionStats)
+                    or occurrence is None
+                    or not hasattr(occurrence, "counts")
+                ):
+                    ineligible += 1
+                    continue
+                if config_fingerprint and (
+                    meta.get("config_fingerprint") != config_fingerprint
+                ):
+                    ineligible += 1
+                    continue
+                if wanted is not None and app not in wanted:
+                    ineligible += 1
+                    continue
+                changed = self.ingest_session(
+                    run_id=run_id,
+                    app=str(app),
+                    session_id=str(session_id),
+                    stats=stats,
+                    pattern_counts=occurrence.counts,
+                    excluded=int(getattr(occurrence, "excluded", 0)),
+                    trace_digest=str(meta.get("trace_digest", "")),
+                    config_fingerprint=str(meta.get("config_fingerprint", "")),
+                    ts=ts,
+                    family=str(meta.get("family", "gui")),
+                    causes=_cause_rows(record.partials.get("causes")),
+                )
+                if changed:
+                    ingested += 1
+                    obs_runtime.count("warehouse.bundles_compacted")
+                else:
+                    skipped += 1
         return {
             "ingested": ingested,
             "skipped": skipped,
@@ -477,6 +535,13 @@ class StudyWarehouse:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def _rows(self, sql: str, params: Sequence[Any] = ()) -> List[tuple]:
+        """Every row of one read query; a missing file reads as empty."""
+        if not self.path.exists():
+            return []
+        with self._connection() as connect:
+            return connect().execute(sql, params).fetchall()
 
     @staticmethod
     def _filters(
@@ -489,39 +554,27 @@ class StudyWarehouse:
         clauses: List[str] = [_NUMERIC_GUARD]
         params: List[Any] = []
         if apps:
-            clauses.append(
-                "app IN (" + ", ".join("?" for _ in apps) + ")"
-            )
+            clauses.append(_in("app", apps))
             params.extend(apps)
         if run_ids:
-            clauses.append(
-                "run_id IN (" + ", ".join("?" for _ in run_ids) + ")"
-            )
+            clauses.append(_in("run_id", run_ids))
             params.extend(run_ids)
         if since_ts is not None:
             clauses.append("ingested_ts >= ?")
             params.append(float(since_ts))
         if families:
-            clauses.append(
-                "family IN (" + ", ".join("?" for _ in families) + ")"
-            )
+            clauses.append(_in("family", families))
             params.extend(families)
         return " AND ".join(clauses), params
 
     def runs(self) -> List[RunRecord]:
         """Every recorded run, oldest first, with its session count."""
-        if not self.path.exists():
-            return []
-        connection = self._connect()
-        try:
-            rows = connection.execute(
-                "SELECT r.run_id, r.label, r.source, r.config_fingerprint,"
-                " r.threshold_ms, r.created_ts,"
-                " (SELECT COUNT(*) FROM sessions s WHERE s.run_id = r.run_id)"
-                " FROM runs r ORDER BY r.created_ts, r.run_id"
-            ).fetchall()
-        finally:
-            connection.close()
+        rows = self._rows(
+            "SELECT r.run_id, r.label, r.source, r.config_fingerprint,"
+            " r.threshold_ms, r.created_ts,"
+            " (SELECT COUNT(*) FROM sessions s WHERE s.run_id = r.run_id)"
+            " FROM runs r ORDER BY r.created_ts, r.run_id"
+        )
         return [
             RunRecord(
                 run_id=row[0],
@@ -543,20 +596,14 @@ class StudyWarehouse:
         families: Optional[Sequence[str]] = None,
     ) -> List[AppAggregate]:
         """Cross-session totals per application, app-name order."""
-        if not self.path.exists():
-            return []
         where, params = self._filters(apps, run_ids, since_ts, families)
-        connection = self._connect()
-        try:
-            rows = connection.execute(
-                "SELECT app, COUNT(*), SUM(traced), SUM(perceptible),"
-                " SUM(e2e_s), AVG(long_per_min)"
-                f" FROM sessions WHERE {where}"
-                " GROUP BY app ORDER BY app",
-                params,
-            ).fetchall()
-        finally:
-            connection.close()
+        rows = self._rows(
+            "SELECT app, COUNT(*), SUM(traced), SUM(perceptible),"
+            " SUM(e2e_s), AVG(long_per_min)"
+            f" FROM sessions WHERE {where}"
+            " GROUP BY app ORDER BY app",
+            params,
+        )
         return [
             AppAggregate(
                 application=row[0],
@@ -583,6 +630,9 @@ class StudyWarehouse:
         total occurrences (then perceptible count). Ties break on
         (application, pattern key) ascending, so the ordering is fully
         deterministic.
+
+        ``sessions`` is the group's row count: the primary key makes
+        every row of one (app, pattern key) a distinct (run, session).
         """
         if metric == "perceptible_lag":
             order = "total_perceptible DESC, total_count DESC"
@@ -593,36 +643,26 @@ class StudyWarehouse:
                 f"unknown pattern metric {metric!r};"
                 " choose from occurrences, perceptible_lag"
             )
-        if not self.path.exists():
-            return []
         clauses: List[str] = [
             "typeof(count) IN ('integer', 'real')",
             "typeof(perceptible) IN ('integer', 'real')",
         ]
         params: List[Any] = []
         if apps:
-            clauses.append("app IN (" + ", ".join("?" for _ in apps) + ")")
+            clauses.append(_in("app", apps))
             params.extend(apps)
         if run_ids:
-            clauses.append(
-                "run_id IN (" + ", ".join("?" for _ in run_ids) + ")"
-            )
+            clauses.append(_in("run_id", run_ids))
             params.extend(run_ids)
-        where = " AND ".join(clauses)
-        connection = self._connect()
-        try:
-            rows = connection.execute(
-                "SELECT app, pattern_key, SUM(count) AS total_count,"
-                " SUM(perceptible) AS total_perceptible,"
-                " COUNT(DISTINCT run_id || '/' || session_id)"
-                f" FROM patterns WHERE {where}"
-                " GROUP BY app, pattern_key"
-                f" ORDER BY {order}, app, pattern_key"
-                " LIMIT ?",
-                params + [int(n)],
-            ).fetchall()
-        finally:
-            connection.close()
+        rows = self._rows(
+            "SELECT app, pattern_key, SUM(count) AS total_count,"
+            " SUM(perceptible) AS total_perceptible, COUNT(*)"
+            f" FROM patterns WHERE {' AND '.join(clauses)}"
+            " GROUP BY app, pattern_key"
+            f" ORDER BY {order}, app, pattern_key"
+            " LIMIT ?",
+            params + [int(n)],
+        )
         return [
             PatternAggregate(
                 application=row[0],
@@ -656,21 +696,15 @@ class StudyWarehouse:
                 f"unknown bucket {bucket!r}; choose from {known}"
             )
         value_sql = _metric_sql(metric)
-        if not self.path.exists():
-            return []
         where, params = self._filters(apps, run_ids, since_ts, families)
-        connection = self._connect()
-        try:
-            rows = connection.execute(
-                "SELECT app,"
-                " CAST(ingested_ts AS INTEGER) / ? * ? AS bucket_ts,"
-                f" COUNT(*), {value_sql}"
-                f" FROM sessions WHERE {where}"
-                " GROUP BY app, bucket_ts ORDER BY app, bucket_ts",
-                [width, width] + params,
-            ).fetchall()
-        finally:
-            connection.close()
+        rows = self._rows(
+            "SELECT app,"
+            " CAST(ingested_ts AS INTEGER) / ? * ? AS bucket_ts,"
+            f" COUNT(*), {value_sql}"
+            f" FROM sessions WHERE {where}"
+            " GROUP BY app, bucket_ts ORDER BY app, bucket_ts",
+            [width, width] + params,
+        )
         return [
             SeriesPoint(
                 application=row[0],
@@ -699,24 +733,21 @@ class StudyWarehouse:
         value_sql = _metric_sql(metric)
 
         def side(runs: Sequence[str]) -> Dict[str, Tuple[float, int]]:
-            if not self.path.exists() or not runs:
+            if not runs:
                 return {}
             where, params = self._filters(run_ids=runs)
-            connection = self._connect()
-            try:
-                rows = connection.execute(
-                    f"SELECT app, {value_sql}, COUNT(*)"
-                    f" FROM sessions WHERE {where} GROUP BY app",
-                    params,
-                ).fetchall()
-            finally:
-                connection.close()
+            rows = self._rows(
+                f"SELECT app, {value_sql}, COUNT(*)"
+                f" FROM sessions WHERE {where} GROUP BY app",
+                params,
+            )
             return {
                 row[0]: (float(row[1] or 0.0), int(row[2])) for row in rows
             }
 
-        base = side(baseline_runs)
-        cand = side(candidate_runs)
+        with self._connection():
+            base = side(baseline_runs)
+            cand = side(candidate_runs)
         entries: List[RegressionEntry] = []
         for app in sorted(set(base) | set(cand)):
             base_value, base_sessions = base.get(app, (0.0, 0))
@@ -751,10 +782,10 @@ class StudyWarehouse:
 
         Sums the run's per-session cause rows; ``perceptible_only``
         reads the perceptible columns instead. Labels come back in
-        label order (deterministic regardless of ingest order).
+        label order (deterministic regardless of ingest order). Without
+        ``apps`` the sum reads only ``idx_causes_run_label``, already in
+        label order.
         """
-        if not self.path.exists():
-            return {}
         if perceptible_only:
             value_cols = "SUM(perceptible_ns), SUM(perceptible_episodes)"
         else:
@@ -766,18 +797,13 @@ class StudyWarehouse:
         ]
         params: List[Any] = [run_id]
         if apps:
-            clauses.append("app IN (" + ", ".join("?" for _ in apps) + ")")
+            clauses.append(_in("app", apps))
             params.extend(apps)
-        where = " AND ".join(clauses)
-        connection = self._connect()
-        try:
-            rows = connection.execute(
-                f"SELECT label, {value_cols} FROM causes"
-                f" WHERE {where} GROUP BY label ORDER BY label",
-                params,
-            ).fetchall()
-        finally:
-            connection.close()
+        rows = self._rows(
+            f"SELECT label, {value_cols} FROM causes"
+            f" WHERE {' AND '.join(clauses)} GROUP BY label ORDER BY label",
+            params,
+        )
         return {
             row[0]: (int(row[1] or 0), int(row[2] or 0)) for row in rows
         }
@@ -800,12 +826,10 @@ class StudyWarehouse:
         """
         from repro.core.causegraph import diff_cause_totals
 
-        return diff_cause_totals(
-            self.cause_totals(run_a, apps, perceptible_only),
-            self.cause_totals(run_b, apps, perceptible_only),
-            run_a,
-            run_b,
-        )
+        with self._connection():
+            totals_a = self.cause_totals(run_a, apps, perceptible_only)
+            totals_b = self.cause_totals(run_b, apps, perceptible_only)
+        return diff_cause_totals(totals_a, totals_b, run_a, run_b)
 
     # ------------------------------------------------------------------
     # Retention and hygiene
@@ -829,8 +853,8 @@ class StudyWarehouse:
         if not self.path.exists():
             return 0
         now = time.time() if now is None else float(now)
-        connection = self._connect()
-        try:
+        with self._connection() as connect:
+            connection = connect()
             doomed: List[str] = []
             if max_age_s is not None:
                 cutoff = now - float(max_age_s)
@@ -853,26 +877,13 @@ class StudyWarehouse:
                 )
             doomed = sorted(set(doomed))
             if doomed:
-                marks = ", ".join("?" for _ in doomed)
                 with connection:
-                    connection.execute(
-                        f"DELETE FROM patterns WHERE run_id IN ({marks})",
-                        doomed,
-                    )
-                    connection.execute(
-                        f"DELETE FROM causes WHERE run_id IN ({marks})",
-                        doomed,
-                    )
-                    connection.execute(
-                        f"DELETE FROM sessions WHERE run_id IN ({marks})",
-                        doomed,
-                    )
-                    connection.execute(
-                        f"DELETE FROM runs WHERE run_id IN ({marks})",
-                        doomed,
-                    )
-        finally:
-            connection.close()
+                    for table in ("patterns", "causes", "sessions", "runs"):
+                        connection.execute(
+                            f"DELETE FROM {table}"
+                            f" WHERE {_in('run_id', doomed)}",
+                            doomed,
+                        )
         return len(doomed)
 
     def compact(
@@ -891,8 +902,8 @@ class StudyWarehouse:
             return 0
         now = time.time() if now is None else float(now)
         cutoff = now - float(older_than_s)
-        connection = self._connect()
-        try:
+        with self._connection() as connect:
+            connection = connect()
             old_runs = [
                 row[0]
                 for row in connection.execute(
@@ -901,23 +912,21 @@ class StudyWarehouse:
             ]
             if not old_runs:
                 return 0
-            marks = ", ".join("?" for _ in old_runs)
+            in_old = _in("run_id", old_runs)
             before = connection.execute(
-                f"SELECT COUNT(*) FROM patterns WHERE run_id IN ({marks})",
-                old_runs,
+                f"SELECT COUNT(*) FROM patterns WHERE {in_old}", old_runs
             ).fetchone()[0]
             with connection:
                 connection.execute(
                     "CREATE TEMP TABLE folded AS"
                     " SELECT run_id, app, '' AS session_id, pattern_key,"
                     " SUM(count) AS count, SUM(perceptible) AS perceptible"
-                    f" FROM patterns WHERE run_id IN ({marks})"
+                    f" FROM patterns WHERE {in_old}"
                     " GROUP BY run_id, app, pattern_key",
                     old_runs,
                 )
                 connection.execute(
-                    f"DELETE FROM patterns WHERE run_id IN ({marks})",
-                    old_runs,
+                    f"DELETE FROM patterns WHERE {in_old}", old_runs
                 )
                 connection.execute(
                     "INSERT INTO patterns (run_id, app, session_id,"
@@ -927,14 +936,11 @@ class StudyWarehouse:
                 )
                 connection.execute("DROP TABLE folded")
             after = connection.execute(
-                f"SELECT COUNT(*) FROM patterns WHERE run_id IN ({marks})",
-                old_runs,
+                f"SELECT COUNT(*) FROM patterns WHERE {in_old}", old_runs
             ).fetchone()[0]
             reclaimed = int(before) - int(after)
             if reclaimed > 0:
                 connection.execute("VACUUM")
-        finally:
-            connection.close()
         return reclaimed
 
     def quarantine_corrupt(self, now: Optional[float] = None) -> int:
@@ -950,8 +956,8 @@ class StudyWarehouse:
         if not self.path.exists():
             return 0
         now = time.time() if now is None else float(now)
-        connection = self._connect()
-        try:
+        with self._connection() as connect:
+            connection = connect()
             bad = connection.execute(
                 "SELECT rowid, * FROM sessions WHERE NOT (" + _NUMERIC_GUARD + ")"
             ).fetchall()
@@ -961,32 +967,23 @@ class StudyWarehouse:
                 " AND typeof(perceptible) IN ('integer', 'real'))"
             ).fetchall()
             with connection:
-                for row in bad:
-                    connection.execute(
-                        "INSERT INTO quarantine (rowid_src, src_table,"
-                        " reason, payload, swept_ts) VALUES (?, ?, ?, ?, ?)",
-                        (
-                            row[0], "sessions", "non-numeric stats",
-                            json.dumps(row[1:], default=str), now,
-                        ),
-                    )
-                    connection.execute(
-                        "DELETE FROM sessions WHERE rowid = ?", (row[0],)
-                    )
-                for row in bad_patterns:
-                    connection.execute(
-                        "INSERT INTO quarantine (rowid_src, src_table,"
-                        " reason, payload, swept_ts) VALUES (?, ?, ?, ?, ?)",
-                        (
-                            row[0], "patterns", "non-numeric counts",
-                            json.dumps(row[1:], default=str), now,
-                        ),
-                    )
-                    connection.execute(
-                        "DELETE FROM patterns WHERE rowid = ?", (row[0],)
-                    )
-        finally:
-            connection.close()
+                for table, reason, rows in (
+                    ("sessions", "non-numeric stats", bad),
+                    ("patterns", "non-numeric counts", bad_patterns),
+                ):
+                    for row in rows:
+                        connection.execute(
+                            "INSERT INTO quarantine (rowid_src, src_table,"
+                            " reason, payload, swept_ts)"
+                            " VALUES (?, ?, ?, ?, ?)",
+                            (
+                                row[0], table, reason,
+                                json.dumps(row[1:], default=str), now,
+                            ),
+                        )
+                        connection.execute(
+                            f"DELETE FROM {table} WHERE rowid = ?", (row[0],)
+                        )
         swept = len(bad) + len(bad_patterns)
         if swept:
             obs_runtime.count("warehouse.quarantined_rows", swept)
@@ -994,19 +991,9 @@ class StudyWarehouse:
 
     def quarantined(self) -> List[Tuple[str, str]]:
         """``(table, reason)`` of every quarantined row, sweep order."""
-        if not self.path.exists():
-            return []
-        connection = self._connect()
-        try:
-            return [
-                (row[0], row[1])
-                for row in connection.execute(
-                    "SELECT src_table, reason FROM quarantine"
-                    " ORDER BY swept_ts, rowid"
-                )
-            ]
-        finally:
-            connection.close()
+        return self._rows(
+            "SELECT src_table, reason FROM quarantine ORDER BY swept_ts, rowid"
+        )
 
     def __repr__(self) -> str:
         return f"StudyWarehouse({str(self.path)!r})"

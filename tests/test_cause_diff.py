@@ -6,8 +6,9 @@ injected cause (a degraded database, every IO wait stretched), ``repro
 study diff A B`` must rank the injected cause first — and must do so
 deterministically whether the summaries were computed serially, by a
 worker pool, or compacted from engine bundles. Alongside it live the
-v2 -> v3 schema migration pins (family column backfill, causes table)
-and the CLI surface of ``study diff``.
+v2 -> v3 schema migration pins (family column backfill, causes table),
+the v3 -> v4 pins (the covering cause index and the query plan it
+buys), and the CLI surface of ``study diff``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from repro.apps.io_service import simulate_service_sessions
 from repro.cli import main
 from repro.cli.study import EXIT_NO_WAREHOUSE
 from repro.core.analyzer import AnalysisConfig, LagAlyzer
+from repro.core.causegraph import DiffReport, diff_cause_totals
 from repro.engine.cache import ResultCache, config_fingerprint
 from repro.engine.engine import AnalysisEngine
+from repro.warehouse import store as warehouse_store
 from repro.warehouse.schema import MIGRATIONS, SCHEMA_VERSION
 from repro.warehouse.store import INGEST_ANALYSES, StudyWarehouse
 
@@ -135,6 +138,141 @@ class TestMigrationV3:
         report = wh.diff("r1", "r2")
         assert report.total_delta_ns > 0
         assert all(delta.a_total_ns == 0 for delta in report.deltas)
+
+
+# ----------------------------------------------------------------------
+# Schema: v3 -> v4 migration and the covering cause index
+# ----------------------------------------------------------------------
+
+#: ``(run, app, session, label, total_ns, episodes, perceptible_ns,
+#: perceptible_episodes)`` rows of a hand-built version-3 file.
+V3_CAUSE_ROWS = [
+    ("A", "OrderApi", "s0", INJECTED_LABEL, 100, 2, 60, 1),
+    ("A", "OrderApi", "s1", INJECTED_LABEL, 50, 1, 0, 0),
+    ("A", "OrderApi", "s0", "gc:young", 30, 3, 10, 1),
+    ("B", "OrderApi", "s0", INJECTED_LABEL, 400, 2, 300, 2),
+    ("B", "OrderApi", "s0", "gc:young", 20, 2, 0, 0),
+    ("B", "IndexBuilder", "s1", "native:java.util.zip.Deflater", 5, 1, 5, 1),
+]
+
+#: The six columns of the v4 ``idx_causes_run_label``.
+CAUSE_INDEX_COLUMNS = [
+    "run_id", "label", "total_ns", "episodes", "perceptible_ns",
+    "perceptible_episodes",
+]
+
+
+def v3_diff(path: Path, perceptible_only: bool) -> DiffReport:
+    """The A -> B report computed straight off a file, as v3 code did."""
+    if perceptible_only:
+        value_cols = "SUM(perceptible_ns), SUM(perceptible_episodes)"
+    else:
+        value_cols = "SUM(total_ns), SUM(episodes)"
+    connection = sqlite3.connect(str(path))
+    try:
+        totals = [
+            {
+                label: (ns, episodes)
+                for label, ns, episodes in connection.execute(
+                    f"SELECT label, {value_cols} FROM causes WHERE run_id = ?"
+                    " GROUP BY label ORDER BY label",
+                    (run_id,),
+                )
+            }
+            for run_id in ("A", "B")
+        ]
+    finally:
+        connection.close()
+    return diff_cause_totals(totals[0], totals[1], "A", "B")
+
+
+class TestMigrationV4:
+    def _v3_file(self, tmp_path: Path) -> Path:
+        """A version-3 warehouse file holding two runs' cause rows."""
+        path = tmp_path / "v3.sqlite"
+        connection = sqlite3.connect(str(path))
+        for script in MIGRATIONS[:3]:
+            connection.executescript(script)
+        connection.execute(
+            "INSERT INTO meta (key, value)"
+            " VALUES ('study_schema_version', '3')"
+        )
+        connection.executemany(
+            "INSERT INTO causes (run_id, app, session_id, label, total_ns,"
+            " episodes, perceptible_ns, perceptible_episodes)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            V3_CAUSE_ROWS,
+        )
+        connection.commit()
+        connection.close()
+        return path
+
+    def test_v3_file_migrates_preserving_cause_rows(self, tmp_path):
+        wh = StudyWarehouse(self._v3_file(tmp_path))
+        assert wh.schema_version() == SCHEMA_VERSION
+        connection = sqlite3.connect(str(wh.path))
+        try:
+            rows = connection.execute(
+                "SELECT run_id, app, session_id, label, total_ns, episodes,"
+                " perceptible_ns, perceptible_episodes FROM causes"
+            ).fetchall()
+            columns = [
+                row[2]
+                for row in connection.execute(
+                    "PRAGMA index_info('idx_causes_run_label')"
+                )
+            ]
+        finally:
+            connection.close()
+        assert sorted(rows) == sorted(V3_CAUSE_ROWS)
+        assert columns == CAUSE_INDEX_COLUMNS
+
+    @pytest.mark.parametrize("perceptible_only", (False, True))
+    def test_diff_report_survives_the_upgrade(
+        self, tmp_path, perceptible_only
+    ):
+        path = self._v3_file(tmp_path)
+        before = v3_diff(path, perceptible_only)
+        after = StudyWarehouse(path).diff(
+            "A", "B", perceptible_only=perceptible_only
+        )
+        assert after == before
+        assert after.deltas[0].label == INJECTED_LABEL
+
+    def test_cause_totals_read_only_the_covering_index(
+        self, tmp_path, monkeypatch
+    ):
+        """Pin the plan: the run-filtered cause sums come off
+        ``idx_causes_run_label`` alone, already grouped in label order —
+        a schema edit that narrows the index fails here, not in a bench."""
+        wh = StudyWarehouse(self._v3_file(tmp_path))
+        statements: list = []
+        real_connect = sqlite3.connect
+
+        def tracing(*args, **kwargs) -> sqlite3.Connection:
+            connection = real_connect(*args, **kwargs)
+            connection.set_trace_callback(statements.append)
+            return connection
+
+        monkeypatch.setattr(warehouse_store.sqlite3, "connect", tracing)
+        for perceptible_only in (False, True):
+            statements.clear()
+            assert wh.cause_totals("A", perceptible_only=perceptible_only)
+            (sql,) = [s for s in statements if "FROM causes" in s]
+            # Older Pythons trace the statement with its placeholders.
+            params = ("A",) if "?" in sql else ()
+            connection = real_connect(str(wh.path))
+            try:
+                plan = " / ".join(
+                    row[3]
+                    for row in connection.execute(
+                        "EXPLAIN QUERY PLAN " + sql, params
+                    )
+                )
+            finally:
+                connection.close()
+            assert "USING COVERING INDEX idx_causes_run_label" in plan, plan
+            assert "TEMP B-TREE" not in plan, plan
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ and 2.
 from __future__ import annotations
 
 import os
+import pickle
 import sqlite3
 import threading
 from pathlib import Path
@@ -36,6 +37,7 @@ from repro.faults import runtime as faults_runtime
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.study.runner import StudyConfig, run_study
+from repro.warehouse import store as warehouse_store
 from repro.warehouse.schema import (
     MIGRATIONS,
     SCHEMA_VERSION,
@@ -90,6 +92,14 @@ def golden() -> LagAlyzer:
         TRACE_PATHS,
         config=AnalysisConfig(perceptible_threshold_ms=THRESHOLD_MS),
     )
+
+
+@pytest.fixture()
+def cache(tmp_path: Path, golden: LagAlyzer) -> ResultCache:
+    """A result cache holding one ingest bundle per golden trace."""
+    engine = AnalysisEngine(workers=1, cache_dir=tmp_path / "cache")
+    engine.map_traces(INGEST_ANALYSES, golden.traces, golden.config)
+    return ResultCache(tmp_path / "cache")
 
 
 def golden_partials(analyzer: LagAlyzer) -> list:
@@ -451,12 +461,6 @@ class TestGoldenParity:
 
 
 class TestIterBundles:
-    @pytest.fixture()
-    def cache(self, tmp_path, golden) -> ResultCache:
-        engine = AnalysisEngine(workers=1, cache_dir=tmp_path / "cache")
-        engine.map_traces(INGEST_ANALYSES, golden.traces, golden.config)
-        return ResultCache(tmp_path / "cache")
-
     def test_order_is_deterministic_ascending(self, cache):
         first = [record.key for record in cache.iter_bundles()]
         second = [record.key for record in cache.iter_bundles()]
@@ -579,6 +583,17 @@ class TestQueries:
         top = wh.top_patterns()
         assert [p.application for p in top] == ["A", "B"]
 
+    def test_top_patterns_counts_sessions_whose_ids_contain_slashes(self, wh):
+        # Run "r/x" session "s" and run "r" session "x/s" are distinct
+        # sessions, though both read "r/x/s" once joined with a slash.
+        for run_id, session_id in (("r/x", "s"), ("r", "x/s")):
+            wh.ingest_session(
+                run_id, "App", session_id, make_stats("App"),
+                pattern_counts={"k": (1, 0)}, trace_digest=run_id,
+            )
+        (top,) = wh.top_patterns()
+        assert (top.pattern_key, top.occurrences, top.sessions) == ("k", 2, 2)
+
     def test_top_patterns_unknown_metric_raises(self, seeded):
         with pytest.raises(StudyWarehouseError, match="unknown pattern metric"):
             seeded.top_patterns(metric="vibes")
@@ -646,6 +661,63 @@ class TestQueries:
         assert wh.quarantine_corrupt() == 0
         assert wh.quarantined() == []
         assert not wh.path.exists()  # queries never create the file
+
+
+# ----------------------------------------------------------------------
+# Connections: one per public call, nested calls reuse it
+# ----------------------------------------------------------------------
+
+
+class TestConnections:
+    @pytest.fixture()
+    def connects(self, monkeypatch) -> list:
+        """Every connection the store opens, in opening order."""
+        opened: list = []
+        real_connect = sqlite3.connect
+
+        def counting(*args, **kwargs) -> sqlite3.Connection:
+            opened.append(args[0])
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(warehouse_store.sqlite3, "connect", counting)
+        return opened
+
+    def test_diff_and_regression_open_one_connection(self, wh, connects):
+        for run_id, ns in (("a", 5), ("b", 9)):
+            wh.ingest_session(
+                run_id, "App", "s0", make_stats(),
+                causes={"gc:young": (ns, 1, 0, 0)}, trace_digest=run_id,
+            )
+        connects.clear()
+        assert wh.diff("a", "b").deltas[0].delta_ns == 4
+        assert len(connects) == 1
+        connects.clear()
+        assert len(wh.regression(["a"], ["b"]).entries) == 1
+        assert len(connects) == 1
+
+    def test_lone_ingest_session_opens_one_connection(self, wh, connects):
+        assert wh.ingest_session("r", "App", "s0", make_stats())
+        assert connects == [str(wh.path)]
+
+    def test_ingest_bundles_shares_one_connection(self, wh, cache, connects):
+        counters = wh.ingest_bundles(cache, "r")
+        assert counters["ingested"] == len(TRACE_PATHS) >= 3
+        assert len(connects) == 1
+        assert len(session_rows(wh)) == len(TRACE_PATHS)
+
+    def test_ingest_bundles_with_nothing_eligible_creates_no_file(
+        self, wh, cache, connects
+    ):
+        counters = wh.ingest_bundles(cache, "r", applications=["Nope"])
+        assert counters["ineligible"] == len(TRACE_PATHS)
+        assert connects == []
+        assert not wh.path.exists()
+
+    def test_pickles_as_its_path(self, wh):
+        wh.ingest_session("r", "App", "s0", make_stats())
+        clone = pickle.loads(pickle.dumps(wh))
+        assert clone.path == wh.path
+        assert [agg.sessions for agg in clone.aggregate()] == [1]
 
 
 # ----------------------------------------------------------------------
