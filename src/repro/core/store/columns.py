@@ -14,9 +14,10 @@ enumeration). The analysis kernels that *read* the columns live in
 from __future__ import annotations
 
 import sys
+import threading
 from array import array
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.intervals import IntervalKind, NS_PER_MS
 from repro.core.samples import StackTrace, ThreadState
@@ -216,6 +217,56 @@ class ColumnarTrace:
         self._episode_rows_cache: Dict[bool, List[Tuple[int, int, int, int, int]]] = {}
         self._key_cache: Dict[Tuple[int, int, bool], str] = {}
 
+    # -- deferred intern tables ------------------------------------------
+    #
+    # A store opened from a `.lilac` mapping does not decode its string
+    # and stack tables at open: a reopen served from the result cache
+    # never reads them. The first read of any attribute below decodes
+    # them once (mirroring ``FacadeTrace._LAZY``).
+
+    _LAZY = frozenset(("strings", "_strings_map", "interns", "stacks"))
+
+    def _defer_interns(
+        self, loader: Callable[[], Tuple[List[str], List[StackTrace]]]
+    ) -> None:
+        """Replace the intern tables with ``loader``, run on first read.
+
+        ``loader`` returns ``(strings, stacks)``. It runs under a
+        per-store lock, so threads racing the first read decode once and
+        all see one table. If it raises, the store stays deferred and
+        the next read raises again.
+        """
+        for name in ColumnarTrace._LAZY:
+            self.__dict__.pop(name, None)
+        self._pending_interns = (loader, threading.Lock())
+
+    def _load_interns(self) -> None:
+        """Decode deferred intern tables now (a no-op once decoded)."""
+        pending = self.__dict__.get("_pending_interns")
+        if pending is None:
+            return
+        loader, lock = pending
+        with lock:
+            if "_pending_interns" not in self.__dict__:
+                return
+            strings, stacks = loader()
+            interns = InternTable.adopt(
+                strings, {text: index for index, text in enumerate(strings)}
+            )
+            self.interns = interns
+            self.strings = interns.strings
+            self._strings_map = interns.ids
+            self.stacks = stacks
+            del self.__dict__["_pending_interns"]
+
+    def __getattr__(self, name: str) -> Any:
+        if name in ColumnarTrace._LAZY and "_pending_interns" in self.__dict__:
+            self._load_interns()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
     # -- pickling ------------------------------------------------------
     #
     # File-backed stores pickle as just their `.lilac` path: the worker
@@ -224,6 +275,8 @@ class ColumnarTrace:
     # stores ship their columns as before, minus derived caches.
 
     def __getstate__(self) -> dict:
+        # A store pickled by value carries decoded tables, never a loader.
+        self._load_interns()
         state = self.__dict__.copy()
         state["_episode_rows_cache"] = {}
         state["_key_cache"] = {}
@@ -436,10 +489,14 @@ class ColumnarTrace:
         }
 
     def __repr__(self) -> str:
+        # Never decodes deferred tables: a damaged block must not make
+        # the store unprintable.
+        strings = self.__dict__.get("strings")
+        interned = "deferred" if strings is None else len(strings)
         return (
             f"ColumnarTrace({self.metadata.application!r}, "
             f"{self.interval_count} intervals, {self.sample_count} samples, "
-            f"{len(self.strings)} strings)"
+            f"{interned} strings)"
         )
 
 

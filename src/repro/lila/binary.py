@@ -46,6 +46,7 @@ from typing import BinaryIO, Dict, List, Tuple, Union
 from repro.core.intervals import Interval, IntervalKind
 from repro.core.samples import StackFrame, StackTrace, ThreadState
 from repro.core.trace import Trace
+from repro.lila.writer import replace_on_success
 
 MAGIC = b"LILB"
 VERSION = 1
@@ -220,10 +221,12 @@ class _Writer:
 
 
 def write_trace_binary(trace: Trace, path: Union[str, Path]) -> Path:
-    """Write ``trace`` to ``path`` in the binary format."""
+    """Write ``trace`` to ``path`` in the binary format.
+
+    The write is atomic: on any error ``path`` is left untouched.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as handle:
+    with replace_on_success(path, "wb") as handle:
         _Writer(trace).write(handle)
     return path
 

@@ -31,14 +31,22 @@ Segment offsets in the header are relative to the data base, so the
 header's own length never feeds back into the offsets it records. The
 header CRC makes damage to the structural metadata loud; the column
 bytes themselves are deliberately *not* checksummed — verifying them
-would force a full read and defeat the O(1) open. Structural validation
-(bounds, lengths, intern ids) still rejects truncated or garbled files
-with a :class:`~repro.core.errors.TraceFormatError` stamped with the
-path and byte offset.
+would force a full read of every column.
+
+Opening reads the header only: the prologue, the header CRC, and the
+bounds of every column segment and intern block are checked there, so
+a truncated file fails at open. The intern blocks are decoded on the
+first read of the store's ``strings``, ``_strings_map``, ``interns``
+or ``stacks`` — a reopen whose results all come from the engine's
+cache never reads them, so damage inside a block surfaces only when
+something needs the strings or stacks. Either way damage raises a
+:class:`~repro.core.errors.TraceFormatError` stamped with the path and
+byte offset.
 
 A file written on an alien-endian host still opens: the reader detects
 the byteorder flag and falls back to a byteswapped *copy* (the store is
-then in-memory, not file-backed).
+then in-memory, not file-backed). That path closes the mapping at open,
+so it decodes the intern blocks there too.
 """
 
 from __future__ import annotations
@@ -46,10 +54,10 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import os
 import struct
 import sys
 import zlib
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -67,6 +75,7 @@ from repro.core.store.columns import (
 from repro.core.trace import TraceMetadata
 from repro.faults import runtime as faults_runtime
 from repro.lila.source import TraceSource
+from repro.lila.writer import replace_on_success
 from repro.obs import runtime as obs_runtime
 
 MAGIC = b"LILC"
@@ -240,9 +249,7 @@ def write_column_file(
         header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
 
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as handle:
+    with replace_on_success(path, "wb") as handle:
         handle.write(
             _PROLOGUE.pack(
                 MAGIC,
@@ -270,7 +277,6 @@ def write_column_file(
             handle.write(b"\0" * (entry["offset"] - position))
             handle.write(blob)
             position = entry["offset"] + entry["nbytes"]
-    os.replace(tmp, path)
     return path
 
 
@@ -458,16 +464,41 @@ def _parse_stacks(
     return stacks
 
 
+def _decode_interns(
+    path: Path,
+    map_obj: mmap.mmap,
+    spans: Dict[str, Tuple[Dict[str, int], int, int]],
+) -> Tuple[List[str], List[StackTrace]]:
+    """The ``(strings, stacks)`` tables of a mapped file's intern blocks.
+
+    ``spans`` maps each block name to ``(header entry, start, end)``,
+    bounds already checked at open. Slicing the mapping copies the
+    block, so no view into it outlives the call.
+    """
+
+    def block(name: str) -> Tuple[Dict[str, int], bytes, int]:
+        entry, start, end = spans[name]
+        return entry, map_obj[start:end], start
+
+    strings = _parse_strings(path, *block("strings"))
+    stacks = _parse_stacks(path, strings, *block("frames"), *block("stacks"))
+    return strings, stacks
+
+
 def open_column_store(path: Union[str, Path]) -> ColumnarTrace:
     """Open a `.lilac` file as a zero-copy, file-backed store.
 
     The column segments stay in the file: every numeric column is a
-    ``memoryview.cast`` over the shared mapping, so opening is O(header
-    + intern blocks), independent of the column bytes — and a store
-    opened here pickles as its *path* (workers re-map, nothing is
-    copied). Damage raises :class:`TraceFormatError` stamped with the
-    path and byte offset. On a byteorder-alien file the columns are
-    byteswap-copied instead (in-memory store, ``backing`` stays None).
+    ``memoryview.cast`` over the shared mapping, and the intern blocks
+    are decoded on the store's first read of its strings or stacks, so
+    opening costs the header alone — and a store opened here pickles as
+    its *path* (workers re-map, nothing is copied). Damage the open
+    checks (prologue, header CRC, segment and block bounds) raises
+    :class:`TraceFormatError` stamped with the path and byte offset
+    here; damage inside an intern block raises the same error from that
+    first read. On a byteorder-alien file the columns are byteswap-copied
+    and the blocks decoded at once (in-memory store, ``backing`` stays
+    None).
 
     The ``lila.mmap`` fault site is ambient (checked on every open,
     like the engine's ``trace.map``), so injected map failures exercise
@@ -530,7 +561,8 @@ def _open_mapped(path: Path, map_obj: mmap.mmap) -> ColumnarTrace:
             offset=_PROLOGUE.size,
         ) from None
 
-    def segment_bytes(entry: Dict[str, Any], what: str) -> Tuple[int, memoryview]:
+    def bounds(entry: Dict[str, Any], what: str) -> Tuple[int, int]:
+        """``[start, end)`` of one segment or block in the file."""
         try:
             offset = int(entry["offset"])
             nbytes = int(entry["nbytes"])
@@ -547,7 +579,7 @@ def _open_mapped(path: Path, map_obj: mmap.mmap) -> ColumnarTrace:
                 path=path,
                 offset=absolute,
             )
-        return absolute, raw[absolute:absolute + nbytes]
+        return absolute, absolute + nbytes
 
     segments: Dict[str, ColumnBuffer] = {}
     for entry in segment_entries:
@@ -559,7 +591,8 @@ def _open_mapped(path: Path, map_obj: mmap.mmap) -> ColumnarTrace:
                 f"bad segment typecode {typecode!r} for {name!r}",
                 offset=_PROLOGUE.size,
             )
-        absolute, view = segment_bytes(entry, f"segment {name!r}")
+        absolute, end = bounds(entry, f"segment {name!r}")
+        view = raw[absolute:end]
         expected = int(entry.get("count", -1)) * ITEM_SIZES[typecode]
         if expected != len(view):
             raise TraceFormatError(
@@ -576,24 +609,11 @@ def _open_mapped(path: Path, map_obj: mmap.mmap) -> ColumnarTrace:
         else:
             segments[name] = ColumnBuffer.view(typecode, view)
 
-    strings_base, strings_view = segment_bytes(
-        blocks["strings"], "strings block"
-    )
-    frames_base, frames_view = segment_bytes(blocks["frames"], "frames block")
-    stacks_base, stacks_view = segment_bytes(blocks["stacks"], "stacks block")
-    strings = _parse_strings(
-        path, blocks["strings"], bytes(strings_view), strings_base
-    )
-    stacks = _parse_stacks(
-        path,
-        strings,
-        blocks["frames"],
-        bytes(frames_view),
-        frames_base,
-        blocks["stacks"],
-        bytes(stacks_view),
-        stacks_base,
-    )
+    # Intern blocks are bounds-checked now but decoded on first read.
+    spans: Dict[str, Tuple[Dict[str, int], int, int]] = {
+        block: (blocks[block], *bounds(blocks[block], f"{block} block"))
+        for block in ("strings", "frames", "stacks")
+    }
 
     threads: List[_ThreadColumns] = []
     for index, name in enumerate(thread_names):
@@ -642,7 +662,7 @@ def _open_mapped(path: Path, map_obj: mmap.mmap) -> ColumnarTrace:
 
     store = ColumnarTrace(
         metadata=metadata,
-        strings=strings,
+        strings=[],
         strings_map=None,
         threads=threads,
         thread_map={name: index for index, name in enumerate(thread_names)},
@@ -652,11 +672,15 @@ def _open_mapped(path: Path, map_obj: mmap.mmap) -> ColumnarTrace:
         entry_state=sample_columns["entry_state"],
         entry_stack=sample_columns["entry_stack"],
         sample_runnable=sample_columns["sample_runnable"],
-        stacks=stacks,
+        stacks=[],
         short_episode_count=short_count,
     )
     store._content_digest = digest
-    if not copy_mode:
+    store._defer_interns(partial(_decode_interns, path, map_obj, spans))
+    if copy_mode:
+        # The mapping closes right after open, so decode from it now.
+        store._load_interns()
+    else:
         store.backing = ColumnFileBacking(path, map_obj, size, digest)
     return store
 

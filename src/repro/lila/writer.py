@@ -8,8 +8,10 @@ use the dedicated ``G`` record so readers can re-insert them with
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, Union
+from typing import IO, Any, Iterator, List, Union
 
 from repro.core.intervals import Interval, IntervalKind
 from repro.core.trace import Trace
@@ -68,15 +70,36 @@ def trace_to_lines(trace: Trace) -> List[str]:
     return lines
 
 
+@contextmanager
+def replace_on_success(path: Path, mode: str) -> Iterator[IO[Any]]:
+    """A handle on a temp file beside ``path``, renamed over it on success.
+
+    Readers never observe a half-written file, and an error part-way
+    (say, a symbol the format cannot carry) leaves an existing ``path``
+    as it was and no temp file behind. ``mode`` is ``"w"`` (UTF-8
+    text) or ``"wb"``.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open(mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace(trace: Trace, path: Union[str, Path]) -> Path:
     """Write ``trace`` to ``path`` in the LiLa text format.
+
+    The write is atomic: on any error ``path`` is left untouched.
 
     Returns:
         The path written, as a :class:`~pathlib.Path`.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    with replace_on_success(path, "w") as handle:
         for line in trace_to_lines(trace):
             handle.write(line)
             handle.write("\n")

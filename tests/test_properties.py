@@ -2,7 +2,7 @@
 
 import string
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.intervals import (
     Interval,
@@ -163,6 +163,30 @@ def test_key_depth_never_exceeds_tree_depth(roots):
             continue
         ep = episode(root)
         assert key_depth(pattern_key(ep)) <= root.depth()
+
+
+def _key_depth_oracle(key):
+    """The original per-character ``key_depth`` loop, kept as the oracle."""
+    depth = 1
+    best = 1
+    for char in key:
+        if char == "(":
+            depth += 1
+            if depth > best:
+                best = depth
+        elif char == ")":
+            depth -= 1
+    return best
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from("()|"), st.characters())))
+@example("")
+@example(")(")
+@example(")))(((")
+@example("(listener|é.Ä.m(paint|☃.x))(iowait|日本.y")
+@settings(max_examples=300)
+def test_key_depth_matches_the_character_loop(key):
+    assert key_depth(key) == _key_depth_oracle(key)
 
 
 @given(_interval_trees())
