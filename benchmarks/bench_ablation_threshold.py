@@ -9,7 +9,7 @@ episodes and patterns stop being "problems".
 import pytest
 
 from repro.core import occurrence as occurrence_mod
-from repro.core.api import AnalysisConfig, LagAlyzer
+from repro import AnalysisConfig, LagAlyzer
 
 
 @pytest.mark.parametrize("threshold_ms", [100.0, 150.0, 195.0])

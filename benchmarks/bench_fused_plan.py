@@ -41,7 +41,7 @@ if str(REPO_SRC) not in sys.path:
 
 from repro.apps.sessions import simulate_sessions  # noqa: E402
 from repro.core.analyses import REGISTRY  # noqa: E402
-from repro.core.api import AnalysisConfig  # noqa: E402
+from repro import AnalysisConfig  # noqa: E402
 from repro.core.store import as_columnar  # noqa: E402
 from repro.engine.engine import AnalysisEngine  # noqa: E402
 

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.core.api import LagAlyzer
+from repro import LagAlyzer
 from repro.apps.sessions import simulate_session
 from repro.lila.reader import read_trace_lines
 from repro.lila.writer import trace_to_lines

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.core.api import LagAlyzer
+from repro import LagAlyzer
 from repro.apps.sessions import simulate_sessions
 from repro.study.runner import StudyConfig, run_study
 

@@ -11,9 +11,8 @@ ablation (100 ms vs the literature's 150/195 ms).
 Run:  python examples/pattern_mining.py
 """
 
-from repro import LagAlyzer
+from repro import AnalysisConfig, LagAlyzer
 from repro.apps.sessions import simulate_sessions
-from repro.core.api import AnalysisConfig
 from repro.core.occurrence import Occurrence, classify_pattern, summarize
 from repro.viz.browser import render_episode_list, render_pattern_browser
 

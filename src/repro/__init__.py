@@ -6,9 +6,9 @@ tool" (Adamoli, Jovic, Hauswirth — ISPASS 2010).
 This module is the **stable public surface**: everything in
 :data:`__all__` is supported API, importable directly from ``repro``,
 and documented in ``docs/api.md``. Deep imports keep working but are
-not part of the contract (and the historical ``repro.core.api`` path
-warns). :data:`API_VERSION` increments whenever this surface changes
-incompatibly.
+not part of the contract. :data:`API_VERSION` increments whenever this
+surface changes incompatibly; version 2 removed the ``repro.core.api``
+alias of :mod:`repro.core.analyzer` and ``AnalysisEngine.map_trace``.
 
 The package is organized as:
 
@@ -50,7 +50,7 @@ from repro.apps import simulate_session
 __version__ = "1.1.0"
 
 #: Version of the public surface below; bumped on incompatible change.
-API_VERSION = 1
+API_VERSION = 2
 
 # Heavier subsystems resolve lazily (PEP 562): importing ``repro`` for
 # a quick trace read should not pay for the study harness, the engine,

@@ -25,9 +25,10 @@ def _cmd_engine_cache(args: argparse.Namespace) -> int:
         else:
             print("no recorded statistics yet (cache directory exists but "
                   "no run has persisted stats.json)")
-            entries = cache.entry_count()
+            entries = cache.bundle_count()
             if entries:
-                print(f"entries:      {entries} ({cache.total_bytes()} bytes)")
+                print(f"entries:      {entries} bundles "
+                      f"({cache.bundle_bytes()} bytes)")
         return 0
     if status == "corrupt":
         print(
@@ -37,31 +38,16 @@ def _cmd_engine_cache(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    entries = cache.entry_count()
-    bundles = cache.bundle_count()
     total = stats.hits + stats.misses
     hit_pct = 100.0 * stats.hits / total if total else 0.0
-    bundle_total = stats.bundle_hits + stats.bundle_misses
-    bundle_hit_pct = (
-        100.0 * stats.bundle_hits / bundle_total if bundle_total else 0.0
-    )
     print(f"cache dir:    {cache.root}")
     print(f"code version: {CODE_VERSION}")
-    # Fused bundles and legacy per-analysis entries are different
-    # granularities (one bundle holds a whole plan's partials for one
-    # trace), so they are reported separately, never lumped.
-    print(f"entries:      {entries} per-analysis ({cache.total_bytes()} bytes)"
-          f" + {bundles} fused bundles ({cache.bundle_bytes()} bytes)")
-    print("per-analysis entries:")
-    print(f"  hits:         {stats.hits}")
-    print(f"  misses:       {stats.misses}")
-    print(f"  stores:       {stats.stores}")
-    print(f"  hit rate:     {hit_pct:.1f}%")
-    print("fused bundles:")
-    print(f"  hits:         {stats.bundle_hits}")
-    print(f"  misses:       {stats.bundle_misses}")
-    print(f"  stores:       {stats.bundle_stores}")
-    print(f"  hit rate:     {bundle_hit_pct:.1f}%")
+    print(f"entries:      {cache.bundle_count()} bundles "
+          f"({cache.bundle_bytes()} bytes)")
+    print(f"hits:         {stats.hits}")
+    print(f"misses:       {stats.misses}")
+    print(f"stores:       {stats.stores}")
+    print(f"hit rate:     {hit_pct:.1f}%")
     print(f"discarded:    {stats.discarded} (failed integrity check)")
     print(f"write errors: {stats.write_errors}")
     print(f"read errors:  {stats.read_errors}")

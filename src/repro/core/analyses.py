@@ -59,7 +59,7 @@ from repro.core import location as location_mod
 from repro.core import threadstates as threadstates_mod
 from repro.core import triggers as triggers_mod
 from repro.core.concurrency import ConcurrencySummary
-from repro.core.episodes import trace_episodes  # noqa: F401  (re-exported; api.py uses it)
+from repro.core.episodes import trace_episodes  # noqa: F401  (re-exported; analyzer.py uses it)
 from repro.core.errors import AnalysisError
 from repro.core.family import family_of
 from repro.core.location import LocationSummary

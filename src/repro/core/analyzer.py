@@ -241,7 +241,9 @@ class LagAlyzer:
         :class:`~repro.engine.AnalysisEngine` the per-trace map work
         runs through its worker pool and result cache; without one it
         is the plain serial composition. Both paths produce identical
-        summaries.
+        summaries. The cache keys a bundle by its analysis set, so this
+        one-analysis request stores its own bundles rather than reading
+        those an earlier :meth:`summaries` run stored.
 
         Raises:
             AnalysisError: unknown name, or ``perceptible_only=True``

@@ -24,8 +24,7 @@ Plans carry a stable :meth:`~AnalysisPlan.fingerprint` (hash of the
 sorted operator names plus a plan-format version), which the engine
 combines with the trace digest and config fingerprint to cache the
 whole fused bundle of partials in one entry (see
-:mod:`repro.engine.cache`), while legacy per-analysis entries keep
-working for lookups of any subset.
+:mod:`repro.engine.cache`).
 
 Observability: each fused pass counts ``engine.fused_passes``,
 ``plan.operators`` (operators executed), and ``plan.shared_hits``

@@ -4,11 +4,13 @@ LagAlyzer's analyses decompose into per-trace ``map_trace`` partials
 merged by a ``reduce`` (see :mod:`repro.core.analyses`). This package
 executes that decomposition at scale:
 
-- :class:`~repro.engine.engine.AnalysisEngine` — fan ``map_trace`` out
-  across worker processes and satisfy repeats from a content-addressed
-  cache, with results bit-identical to the serial path.
-- :class:`~repro.engine.cache.ResultCache` — the on-disk store, keyed
-  by (trace digest, config fingerprint, analysis name, code version).
+- :class:`~repro.engine.engine.AnalysisEngine` — fan one fused pass per
+  trace out across worker processes and satisfy repeats from a
+  content-addressed cache, with results bit-identical to the serial
+  path.
+- :class:`~repro.engine.cache.ResultCache` — the on-disk store: one
+  bundle of partials per (trace digest, config fingerprint, plan
+  fingerprint, code version).
 - :mod:`~repro.engine.scheduler` — process-pool plumbing with a serial
   fallback for restricted environments.
 

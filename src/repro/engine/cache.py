@@ -1,38 +1,38 @@
-"""Content-addressed on-disk cache for analysis partials.
+"""Content-addressed on-disk cache for fused analysis partials.
 
 Analyses re-run over unchanged traces dominate LagAlyzer's offline cost
-(the paper's full study is 7.5 hours of sessions). The cache stores the
-result of every ``map_trace`` keyed by everything that could change it:
+(the paper's full study is 7.5 hours of sessions). The cache stores one
+**bundle** per trace: every partial one fused pass produced for that
+trace, keyed by everything that could change it:
 
 - the **trace digest** (:func:`repro.lila.digest.trace_digest`) — the
   content hash of the session trace;
 - the **config fingerprint** — a stable hash of the
   :class:`~repro.core.analyzer.AnalysisConfig` in effect;
-- the **analysis name** — the registry key of the analysis;
+- the **plan fingerprint** (:func:`repro.core.plan.plan_fingerprint`) —
+  the deduplicated set of analyses the pass ran;
 - the **code version** — bumped whenever an analysis implementation
   changes shape, invalidating all prior entries at once.
+
+A warm trace therefore costs one read whether the request names one
+analysis or all of them. A request for a different analysis set than
+an earlier run's has a different plan fingerprint, so it maps the trace
+once and stores its own bundle.
 
 Entries are self-checking: each file carries a magic header and a
 checksum of its pickled payload, so truncated or corrupted entries are
 detected, discarded, and transparently recomputed — a damaged cache can
 slow a run down but never change its results.
 
-Since the fused-plan refactor the cache also stores whole **bundles**:
-one entry per (trace digest, config fingerprint, *plan* fingerprint)
-holding every partial a fused pass produced for that trace, so a
-multi-analysis study is served in one read per trace. Legacy
-per-analysis entries are still written alongside and still serve
-lookups of any subset, so old caches and single-analysis callers keep
-working unchanged. Bundle traffic is counted separately
-(``bundle_hits`` / ``bundle_misses`` / ``bundle_stores``).
-
 Layout under the cache directory (default ``~/.cache/lagalyzer``,
 overridable with ``cache_dir=`` or the ``LAGALYZER_CACHE_DIR``
 environment variable)::
 
-    objects/<kk>/<key>.pkl   one entry per (digest, config, analysis)
     bundles/<kk>/<key>.pkl   one fused bundle per (digest, config, plan)
     stats.json               cumulative hit/miss/store counters
+
+Older versions also wrote one entry per analysis beside the bundles.
+Nothing reads those any more; :meth:`ResultCache.clear` deletes them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import os
 import pickle
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
@@ -62,8 +62,8 @@ CACHE_SCHEMA = 2
 #: The code-version component of every cache key.
 CODE_VERSION = f"{repro.__version__}/s{CACHE_SCHEMA}"
 
-#: Sentinel returned by :meth:`ResultCache.get` on a miss, so ``None``
-#: stays a cacheable value.
+#: Sentinel returned by :meth:`ResultCache.get_bundle` on a miss, so
+#: ``None`` stays a cacheable value.
 MISS = object()
 
 _MAGIC = b"LAGCACHE"
@@ -140,8 +140,11 @@ class CacheStats:
     """Counters for one cache (this process plus the persisted totals)."""
 
     hits: int = 0
+    """Bundle probes served from ``bundles/``."""
     misses: int = 0
+    """Bundle probes that found no usable entry."""
     stores: int = 0
+    """Bundles written."""
     discarded: int = 0
     """Entries dropped because they failed the integrity check."""
     write_errors: int = 0
@@ -149,38 +152,17 @@ class CacheStats:
     read_errors: int = 0
     """Reads that failed below the integrity check (IO errors, entries
     that passed their checksum but would not unpickle)."""
-    bundle_hits: int = 0
-    """Fused-bundle probes served from ``bundles/``."""
-    bundle_misses: int = 0
-    """Fused-bundle probes that fell back to per-analysis entries."""
-    bundle_stores: int = 0
-    """Fused bundles written after a bundle probe missed."""
 
     def merge(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            stores=self.stores + other.stores,
-            discarded=self.discarded + other.discarded,
-            write_errors=self.write_errors + other.write_errors,
-            read_errors=self.read_errors + other.read_errors,
-            bundle_hits=self.bundle_hits + other.bundle_hits,
-            bundle_misses=self.bundle_misses + other.bundle_misses,
-            bundle_stores=self.bundle_stores + other.bundle_stores,
+            **{
+                field.name: getattr(self, field.name) + getattr(other, field.name)
+                for field in fields(self)
+            }
         )
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "discarded": self.discarded,
-            "write_errors": self.write_errors,
-            "read_errors": self.read_errors,
-            "bundle_hits": self.bundle_hits,
-            "bundle_misses": self.bundle_misses,
-            "bundle_stores": self.bundle_stores,
-        }
+        return asdict(self)
 
 
 class ResultCache:
@@ -203,17 +185,6 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def entry_key(
-        trace_digest: str,
-        config_fingerprint: str,
-        analysis: str,
-        code_version: str = CODE_VERSION,
-    ) -> str:
-        """The content address of one ``map_trace`` result."""
-        text = "\n".join((trace_digest, config_fingerprint, analysis, code_version))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    @staticmethod
     def bundle_key(
         trace_digest: str,
         config_fingerprint: str,
@@ -223,9 +194,9 @@ class ResultCache:
         """The content address of one fused pass's partial bundle.
 
         Keyed by the **plan** fingerprint (the deduplicated analysis
-        set, see :func:`repro.core.plan.plan_fingerprint`) instead of a
-        single analysis name; the ``bundle`` marker keeps the key space
-        disjoint from per-analysis entries even under hash truncation.
+        set, see :func:`repro.core.plan.plan_fingerprint`); the
+        ``bundle`` marker keeps the key space disjoint from the
+        per-analysis entries older versions wrote.
         """
         text = "\n".join(
             ("bundle", trace_digest, config_fingerprint, plan_fingerprint,
@@ -233,17 +204,8 @@ class ResultCache:
         )
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def _objects_dir(self) -> Path:
-        return self.root / "objects"
-
-    def _bundles_dir(self) -> Path:
-        return self.root / "bundles"
-
-    def _path_for(self, key: str) -> Path:
-        return self._objects_dir() / key[:2] / (key + _ENTRY_SUFFIX)
-
     def _bundle_path_for(self, key: str) -> Path:
-        return self._bundles_dir() / key[:2] / (key + _ENTRY_SUFFIX)
+        return self.root / "bundles" / key[:2] / (key + _ENTRY_SUFFIX)
 
     def _stats_path(self) -> Path:
         return self.root / "stats.json"
@@ -252,54 +214,27 @@ class ResultCache:
     # Get / put
     # ------------------------------------------------------------------
 
-    def get(self, key: str) -> Any:
-        """The cached value for ``key``, or :data:`MISS`.
+    def get_bundle(self, key: str) -> Any:
+        """The cached fused-partial bundle for ``key``, or :data:`MISS`.
 
         Unreadable, truncated, or checksum-failing entries are deleted
         and reported as misses — corruption is never fatal. An absent
         entry is an ordinary miss; an entry that *exists* but cannot be
         read (IO error) additionally counts ``cache.read_errors`` and
         warns, because that usually means failing storage, not a cold
-        cache.
+        cache. Every probe counts one ``cache.hits`` or ``cache.misses``.
         """
-        path = self._path_for(key)
-        try:
-            faults_runtime.check("cache.read", key=key)
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            obs_runtime.count("cache.misses")
-            return MISS
-        except OSError as error:
-            self.stats.read_errors += 1
-            self.stats.misses += 1
-            obs_runtime.count("cache.read_errors")
-            obs_runtime.count("cache.misses")
-            warnings.warn(
-                f"result cache read failed for {key[:12]}… under "
-                f"{self.root}: {error} — treating as a miss",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return MISS
-        blob = faults_runtime.filter_bytes("cache.read", key, blob)
-        value = self._decode(blob, key)
+        value = self._read(self._bundle_path_for(key), key)
         if value is MISS:
-            self.stats.discarded += 1
             self.stats.misses += 1
-            obs_runtime.count("cache.discarded")
             obs_runtime.count("cache.misses")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return MISS
-        self.stats.hits += 1
-        obs_runtime.count("cache.hits")
-        return value[0]
+        else:
+            self.stats.hits += 1
+            obs_runtime.count("cache.hits")
+        return value
 
-    def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` atomically.
+    def put_bundle(self, key: str, value: Any) -> None:
+        """Store a fused-partial bundle under ``key`` atomically.
 
         Write failures (disk full, permission denied, a file squatting
         on the shard directory path) never propagate: the cache is an
@@ -309,7 +244,7 @@ class ResultCache:
         """
         with obs_runtime.maybe_span("cache.put"):
             try:
-                self._put(key, value)
+                self._write_entry(self._bundle_path_for(key), key, value)
             except OSError as error:
                 self.stats.write_errors += 1
                 obs_runtime.count("cache.write_errors")
@@ -323,73 +258,47 @@ class ResultCache:
         self.stats.stores += 1
         obs_runtime.count("cache.stores")
 
-    def get_bundle(self, key: str) -> Any:
-        """The cached fused-partial bundle for ``key``, or :data:`MISS`.
+    # perfbench/tracing.py wraps these names on the class and sizes each
+    # write through ``_path_for``. They are the bundle methods under
+    # their older names, not a second tier.
+    get = get_bundle
+    put = put_bundle
+    _path_for = _bundle_path_for
 
-        Same integrity/robustness model as :meth:`get`, counted under
-        the ``bundle_*`` statistics instead — ``engine cache stats``
-        reports the two entry populations separately.
+    def _read(self, path: Path, key: str) -> Any:
+        """The value stored at ``path``, or :data:`MISS`.
+
+        The one read path behind :meth:`get_bundle` and
+        :meth:`iter_bundles`: passes the ``cache.read`` fault site, warns
+        and counts ``cache.read_errors`` on an IO error, and deletes an
+        entry that fails its integrity check (counted ``discarded``).
         """
-        path = self._bundle_path_for(key)
         try:
             faults_runtime.check("cache.read", key=key)
             blob = path.read_bytes()
         except FileNotFoundError:
-            self.stats.bundle_misses += 1
-            obs_runtime.count("cache.bundle_misses")
             return MISS
         except OSError as error:
             self.stats.read_errors += 1
-            self.stats.bundle_misses += 1
             obs_runtime.count("cache.read_errors")
-            obs_runtime.count("cache.bundle_misses")
             warnings.warn(
-                f"bundle cache read failed for {key[:12]}… under "
+                f"result cache read failed for {key[:12]}… under "
                 f"{self.root}: {error} — treating as a miss",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             return MISS
         blob = faults_runtime.filter_bytes("cache.read", key, blob)
         value = self._decode(blob, key)
         if value is MISS:
             self.stats.discarded += 1
-            self.stats.bundle_misses += 1
             obs_runtime.count("cache.discarded")
-            obs_runtime.count("cache.bundle_misses")
             try:
                 path.unlink()
             except OSError:
                 pass
             return MISS
-        self.stats.bundle_hits += 1
-        obs_runtime.count("cache.bundle_hits")
         return value[0]
-
-    def put_bundle(self, key: str, value: Any) -> None:
-        """Store a fused-partial bundle under ``key`` atomically.
-
-        Like :meth:`put`, a write failure warns, counts
-        ``cache.write_errors``, and lets the run continue uncached.
-        """
-        with obs_runtime.maybe_span("cache.put_bundle"):
-            try:
-                self._write_entry(self._bundle_path_for(key), key, value)
-            except OSError as error:
-                self.stats.write_errors += 1
-                obs_runtime.count("cache.write_errors")
-                warnings.warn(
-                    f"bundle cache write failed for {key[:12]}… under "
-                    f"{self.root}: {error} — continuing uncached",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return
-        self.stats.bundle_stores += 1
-        obs_runtime.count("cache.bundle_stores")
-
-    def _put(self, key: str, value: Any) -> None:
-        self._write_entry(self._path_for(key), key, value)
 
     def _write_entry(self, path: Path, key: str, value: Any) -> None:
         faults_runtime.check("cache.write", key=key)
@@ -439,7 +348,7 @@ class ResultCache:
                 f"cache entry {key[:12]}… passed its checksum but failed "
                 f"to unpickle ({error!r}) — discarding and recomputing",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             return MISS
 
@@ -447,8 +356,9 @@ class ResultCache:
     # Maintenance and introspection
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _entries_under(root: Path) -> Iterator[Path]:
+    def _entries(self, directory: str = "bundles") -> Iterator[Path]:
+        """Entry files under ``root/directory``, in key order."""
+        root = self.root / directory
         if not root.is_dir():
             return
         for shard in sorted(root.iterdir()):
@@ -457,12 +367,6 @@ class ResultCache:
             for entry in sorted(shard.iterdir()):
                 if entry.suffix == _ENTRY_SUFFIX and not entry.name.startswith("."):
                     yield entry
-
-    def _entries(self) -> Iterator[Path]:
-        return self._entries_under(self._objects_dir())
-
-    def _bundle_entries(self) -> Iterator[Path]:
-        return self._entries_under(self._bundles_dir())
 
     def iter_bundles(self) -> Iterator[BundleRecord]:
         """Every stored fused bundle, in deterministic key order.
@@ -475,72 +379,40 @@ class ResultCache:
 
         Robustness matches :meth:`get_bundle`: unreadable, corrupt, or
         non-bundle entries are discarded (counted, unlinked where
-        possible) and skipped, never fatal.
+        possible) and skipped, never fatal. A sweep counts no hits or
+        misses.
         """
-        for path in self._bundle_entries():
-            key = path.stem
-            try:
-                faults_runtime.check("cache.read", key=key)
-                blob = path.read_bytes()
-            except OSError as error:
-                if not isinstance(error, FileNotFoundError):
-                    self.stats.read_errors += 1
-                    obs_runtime.count("cache.read_errors")
-                    warnings.warn(
-                        f"bundle sweep read failed for {key[:12]}… under "
-                        f"{self.root}: {error} — skipping",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                continue
-            blob = faults_runtime.filter_bytes("cache.read", key, blob)
-            value = self._decode(blob, key)
+        for path in self._entries():
+            value = self._read(path, path.stem)
             if value is MISS:
-                self.stats.discarded += 1
-                obs_runtime.count("cache.discarded")
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
                 continue
-            meta, partials = bundle_parts(value[0])
+            meta, partials = bundle_parts(value)
             if partials is None:
                 self.stats.discarded += 1
                 obs_runtime.count("cache.discarded")
                 continue
-            yield BundleRecord(key=key, meta=meta, partials=partials)
-
-    def entry_count(self) -> int:
-        """Legacy per-analysis entries (``objects/``), bundles excluded."""
-        return sum(1 for _ in self._entries())
+            yield BundleRecord(key=path.stem, meta=meta, partials=partials)
 
     def bundle_count(self) -> int:
         """Fused-bundle entries (``bundles/``)."""
-        return sum(1 for _ in self._bundle_entries())
+        return sum(1 for _ in self._entries())
 
-    @staticmethod
-    def _bytes_of(entries: Iterator[Path]) -> int:
+    def bundle_bytes(self) -> int:
+        """Bytes held by fused-bundle entries."""
         total = 0
-        for entry in entries:
+        for entry in self._entries():
             try:
                 total += entry.stat().st_size
             except OSError:
                 pass
         return total
 
-    def total_bytes(self) -> int:
-        """Bytes held by legacy per-analysis entries, bundles excluded."""
-        return self._bytes_of(self._entries())
-
-    def bundle_bytes(self) -> int:
-        """Bytes held by fused-bundle entries."""
-        return self._bytes_of(self._bundle_entries())
-
     def clear(self) -> int:
-        """Delete every entry — per-analysis and bundle alike — plus the
-        counters. Returns entries removed."""
+        """Delete every bundle, the per-analysis entries older versions
+        left under ``objects/``, and the counters. Returns entries
+        removed."""
         removed = 0
-        for entry in list(self._entries()) + list(self._bundle_entries()):
+        for entry in list(self._entries()) + list(self._entries("objects")):
             try:
                 entry.unlink()
                 removed += 1
@@ -560,9 +432,9 @@ class ResultCache:
         """Merge this process's counters into ``stats.json``.
 
         Returns the merged cumulative totals; in-process counters reset
-        so repeated flushes don't double count. Like :meth:`put`, a
-        write failure warns and continues — losing a counter flush must
-        not kill the analysis that produced the counters.
+        so repeated flushes don't double count. Like :meth:`put_bundle`,
+        a write failure warns and continues — losing a counter flush
+        must not kill the analysis that produced the counters.
         """
         current = self.stats
         if not any(current.as_dict().values()):
@@ -597,7 +469,8 @@ class ResultCache:
     def persisted_stats_status(self) -> Tuple[CacheStats, str]:
         """``(stats, status)`` — status is ``"ok"``, ``"missing"``
         (no ``stats.json`` yet), or ``"corrupt"`` (file exists but is
-        unreadable or not a counter mapping; stats read as zeros)."""
+        unreadable or not a counter mapping; stats read as zeros).
+        Counters this version does not keep are ignored."""
         try:
             text = self._stats_path().read_text(encoding="utf-8")
         except FileNotFoundError:
@@ -610,15 +483,10 @@ class ResultCache:
                 raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
             return (
                 CacheStats(
-                    hits=int(raw.get("hits", 0)),
-                    misses=int(raw.get("misses", 0)),
-                    stores=int(raw.get("stores", 0)),
-                    discarded=int(raw.get("discarded", 0)),
-                    write_errors=int(raw.get("write_errors", 0)),
-                    read_errors=int(raw.get("read_errors", 0)),
-                    bundle_hits=int(raw.get("bundle_hits", 0)),
-                    bundle_misses=int(raw.get("bundle_misses", 0)),
-                    bundle_stores=int(raw.get("bundle_stores", 0)),
+                    **{
+                        field.name: int(raw.get(field.name, 0))
+                        for field in fields(CacheStats)
+                    }
                 ),
                 "ok",
             )

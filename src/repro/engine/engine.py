@@ -18,10 +18,11 @@ knows three tricks, all behind the uniform
    fallback when a pool is unavailable; see
    :mod:`repro.engine.scheduler`).
 3. **Content-addressed caching** — the fused pass's whole partial
-   bundle is stored keyed by (trace digest, config fingerprint, plan
-   fingerprint, code version), alongside legacy per-analysis entries
-   that keep serving lookups of any subset, so re-analyzing unchanged
-   traces skips the map work entirely (see :mod:`repro.engine.cache`).
+   bundle is stored as one entry keyed by (trace digest, config
+   fingerprint, plan fingerprint, code version), for single- and
+   multi-analysis requests alike, so re-analyzing unchanged traces
+   skips the map work entirely with one read per trace (see
+   :mod:`repro.engine.cache`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.core.errors import AnalysisError, NestingError, TraceFormatError
 from repro.core.plan import AnalysisPlan, build_plan
 from repro.core.trace import Trace
 from repro.engine.cache import (
-    MISS,
     ResultCache,
     bundle_envelope,
     bundle_parts,
@@ -68,22 +68,13 @@ class QuarantinedTrace:
         return f"{self.application}/{self.session_id}: {self.error}"
 
 
-def _run_map(name: str, trace: Trace, config: Any) -> Any:
-    """One ``map_trace`` call, spanned/profiled under the ambient observer."""
-    with obs_runtime.maybe_span(
-        "analysis.map", metric="engine.map_ms", analysis=name
-    ):
-        with obs_runtime.profiled(name):
-            return get_analysis(name).map_trace(trace, config)
-
-
 def _map_task(
     task: Union[
         Tuple[Trace, Tuple[str, ...], Any],
         Tuple[Trace, Tuple[str, ...], Any, Optional[Tuple[int, int]]],
     ]
 ) -> List[Any]:
-    """Worker: the missing partials of one trace (module-level for pickling).
+    """Worker: the requested partials of one trace (module-level for pickling).
 
     Executes one **fused pass**: the names are compiled into an
     :class:`~repro.core.plan.AnalysisPlan` whose operators all map
@@ -223,25 +214,6 @@ class AnalysisEngine:
     # Mapping (with cache)
     # ------------------------------------------------------------------
 
-    def _entry_key(self, analysis_name: str, trace: Trace, config: Any) -> str:
-        return ResultCache.entry_key(
-            trace_digest(trace), config_fingerprint(config), analysis_name
-        )
-
-    def map_trace(self, analysis_name: str, trace: Trace, config: Any) -> Any:
-        """One analysis partial for one trace, via the cache."""
-        get_analysis(analysis_name)
-        with obs_runtime.installed(self.obs):
-            if self.cache is None:
-                return _run_map(analysis_name, trace, config)
-            key = self._entry_key(analysis_name, trace, config)
-            value = self.cache.get(key)
-            if value is not MISS:
-                return value
-            value = _run_map(analysis_name, trace, config)
-            self.cache.put(key, value)
-            return value
-
     def map_traces(
         self,
         analysis_names: Sequence[str],
@@ -250,9 +222,11 @@ class AnalysisEngine:
     ) -> Dict[str, List[Any]]:
         """Partials for every (analysis, trace) pair, in trace order.
 
-        Cache hits are satisfied up front; only the missing partials are
-        fanned out to worker processes, grouped by trace so each trace
-        is pickled to a worker at most once.
+        Each trace is probed with one bundle read. Only the traces that
+        miss are mapped, in one fused pass each, and fanned out to
+        worker processes, so each trace is pickled to a worker at most
+        once per shard. Each freshly mapped trace is stored as one
+        bundle.
         """
         for name in analysis_names:
             get_analysis(name)
@@ -266,57 +240,36 @@ class AnalysisEngine:
         config: Any,
     ) -> Dict[str, List[Any]]:
         obs = obs_runtime.current()
+        cache = self.cache
         self.quarantined = []
-        results: Dict[str, List[Any]] = {
-            name: [None] * len(traces) for name in analysis_names
-        }
-        fingerprint = config_fingerprint(config) if self.cache else ""
-        # Fused-bundle caching only pays off for multi-operator plans;
-        # single-analysis calls keep their legacy per-entry behavior.
-        plan: AnalysisPlan = build_plan(analysis_names)
-        plan_fp = (
-            plan.fingerprint()
-            if self.cache is not None and len(plan.operators) > 1
-            else ""
-        )
+        names = tuple(analysis_names)
+        results: Dict[str, List[Any]] = {name: [None] * len(traces) for name in names}
+        plan: AnalysisPlan = build_plan(names)
+        fingerprint = config_fingerprint(config) if cache is not None else ""
+        plan_fp = plan.fingerprint() if cache is not None else ""
         with obs_runtime.maybe_span(
             "engine.map_traces",
-            analyses=len(analysis_names),
+            analyses=len(names),
             traces=len(traces),
             workers=self.effective_workers,
         ) as dispatch_span:
-            missing: List[Tuple[int, List[str]]] = []
-            bundle_missed: List[int] = []
+            missing: List[int] = []
             with obs_runtime.maybe_span("engine.cache.probe"):
                 for index, trace in enumerate(traces):
-                    digest = trace_digest(trace) if self.cache else ""
-                    if plan_fp:
-                        stored = self.cache.get_bundle(
-                            ResultCache.bundle_key(digest, fingerprint, plan_fp)
+                    if cache is not None:
+                        key = ResultCache.bundle_key(
+                            trace_digest(trace), fingerprint, plan_fp
                         )
-                        bundle = (
-                            bundle_parts(stored)[1] if stored is not MISS else None
-                        )
+                        # bundle_parts(MISS) is (None, None): a miss
+                        # reads as no bundle.
+                        bundle = bundle_parts(cache.get_bundle(key))[1]
                         if bundle is not None and all(
-                            name in bundle for name in analysis_names
+                            name in bundle for name in names
                         ):
-                            for name in analysis_names:
+                            for name in names:
                                 results[name][index] = bundle[name]
                             continue
-                        bundle_missed.append(index)
-                    names_missing: List[str] = []
-                    for name in analysis_names:
-                        if self.cache is None:
-                            names_missing.append(name)
-                            continue
-                        key = ResultCache.entry_key(digest, fingerprint, name)
-                        value = self.cache.get(key)
-                        if value is MISS:
-                            names_missing.append(name)
-                        else:
-                            results[name][index] = value
-                    if names_missing:
-                        missing.append((index, names_missing))
+                    missing.append(index)
             if missing:
                 # Expand each missing trace into its shard tasks. Only
                 # columnar-backed traces shard; everything else maps
@@ -325,26 +278,22 @@ class AnalysisEngine:
                 shard_count = (
                     self.shards if self.shards and self.shards > 1 else 1
                 )
-                specs: List[
-                    Tuple[int, Tuple[str, ...], Optional[Tuple[int, int]]]
-                ] = []
-                for index, names in missing:
+                specs: List[Tuple[int, Optional[Tuple[int, int]]]] = []
+                for index in missing:
                     store = getattr(traces[index], "columnar", None)
                     if shard_count > 1 and store is not None:
                         specs.extend(
-                            (index, tuple(names), (part, shard_count))
+                            (index, (part, shard_count))
                             for part in range(shard_count)
                         )
                     else:
-                        specs.append((index, tuple(names), None))
+                        specs.append((index, None))
                 if obs is not None:
                     obs.metrics.inc("engine.tasks", len(specs))
-                    sharded = sum(
-                        1 for spec in specs if spec[2] is not None
-                    )
+                    sharded = sum(1 for spec in specs if spec[1] is not None)
                     if sharded:
                         obs.metrics.inc("engine.shards", sharded)
-                    for index, _names, _shard in specs:
+                    for index, _shard in specs:
                         backing = getattr(
                             getattr(traces[index], "columnar", None),
                             "backing",
@@ -360,7 +309,7 @@ class AnalysisEngine:
                     profile = obs.profiler is not None
                     tasks: List[Any] = [
                         (traces[index], names, config, profile, shard)
-                        for index, names, shard in specs
+                        for index, shard in specs
                     ]
                     task_func: Any = _obs_map_task
                     parent_id = (
@@ -371,7 +320,7 @@ class AnalysisEngine:
                 else:
                     tasks = [
                         (traces[index], names, config, shard)
-                        for index, names, shard in specs
+                        for index, shard in specs
                     ]
                     task_func = _map_task
                 outcomes = run_tasks(
@@ -384,7 +333,7 @@ class AnalysisEngine:
                 )
                 failed: Dict[int, Any] = {}
                 shard_partials: Dict[int, List[Dict[str, Any]]] = {}
-                for (index, names, shard), outcome in zip(specs, outcomes):
+                for (index, _shard), outcome in zip(specs, outcomes):
                     if outcome.quarantined:
                         failed.setdefault(index, outcome.error)
                         continue
@@ -396,11 +345,12 @@ class AnalysisEngine:
                     shard_partials.setdefault(index, []).append(
                         dict(zip(names, partials))
                     )
-                for index, names in missing:
+                for index in missing:
+                    trace = traces[index]
                     if index in failed:
                         # Any failed shard poisons the whole trace —
                         # partial coverage would silently under-count.
-                        trace = traces[index]
+                        # A quarantined trace gets no bundle.
                         self.quarantined.append(
                             QuarantinedTrace(
                                 index=index,
@@ -411,28 +361,11 @@ class AnalysisEngine:
                         )
                         continue
                     parts = shard_partials[index]
-                    merged = (
-                        parts[0]
-                        if len(parts) == 1
-                        else build_plan(names).merge_shards(parts)
-                    )
+                    merged = parts[0] if len(parts) == 1 else plan.merge_shards(parts)
                     for name in names:
                         results[name][index] = merged[name]
-                        if self.cache is not None:
-                            key = ResultCache.entry_key(
-                                trace_digest(traces[index]), fingerprint, name
-                            )
-                            self.cache.put(key, merged[name])
-            if plan_fp:
-                # Wherever the bundle probe missed, store the complete
-                # bundle (legacy cache hits plus freshly computed
-                # partials) so the next multi-analysis run over this
-                # trace is served in one read.
-                dead = {entry.index for entry in self.quarantined}
-                for index in bundle_missed:
-                    if index in dead:
+                    if cache is None:
                         continue
-                    trace = traces[index]
                     digest = trace_digest(trace)
                     backing = getattr(
                         getattr(trace, "columnar", None), "backing", None
@@ -444,7 +377,7 @@ class AnalysisEngine:
                         "config_fingerprint": fingerprint,
                         "plan_fingerprint": plan_fp,
                         "family": trace.metadata.extra.get("family", "gui"),
-                        "analyses": sorted(analysis_names),
+                        "analyses": sorted(names),
                         "threshold_ms": getattr(
                             config, "perceptible_threshold_ms", None
                         ),
@@ -452,18 +385,17 @@ class AnalysisEngine:
                             str(backing.path) if backing is not None else None
                         ),
                     }
-                    self.cache.put_bundle(
+                    cache.put_bundle(
                         ResultCache.bundle_key(digest, fingerprint, plan_fp),
                         bundle_envelope(
-                            {name: results[name][index] for name in analysis_names},
-                            meta,
+                            {name: merged[name] for name in names}, meta
                         ),
                     )
             if self.quarantined:
-                # A quarantined trace contributes nothing, not even
-                # partials another run left in the cache.
+                # A quarantined trace contributes nothing to any result
+                # list.
                 dead = {entry.index for entry in self.quarantined}
-                for name in analysis_names:
+                for name in names:
                     results[name] = [
                         partial
                         for index, partial in enumerate(results[name])

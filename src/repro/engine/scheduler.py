@@ -34,6 +34,7 @@ import os
 import time
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Iterable,
@@ -49,6 +50,9 @@ from repro.faults import runtime as faults_runtime
 from repro.faults.injector import TransientFault
 from repro.faults.plan import hash_unit
 from repro.obs import runtime as obs_runtime
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -381,7 +385,7 @@ def parallel_map(
     return [outcome.value for outcome in outcomes]
 
 
-def _make_pool(workers: int):
+def _make_pool(workers: int) -> Optional[ProcessPoolExecutor]:
     """A process pool, or None when the platform can't provide one."""
     try:
         from concurrent.futures import ProcessPoolExecutor

@@ -97,8 +97,32 @@ CREATE INDEX IF NOT EXISTS idx_span_rollups_name
 """
 
 
+#: How long a telemetry connection waits on another writer's lock.
+_BUSY_TIMEOUT_S = 5.0
+
+
 class WarehouseError(LagAlyzerError):
     """The warehouse file is unusable or a query is malformed."""
+
+
+def enable_wal(connection: sqlite3.Connection, timeout_s: float) -> None:
+    """Switch the file to WAL, waiting out a concurrent first open.
+
+    Switching a fresh file into WAL takes an exclusive lock without
+    consulting the busy handler, so the loser of two racing first opens
+    fails at once; it retries for up to ``timeout_s`` (the connection's
+    own busy timeout) instead. Both SQLite stores, this one and
+    :mod:`repro.warehouse.store`, open through it.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.005)
 
 
 def estimate_percentile(
@@ -149,9 +173,9 @@ class Warehouse:
     def _connect(self) -> sqlite3.Connection:
         """A fresh connection with WAL mode and the schema ensured."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(str(self.path), timeout=5.0)
+        connection = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_S)
         try:
-            connection.execute("PRAGMA journal_mode=WAL")
+            enable_wal(connection, _BUSY_TIMEOUT_S)
             connection.execute("PRAGMA synchronous=NORMAL")
             connection.executescript(_SCHEMA)
             connection.execute(

@@ -47,6 +47,7 @@ from typing import (
 from repro.core.statistics import SessionStats
 from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs_runtime
+from repro.obs.warehouse import enable_wal
 from repro.warehouse.schema import (
     StudyWarehouseError,
     ensure_schema,
@@ -98,24 +99,6 @@ _STAT_COLUMNS: Tuple[str, ...] = SessionStats._NUMERIC_FIELDS
 
 #: How long a connection waits on another writer's lock.
 _BUSY_TIMEOUT_S = 10.0
-
-
-def _enable_wal(connection: sqlite3.Connection) -> None:
-    """Switch the file to WAL, waiting out a concurrent first open.
-
-    Switching a fresh file into WAL takes an exclusive lock without
-    consulting the busy handler, so the loser of two racing first opens
-    fails at once; it retries within the busy timeout instead.
-    """
-    deadline = time.monotonic() + _BUSY_TIMEOUT_S
-    while True:
-        try:
-            connection.execute("PRAGMA journal_mode=WAL")
-            return
-        except sqlite3.OperationalError as error:
-            if "locked" not in str(error) or time.monotonic() >= deadline:
-                raise
-            time.sleep(0.005)
 
 
 def _cause_rows(partial: Any) -> Optional[Dict[str, Tuple[int, int, int, int]]]:
@@ -198,7 +181,7 @@ class StudyWarehouse:
                     str(self.path), timeout=_BUSY_TIMEOUT_S
                 )
                 try:
-                    _enable_wal(connection)
+                    enable_wal(connection, _BUSY_TIMEOUT_S)
                     connection.execute("PRAGMA synchronous=NORMAL")
                     ensure_schema(connection)
                 except BaseException:

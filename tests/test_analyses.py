@@ -12,7 +12,7 @@ from repro.core.analyses import (
     get_analysis,
     register,
 )
-from repro.core.api import AnalysisConfig, LagAlyzer
+from repro import AnalysisConfig, LagAlyzer
 from repro.core.errors import AnalysisError, TraceFormatError
 from repro.lila.autodetect import expand_trace_paths
 from repro.lila.writer import write_trace

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.api import AnalysisConfig, LagAlyzer
+from repro import AnalysisConfig, LagAlyzer
 from repro.core.errors import AnalysisError
 from repro.core.occurrence import OccurrenceSummary
 from repro.core.triggers import Trigger

@@ -1,14 +1,11 @@
 """The stable top-level API surface.
 
-``repro.__all__`` is the compatibility contract introduced in PR 6:
-every name must resolve (the heavy ones lazily), be documented in
-``docs/api.md``, and the pre-existing deep-import paths must keep
-working through deprecation shims.
+``repro.__all__`` is the compatibility contract: every name must
+resolve (the heavy ones lazily) and be documented in ``docs/api.md``.
+Paths removed at an ``API_VERSION`` bump stay removed.
 """
 
 import pathlib
-import pickle
-import warnings
 
 import pytest
 
@@ -34,7 +31,7 @@ class TestTopLevelSurface:
 
     def test_api_version_is_int(self):
         assert isinstance(repro.API_VERSION, int)
-        assert repro.API_VERSION == 1
+        assert repro.API_VERSION == 2
 
     def test_version_is_string(self):
         assert isinstance(repro.__version__, str)
@@ -79,41 +76,9 @@ class TestDocsStayInSync:
         assert f"`{repro.API_VERSION}`" in text
 
 
-class TestDeprecatedPaths:
-    def test_core_api_names_resolve_with_warning(self):
-        import repro.core.api as legacy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            lagalyzer = legacy.LagAlyzer
-            config_cls = legacy.AnalysisConfig
-        assert lagalyzer is repro.LagAlyzer
-        assert config_cls is repro.AnalysisConfig
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("repro.core.api.LagAlyzer is deprecated" in m
-                   for m in messages), messages
-
-    def test_from_import_still_works(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.core.api import AnalysisConfig
-        assert AnalysisConfig is repro.AnalysisConfig
-
-    def test_dunder_access_does_not_warn(self):
-        import repro.core.api as legacy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(AttributeError):
-                legacy.__not_a_real_dunder__
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_legacy_objects_pickle_identically(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.core.api import AnalysisConfig as LegacyConfig
-        new = repro.AnalysisConfig(perceptible_threshold_ms=120.0)
-        old = LegacyConfig(perceptible_threshold_ms=120.0)
-        assert pickle.dumps(new) == pickle.dumps(old)
+class TestRemovedPaths:
+    def test_core_api_shim_is_gone(self):
+        # Deprecated since the facade moved to repro.core.analyzer;
+        # removed in API_VERSION 2.
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.api  # noqa: F401

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.analyses import REGISTRY
-from repro.core.api import AnalysisConfig, LagAlyzer
+from repro import AnalysisConfig, LagAlyzer
 from repro.core.export import analysis_to_dict
 from repro.engine.engine import AnalysisEngine
 from repro.lila.binary import write_trace_binary

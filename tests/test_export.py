@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.api import LagAlyzer
+from repro import LagAlyzer
 from repro.core.export import (
     PATTERN_CSV_COLUMNS,
     analysis_to_dict,

@@ -22,7 +22,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.core.api import AnalysisConfig, LagAlyzer
+from repro import AnalysisConfig, LagAlyzer
 from repro.core.export import analysis_to_dict
 from repro.apps.sessions import simulate_session
 from repro.lila.writer import trace_to_lines

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.api import LagAlyzer
+from repro import LagAlyzer
 from repro.core.statistics import session_stats
 from repro.lila.autodetect import detect_format, load_trace
 from repro.lila.binary import write_trace_binary

@@ -7,7 +7,7 @@ handling a GUI event until that thread finishes handling it.
 """
 
 
-from repro.core.api import AnalysisConfig, LagAlyzer
+from repro import AnalysisConfig, LagAlyzer
 from repro.core.trace import Trace, TraceMetadata
 from repro.lila.reader import read_trace_lines
 from repro.lila.writer import trace_to_lines

@@ -17,7 +17,7 @@ import pytest
 
 from repro.apps.sessions import simulate_sessions
 from repro.cli import main
-from repro.core.api import AnalysisConfig
+from repro import AnalysisConfig
 from repro.engine import MISS, AnalysisEngine, ResultCache
 from repro.obs import Observer, MetricsRegistry, span_depth
 from repro.obs import runtime as obs_runtime
@@ -453,6 +453,23 @@ class TestPipelineIntegration:
         counters = obs.metrics.as_dict()["counters"]
         assert counters.get("cache.misses", 0) > 0
         assert counters.get("vm.episodes_built", 0) > 0
+
+    def test_summary_line_counts_warm_bundle_hits(self, tmp_path):
+        """The one-liner reports the cache the engine actually probes:
+        cold, every session misses; warm, every session hits."""
+        config = StudyConfig(
+            sessions=1, scale=0.03, applications=("Arabeske", "Euclide")
+        )
+        sessions = config.sessions * len(config.applications)
+        lines = []
+        for _ in ("cold", "warm"):
+            obs = Observer()
+            run_study(
+                config, workers=2, cache_dir=str(tmp_path / "cache"), obs=obs
+            )
+            lines.append(obs.summary_line())
+        assert f"cache=0/{sessions} hits (0.0%)" in lines[0]
+        assert f"cache={sessions}/{sessions} hits (100.0%)" in lines[1]
 
     def test_unobserved_run_collects_nothing(self, traces):
         engine = AnalysisEngine(workers=1, use_cache=False)

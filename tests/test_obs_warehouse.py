@@ -11,6 +11,8 @@ exit-code contract.
 from __future__ import annotations
 
 import json
+import sqlite3
+import threading
 import urllib.error
 import urllib.request
 
@@ -183,6 +185,36 @@ class TestWarehouse:
         wh.path.unlink()
         wh.record_delta("r1", {"counters": {"c": 2}}, ts=1060)
         assert wh.totals() == {"c": 2.0}  # fresh file, no stale handle
+
+    def test_racing_first_opens_all_succeed(self, tmp_path):
+        """Four writers released together onto one fresh file: the WAL
+        switch of the losers waits instead of failing 'database is
+        locked'."""
+        errors = []
+        for trial in range(100):
+            path = tmp_path / f"race-{trial}.db"
+            barrier = threading.Barrier(4)
+
+            def write(index, path=path, barrier=barrier):
+                barrier.wait(timeout=30)
+                try:
+                    Warehouse(path).record_delta(
+                        f"r{index}", {"counters": {"c": 1}}, ts=1000
+                    )
+                except sqlite3.Error as error:
+                    errors.append(repr(error))
+
+            threads = [
+                threading.Thread(target=write, args=(index,))
+                for index in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert Warehouse(path).totals() == {"c": 4.0}
+        assert errors == []
 
 
 class TestEstimatePercentile:

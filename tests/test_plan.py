@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import analyses as analyses_mod
-from repro.core.api import AnalysisConfig, LagAlyzer
+from repro import AnalysisConfig, LagAlyzer
 from repro.core.errors import AnalysisError
 from repro.core.plan import StageContext, build_plan, plan_fingerprint
 from repro.engine.engine import AnalysisEngine

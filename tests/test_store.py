@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pickle
 
-from repro.core.api import AnalysisConfig
+from repro import AnalysisConfig
 from repro.core.analyses import REGISTRY
 from repro.core.statistics import session_stats
 from repro.core.store import ColumnarTrace, FacadeTrace, as_columnar

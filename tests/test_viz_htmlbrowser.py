@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.core.api import LagAlyzer
+from repro import LagAlyzer
 from repro.viz.htmlbrowser import render_html_browser, write_html_browser
 
 from helpers import dispatch, listener_iv, make_trace
