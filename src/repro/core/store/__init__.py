@@ -54,11 +54,7 @@ from repro.core.store.columns import (
     _ThreadColumns,
 )
 from repro.core.store.build import ColumnarBuilder
-from repro.core.store.facade import (
-    FacadeTrace,
-    _restore_facade,
-    as_columnar,
-)
+from repro.core.store.facade import FacadeTrace, as_columnar
 from repro.core.store import accel, kernels
 
 __all__ = [

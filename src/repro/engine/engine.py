@@ -119,13 +119,30 @@ def _obs_map_task(
 
 
 def _load_task(entry: Any) -> Trace:
-    """Worker: load one trace from a file path or an open trace source."""
+    """Worker: load and digest one trace from a file path or a source.
+
+    The digest is memoized on the trace's columnar store, which carries
+    it back to the dispatching process, so the cache probe never
+    re-serializes a loaded trace. A trace whose canonical text cannot
+    be produced (a symbol the format forbids) fails here, stamped with
+    its path, instead of at its first cached run.
+    """
     from repro.lila.autodetect import load_trace
     from repro.lila.source import TraceSource, build_trace
 
     if isinstance(entry, TraceSource):
-        return build_trace(entry)
-    return load_trace(entry)
+        trace = build_trace(entry)
+        path = entry.path
+    else:
+        trace = load_trace(entry)
+        path = Path(entry)
+    try:
+        trace_digest(trace)
+    except TraceFormatError as error:
+        if error.path is None:
+            error.path = path
+        raise
+    return trace
 
 
 def _obs_load_task(task: Tuple[Any, bool]) -> Tuple[Trace, Optional[dict]]:
@@ -254,11 +271,13 @@ class AnalysisEngine:
             workers=self.effective_workers,
         ) as dispatch_span:
             missing: List[int] = []
+            digests: List[str] = []
             with obs_runtime.maybe_span("engine.cache.probe"):
                 for index, trace in enumerate(traces):
                     if cache is not None:
+                        digests.append(trace_digest(trace))
                         key = ResultCache.bundle_key(
-                            trace_digest(trace), fingerprint, plan_fp
+                            digests[index], fingerprint, plan_fp
                         )
                         # bundle_parts(MISS) is (None, None): a miss
                         # reads as no bundle.
@@ -366,7 +385,7 @@ class AnalysisEngine:
                         results[name][index] = merged[name]
                     if cache is None:
                         continue
-                    digest = trace_digest(trace)
+                    digest = digests[index]
                     backing = getattr(
                         getattr(trace, "columnar", None), "backing", None
                     )

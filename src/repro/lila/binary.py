@@ -41,7 +41,7 @@ from __future__ import annotations
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Tuple, Union
+from typing import BinaryIO, Dict, Hashable, List, Tuple, Union
 
 from repro.core.intervals import Interval, IntervalKind
 from repro.core.samples import StackFrame, StackTrace, ThreadState
@@ -74,7 +74,7 @@ class _Interner:
         self._ids: Dict = {}
         self.values: List = []
 
-    def intern(self, value) -> int:
+    def intern(self, value: Hashable) -> int:
         existing = self._ids.get(value)
         if existing is not None:
             return existing

@@ -51,7 +51,6 @@ so it decodes the intern blocks there too.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import mmap
 import struct
@@ -59,7 +58,7 @@ import sys
 import zlib
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from array import array
 
@@ -74,6 +73,7 @@ from repro.core.store.columns import (
 )
 from repro.core.trace import TraceMetadata
 from repro.faults import runtime as faults_runtime
+from repro.lila.digest import lines_digest
 from repro.lila.source import TraceSource
 from repro.lila.writer import replace_on_success
 from repro.obs import runtime as obs_runtime
@@ -102,11 +102,7 @@ def store_digest(store: ColumnarTrace) -> str:
     memo = getattr(store, "_content_digest", None)
     if memo is not None:
         return memo
-    digest = hashlib.sha256()
-    for line in store.canonical_lines():
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    value = digest.hexdigest()
+    value = lines_digest(store.canonical_lines())
     store._content_digest = value
     return value
 
@@ -688,13 +684,10 @@ def _open_mapped(path: Path, map_obj: mmap.mmap) -> ColumnarTrace:
 def open_column_trace(path: Union[str, Path]) -> FacadeTrace:
     """Open a `.lilac` file as a lazy :class:`FacadeTrace`.
 
-    The facade carries the header's content digest, so the engine's
+    Its store carries the header's content digest, so the engine's
     cache probe never re-serializes the trace just to key it.
     """
-    store = open_column_store(path)
-    trace = FacadeTrace(store)
-    trace._content_digest = store._content_digest
-    return trace
+    return FacadeTrace(open_column_store(path))
 
 
 # ----------------------------------------------------------------------
@@ -727,7 +720,7 @@ class ColumnTraceSource(TraceSource):
             self._store = open_column_store(self.path)
         return self._store
 
-    def records(self):
+    def records(self) -> Iterator[tuple]:
         """Replay the store as the standard ``REC_*`` record stream."""
         from repro.core.store import (
             REC_CLOSE,
