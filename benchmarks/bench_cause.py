@@ -20,7 +20,6 @@ numbers to the benchmark trajectory.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 import time
@@ -31,6 +30,7 @@ REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 if str(REPO_SRC) not in sys.path:
     sys.path.insert(0, str(REPO_SRC))
 
+from record import append_trajectory  # noqa: E402
 from repro.apps.io_service import simulate_service_sessions  # noqa: E402
 from repro.core.analyzer import AnalysisConfig, LagAlyzer  # noqa: E402
 from repro.core.causegraph import (  # noqa: E402
@@ -150,7 +150,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     tmpdir.cleanup()
     if args.json_out:
-        append_trajectory(Path(args.json_out), {
+        append_trajectory(Path(args.json_out), "cause", {
             "generated": time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             ),
@@ -174,19 +174,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"PASS: injected cause ranked first; diff answered in "
               f"{diff_ms:.1f} ms (bound {args.max_diff_ms:.0f} ms)")
     return 1 if failed else 0
-
-
-def append_trajectory(path: Path, entry: dict) -> None:
-    """Append ``entry`` to the trajectory file (created if missing)."""
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    else:
-        data = {"benchmark": "cause", "trajectory": []}
-    data["trajectory"].append(entry)
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import pickle
 import sys
 import tempfile
@@ -48,6 +47,7 @@ REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 if str(REPO_SRC) not in sys.path:
     sys.path.insert(0, str(REPO_SRC))
 
+from record import append_trajectory  # noqa: E402
 from repro.core.intervals import IntervalKind, IntervalTreeBuilder  # noqa: E402
 from repro.core.samples import Sample, ThreadSample  # noqa: E402
 from repro.core.store import (  # noqa: E402
@@ -448,7 +448,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"critical path)")
 
     if args.json_out:
-        append_trajectory(Path(args.json_out), {
+        append_trajectory(Path(args.json_out), "ingest_service", {
             "generated": time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             ),
@@ -476,19 +476,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not failed:
         print("PASS")
     return 1 if failed else 0
-
-
-def append_trajectory(path: Path, entry: dict) -> None:
-    """Append ``entry`` to the trajectory file (created if missing)."""
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    else:
-        data = {"benchmark": "ingest_service", "trajectory": []}
-    data["trajectory"].append(entry)
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ numbers to the tracked trajectory file (ROADMAP item 2).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 import time
@@ -40,6 +39,7 @@ REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 if str(REPO_SRC) not in sys.path:
     sys.path.insert(0, str(REPO_SRC))
 
+from record import append_trajectory  # noqa: E402
 from repro.ingest.client import TraceClient  # noqa: E402
 from repro.ingest.server import IngestServer  # noqa: E402
 from repro.ingest.spool import spool_name  # noqa: E402
@@ -204,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         failed = True
     tmpdir.cleanup()
     if args.json_out:
-        append_trajectory(Path(args.json_out), {
+        append_trajectory(Path(args.json_out), "ingest_service", {
             "generated": time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             ),
@@ -228,19 +228,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"PASS: {args.sessions} concurrent sessions, zero loss "
               "under backpressure")
     return 1 if failed else 0
-
-
-def append_trajectory(path: Path, entry: dict) -> None:
-    """Append ``entry`` to the trajectory file (created if missing)."""
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    else:
-        data = {"benchmark": "ingest_service", "trajectory": []}
-    data["trajectory"].append(entry)
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 if __name__ == "__main__":

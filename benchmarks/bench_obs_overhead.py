@@ -35,7 +35,6 @@ what any real per-episode regression would cost on this workload),
 """
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -47,6 +46,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from record import append_trajectory  # noqa: E402
 from repro.obs import runtime as obs_runtime  # noqa: E402
 from repro.obs.spans import NULL_SPAN  # noqa: E402
 from repro.study.runner import StudyConfig, run_study  # noqa: E402
@@ -271,19 +271,6 @@ def bench_entry(
     }
 
 
-def append_trajectory(path: Path, entry: Dict[str, Any]) -> None:
-    """Append ``entry`` to the trajectory file (created if missing)."""
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    else:
-        data = {"benchmark": "obs_overhead", "trajectory": []}
-    data["trajectory"].append(entry)
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -298,6 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json_out:
         append_trajectory(
             Path(args.json_out),
+            "obs_overhead",
             bench_entry(guarded, floor, sampled, plain),
         )
         print(f"trajectory entry appended to {args.json_out}")

@@ -21,7 +21,6 @@ numbers to the benchmark trajectory.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import tempfile
@@ -33,6 +32,7 @@ REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 if str(REPO_SRC) not in sys.path:
     sys.path.insert(0, str(REPO_SRC))
 
+from record import append_trajectory  # noqa: E402
 from repro.core.statistics import SessionStats  # noqa: E402
 from repro.warehouse.store import StudyWarehouse  # noqa: E402
 
@@ -162,7 +162,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     tmpdir.cleanup()
     if args.json_out:
-        append_trajectory(Path(args.json_out), {
+        append_trajectory(Path(args.json_out), "warehouse", {
             "generated": time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             ),
@@ -184,19 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"PASS: top-N over {args.sessions} sessions answered in "
               f"{top_ms:.1f} ms (bound {args.max_top_ms:.0f} ms)")
     return 1 if failed else 0
-
-
-def append_trajectory(path: Path, entry: dict) -> None:
-    """Append ``entry`` to the trajectory file (created if missing)."""
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    else:
-        data = {"benchmark": "warehouse", "trajectory": []}
-    data["trajectory"].append(entry)
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 if __name__ == "__main__":

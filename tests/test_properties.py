@@ -1,9 +1,14 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import hashlib
 import string
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.apps.catalog import APPLICATION_NAMES
+from repro.apps.sessions import simulate_session
 from repro.core.intervals import (
     Interval,
     IntervalKind,
@@ -20,12 +25,22 @@ from repro.core.samples import (
     ThreadState,
     samples_in_range,
 )
+from repro.core.store import as_columnar
+from repro.lila.autodetect import load_trace
+from repro.lila.colfile import (
+    open_column_store,
+    open_column_trace,
+    store_digest,
+    write_column_file,
+)
+from repro.lila.digest import trace_digest
 from repro.lila.format import (
     decode_frame,
     decode_stack,
     encode_frame,
     encode_stack,
 )
+from repro.lila.writer import trace_to_lines, write_trace
 
 from helpers import GUI, dispatch, episode, listener_iv
 
@@ -242,3 +257,29 @@ def test_frame_roundtrip(frame):
 @settings(max_examples=100)
 def test_stack_roundtrip(stack):
     assert decode_stack(encode_stack(stack)) == stack
+
+
+@given(
+    app=st.sampled_from(APPLICATION_NAMES),
+    session=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_canonical_serializer_and_digest_round_trip(app, session, seed):
+    """Columns serialize like the writer; every representation digests
+    to the SHA-256 of the written file."""
+    trace = simulate_session(app, session, seed=seed, scale=0.01)
+    lines = trace_to_lines(trace)
+    assert as_columnar(trace).columnar.canonical_lines() == lines
+    expected = trace_digest(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        text = write_trace(trace, Path(tmp) / "session.lila")
+        assert hashlib.sha256(text.read_bytes()).hexdigest() == expected
+        loaded = load_trace(text)
+        assert trace_digest(loaded) == expected
+        column = write_column_file(loaded.columnar, Path(tmp) / "session.lilac")
+        assert trace_digest(open_column_trace(column)) == expected
+        # Re-derive the digest from the mapped columns, not the header.
+        mapped = open_column_store(column)
+        del mapped._content_digest
+        assert store_digest(mapped) == expected

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import pickle
 
+import pytest
+
 from repro import AnalysisConfig
 from repro.core.analyses import REGISTRY
+from repro.core.errors import TraceFormatError
+from repro.core.samples import Sample, ThreadState
 from repro.core.statistics import session_stats
 from repro.core.store import ColumnarTrace, FacadeTrace, as_columnar
 from repro.lila.digest import trace_digest
@@ -27,6 +31,7 @@ from helpers import (
     interval,
     listener_iv,
     make_trace,
+    ms,
     paint_iv,
 )
 from repro.core.intervals import IntervalKind
@@ -50,6 +55,44 @@ def sample_trace():
     return make_trace(
         roots, samples=samples, short_count=3,
         extra_threads={"worker": worker},
+    )
+
+
+def tail_cache_trace():
+    """A trace with every case the serializer's line caches could get wrong.
+
+    One symbol under two kinds, a GC interval with children beside a
+    leaf GC, a thread with no intervals, a tick with no entries, and
+    three intervals closing at the same row (once mid-thread, once at
+    the thread's end).
+    """
+    shared = "com.example.Shared.run"
+    roots = [
+        dispatch(0, 100, [
+            listener_iv(shared, 5, 90, [
+                paint_iv(shared, 10, 90),
+            ]),
+        ]),
+        interval(IntervalKind.GC, "GC.major", 120, 140, [
+            interval(IntervalKind.NATIVE, "gc.Marker.mark", 125, 130),
+        ]),
+        gc_iv(150, 160),
+        dispatch(200, 300, [
+            listener_iv(shared, 205, 300, [
+                paint_iv("javax.swing.JComponent.paint", 210, 300),
+            ]),
+        ]),
+    ]
+    samples = [
+        gui_sample(20.0, extra_threads=[("worker", ThreadState.BLOCKED)]),
+        Sample(ms(50.0), []),
+        gui_sample(80.0, extra_threads=[("worker", ThreadState.BLOCKED)]),
+        gui_sample(210.0, state=ThreadState.WAITING),
+    ]
+    worker = [interval(IntervalKind.NATIVE, shared, 0.0, 400.0)]
+    return make_trace(
+        roots, samples=samples,
+        extra_threads={"worker": worker, "idle": []},
     )
 
 
@@ -93,6 +136,32 @@ class TestRoundTrip:
         trace = sample_trace()
         store = ColumnarTrace.from_trace(trace)
         assert store.canonical_lines() == trace_to_lines(trace)
+
+    def test_canonical_lines_match_writer_on_cache_edge_cases(self):
+        trace = tail_cache_trace()
+        lines = trace_to_lines(trace)
+        # The fixture really holds the cases it claims to.
+        assert f"O {ms(5)} listener com.example.Shared.run" in lines
+        assert any(line.startswith("O ") and " gc " in line for line in lines)
+        assert any(line.startswith("G ") for line in lines)
+        empty_tick = lines.index(f"P {ms(50.0)}")
+        assert lines[empty_tick + 1].startswith("P ")
+        innermost = lines.index(f"O {ms(10)} paint com.example.Shared.run")
+        closes = lines[innermost + 1:innermost + 5]
+        assert [line[0] for line in closes] == ["C", "C", "C", "O"]
+        idle = lines.index("T idle")
+        assert [line[0] for line in lines[idle - 4:idle]] == ["O", "C", "C", "C"]
+        assert ColumnarTrace.from_trace(trace).canonical_lines() == lines
+        streamed = build_store(LinesTraceSource(lines))
+        assert streamed.canonical_lines() == lines
+
+    def test_forbidden_symbol_fails_like_the_writer(self):
+        trace = make_trace([dispatch(0, 10, [listener_iv("foo\tbar", 1, 5)])])
+        with pytest.raises(TraceFormatError) as written:
+            trace_to_lines(trace)
+        with pytest.raises(TraceFormatError) as serialized:
+            ColumnarTrace.from_trace(trace).canonical_lines()
+        assert str(serialized.value) == str(written.value)
 
     def test_streamed_store_matches_from_trace(self):
         trace = sample_trace()
