@@ -13,14 +13,12 @@ quantifies the difference on a synthetic session of configurable size:
 Both paths share the same tokenizer (:class:`TextTraceSource`), so the
 comparison isolates exactly the representation cost.
 
-Two further phases exercise the zero-copy column file:
+A further phase exercises the zero-copy column file:
 
 - **mmap fan-out**: the trace is converted to a ``.lilac`` column file
   and the engine fan-out is timed against the in-memory store vs the
   mmap-backed one; because a file-backed store pickles as its path,
   the shipped task bytes collapse (gated by ``--min-ship-ratio``).
-- **sharding**: one large trace dispatched whole vs split into row
-  shards across workers, verified byte-identical and timed.
 
 The script exits nonzero if the memory improvement falls below
 ``--min-ratio`` (default 2x), if the shipped-bytes improvement falls
@@ -245,69 +243,6 @@ def bench_mmap_fanout(
     }
 
 
-def bench_sharding(
-    path: Path, workdir: Path, repeats: int,
-    workers: int = 2, shards: int = 2,
-) -> Dict[str, float]:
-    """One large trace dispatched whole vs split into row shards.
-
-    A single trace is one engine task, so workers cannot help it until
-    it shards. The scaling signal reported is the **critical path**: the
-    slowest single shard task vs the whole-trace task — what a
-    multi-core fan-out waits for (wall-clock parallel speedup cannot be
-    measured on a single-CPU CI box, so the bench times each shard task
-    in-process instead). The sharded fan-out is verified byte-identical
-    through the real worker pool first.
-    """
-    from repro.core.analyzer import AnalysisConfig
-    from repro.core.plan import build_plan
-    from repro.engine.engine import AnalysisEngine
-    from repro.lila.colfile import open_column_trace, write_column_file
-
-    store = columnar_read(path)
-    column_path = write_column_file(store, workdir / "shard.lilac")
-    trace = open_column_trace(column_path)
-    names = ("statistics", "occurrence", "triggers")
-    config = AnalysisConfig()
-
-    def fanout(shard_count):
-        engine = AnalysisEngine(
-            workers=workers, use_cache=False, shards=shard_count
-        )
-        return engine.summarize_all(names, [trace], config)
-
-    whole = pickle.dumps(sorted(fanout(1).items()))
-    sharded = pickle.dumps(sorted(fanout(shards).items()))
-    assert whole == sharded, (
-        f"sharded fan-out ({shards} shards) disagrees with the whole-trace "
-        f"fan-out"
-    )
-
-    # Critical path: a worker-side task = re-map the column file, then
-    # execute its row range. Fresh trace per run so memos don't carry.
-    plan = build_plan(names)
-
-    def task(shard):
-        worker_trace = open_column_trace(column_path)
-        return plan.execute(worker_trace, config, shard=shard)
-
-    whole_s = measure_time(lambda _: task(None), path, repeats)
-    shard_times = [
-        measure_time(lambda _: task((index, shards)), path, repeats)
-        for index in range(shards)
-    ]
-    critical_s = max(shard_times)
-    return {
-        "shards": shards,
-        "whole_task_s": whole_s,
-        "critical_shard_s": critical_s,
-        "shard_task_s": shard_times,
-        "critical_path_speedup": (
-            whole_s / critical_s if critical_s else float("inf")
-        ),
-    }
-
-
 def measure_peak(func, path: Path) -> int:
     """Peak traced bytes while parsing and holding the result."""
     gc.collect()
@@ -356,7 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--trace", default=None,
                         help="use this text trace instead of a synthetic one")
     parser.add_argument("--skip-fanout", action="store_true",
-                        help="skip the mmap fan-out and sharding phases")
+                        help="skip the mmap fan-out phase")
     parser.add_argument("--json-out", default=None,
                         help="also write the numbers as JSON to this path")
     args = parser.parse_args(argv)
@@ -419,7 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         failed = True
 
-    fanout = sharding = None
+    fanout = None
     if not args.skip_fanout:
         workdir = Path(tmpdir.name) if tmpdir is not None else path.parent
         fanout = bench_mmap_fanout(path, workdir, args.repeats)
@@ -438,14 +373,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"is below the required {args.min_ship_ratio:.1f}x",
                   file=sys.stderr)
             failed = True
-        sharding = bench_sharding(path, workdir, args.repeats)
-        print(f"sharding ({sharding['shards']} shards, "
-              f"verified byte-identical through the pool):")
-        print(f"  whole task {sharding['whole_task_s'] * 1000:.1f} ms, "
-              f"slowest shard task "
-              f"{sharding['critical_shard_s'] * 1000:.1f} ms "
-              f"({sharding['critical_path_speedup']:.2f}x shorter "
-              f"critical path)")
 
     if args.json_out:
         append_trajectory(Path(args.json_out), "ingest_service", {
@@ -466,7 +393,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "memory_ratio": round(mem_ratio, 3),
             "parse_speedup": round(time_ratio, 3),
             "mmap_fanout": fanout,
-            "sharding": sharding,
             "passed": not failed,
         })
         print(f"trajectory entry appended to {args.json_out}")

@@ -33,6 +33,12 @@ once per trace and reused; run alone, the same code computes the same
 stages into a private context. Fused and per-analysis partials are
 therefore byte-identical by construction.
 
+Every ``map_context`` reads only ``ctx.store`` through the column
+kernels of :mod:`repro.core.store.kernels`; the context columnarizes a
+plain object-graph trace when it is built. The object functions
+(:func:`repro.core.triggers.summarize` and its siblings) stay as the
+reference implementations the parity suite compares the kernels with.
+
 The :data:`REGISTRY` maps stable analysis names to their instances;
 :meth:`~repro.core.analyzer.LagAlyzer.summary` and the engine look analyses
 up by name. Downstream users add their own axis with :func:`register`.
@@ -54,24 +60,18 @@ from typing import (
 )
 
 from repro.core import causegraph
-from repro.core import concurrency as concurrency_mod
-from repro.core import location as location_mod
-from repro.core import threadstates as threadstates_mod
-from repro.core import triggers as triggers_mod
 from repro.core.concurrency import ConcurrencySummary
 from repro.core.episodes import trace_episodes  # noqa: F401  (re-exported; analyzer.py uses it)
 from repro.core.errors import AnalysisError
-from repro.core.family import family_of
 from repro.core.location import LocationSummary
 from repro.core.occurrence import Occurrence, OccurrenceSummary
 from repro.core.patterns import (
     cumulative_distribution_from_counts,
     key_depth,
     key_descendant_count,
-    pattern_key,
 )
 from repro.core.plan import StageContext
-from repro.core.statistics import SessionStats, average_stats, session_stats
+from repro.core.statistics import SessionStats, average_stats
 from repro.core.store import kernels as store_kernels
 from repro.core.threadstates import ThreadStateSummary
 from repro.core.trace import Trace
@@ -134,20 +134,6 @@ class MapReduceAnalysis:
     def map_trace(self, trace: Trace, config: Any) -> Any:
         return self.map_context(StageContext(trace, config))
 
-    def merge_shards(self, partials: Sequence[Any]) -> Any:
-        """Merge per-shard partials (shard order) into one trace partial.
-
-        Every built-in analysis overrides this with an associative
-        merge that is byte-identical to mapping the whole trace at
-        once; analyses that don't support intra-trace sharding keep
-        this default and reject multi-shard execution.
-        """
-        if len(partials) == 1:
-            return partials[0]
-        raise AnalysisError(
-            f"analysis {self.name!r} does not support intra-trace sharding"
-        )
-
     def reduce(self, partials: Sequence[Any], perceptible_only: bool = False) -> Any:
         raise NotImplementedError
 
@@ -192,16 +178,6 @@ def _pick_all(partials: Sequence[DualPartial], perceptible_only: bool) -> List[A
     return [p.pick(perceptible_only) for p in partials]
 
 
-def _merge_dual(
-    partials: Sequence[DualPartial], merge: "Any"
-) -> DualPartial:
-    """Merge shard :class:`DualPartial`\\ s population by population."""
-    return DualPartial(
-        all=merge([p.all for p in partials]),
-        perceptible=merge([p.perceptible for p in partials]),
-    )
-
-
 class TriggerAnalysis(MapReduceAnalysis):
     """Input/output/async/unspecified episode counts (Figure 5)."""
 
@@ -211,29 +187,10 @@ class TriggerAnalysis(MapReduceAnalysis):
 
     def map_context(self, ctx: StageContext) -> DualPartial:
         population, perceptible = ctx.episode_split()
-        if ctx.store is not None:
-            return DualPartial(
-                all=ctx.store.trigger_summary(population),
-                perceptible=ctx.store.trigger_summary(perceptible),
-            )
-        family = family_of(ctx.trace.metadata)
         return DualPartial(
-            all=triggers_mod.summarize(population, family=family),
-            perceptible=triggers_mod.summarize(perceptible, family=family),
+            all=ctx.store.trigger_summary(population),
+            perceptible=ctx.store.trigger_summary(perceptible),
         )
-
-    def merge_shards(self, partials: Sequence[DualPartial]) -> DualPartial:
-        # Add-merge in shard order: triggers first appear across the
-        # concatenated shards exactly where they first appear in the
-        # whole episode list, so key order matches the unsharded pass.
-        def merge(summaries: Sequence[TriggerSummary]) -> TriggerSummary:
-            counts: Dict[Any, int] = {}
-            for summary in summaries:
-                for trigger, count in summary.counts.items():
-                    counts[trigger] = counts.get(trigger, 0) + count
-            return TriggerSummary(counts)
-
-        return _merge_dual(partials, merge)
 
     def reduce(
         self, partials: Sequence[DualPartial], perceptible_only: bool = False
@@ -250,9 +207,9 @@ class CauseAnalysis(MapReduceAnalysis):
     """Self-time cause vectors per episode population (the diff axis).
 
     The partial is the :data:`~repro.core.causegraph.CauseTally` of one
-    trace (both populations); tallies add-merge in trace/shard order,
-    so first-appearance label order — and therefore pickled bytes — are
-    identical across worker counts and shard layouts.
+    trace (both populations); tallies add-merge in trace order, so
+    first-appearance label order — and therefore pickled bytes — are
+    identical across worker counts.
     """
 
     name = "causes"
@@ -261,18 +218,10 @@ class CauseAnalysis(MapReduceAnalysis):
 
     def map_context(self, ctx: StageContext) -> DualPartial:
         population, perceptible = ctx.episode_split()
-        if ctx.store is not None:
-            return DualPartial(
-                all=ctx.store.cause_tally(population),
-                perceptible=ctx.store.cause_tally(perceptible),
-            )
         return DualPartial(
-            all=causegraph.tally_causes(population),
-            perceptible=causegraph.tally_causes(perceptible),
+            all=ctx.store.cause_tally(population),
+            perceptible=ctx.store.cause_tally(perceptible),
         )
-
-    def merge_shards(self, partials: Sequence[DualPartial]) -> DualPartial:
-        return _merge_dual(partials, causegraph.merge_cause_tallies)
 
     def reduce(
         self, partials: Sequence[DualPartial], perceptible_only: bool = False
@@ -293,39 +242,10 @@ class ThreadStateAnalysis(MapReduceAnalysis):
 
     def map_context(self, ctx: StageContext) -> DualPartial:
         population, perceptible = ctx.episode_split()
-        if ctx.store is not None:
-            return DualPartial(
-                all=ctx.store.threadstate_summary(population),
-                perceptible=ctx.store.threadstate_summary(perceptible),
-            )
         return DualPartial(
-            all=threadstates_mod.summarize(population),
-            perceptible=threadstates_mod.summarize(perceptible),
+            all=ctx.store.threadstate_summary(population),
+            perceptible=ctx.store.threadstate_summary(perceptible),
         )
-
-    def merge_shards(self, partials: Sequence[DualPartial]) -> DualPartial:
-        # The columnar kernel emits counts in ThreadState enum order
-        # with zero tallies elided; a naive add-merge would order keys
-        # by first appearance across shards instead, so the merge
-        # re-tallies and rebuilds the dict in enum order.
-        from repro.core.samples import ThreadState
-
-        def merge(
-            summaries: Sequence[ThreadStateSummary],
-        ) -> ThreadStateSummary:
-            tallies: Dict[Any, int] = {}
-            for summary in summaries:
-                for state, count in summary.counts.items():
-                    tallies[state] = tallies.get(state, 0) + count
-            return ThreadStateSummary(
-                {
-                    state: tallies[state]
-                    for state in ThreadState
-                    if tallies.get(state)
-                }
-            )
-
-        return _merge_dual(partials, merge)
 
     def reduce(
         self, partials: Sequence[DualPartial], perceptible_only: bool = False
@@ -347,26 +267,10 @@ class ConcurrencyAnalysis(MapReduceAnalysis):
 
     def map_context(self, ctx: StageContext) -> DualPartial:
         population, perceptible = ctx.episode_split()
-        if ctx.store is not None:
-            return DualPartial(
-                all=ctx.store.concurrency_summary(population),
-                perceptible=ctx.store.concurrency_summary(perceptible),
-            )
         return DualPartial(
-            all=concurrency_mod.summarize(population),
-            perceptible=concurrency_mod.summarize(perceptible),
+            all=ctx.store.concurrency_summary(population),
+            perceptible=ctx.store.concurrency_summary(perceptible),
         )
-
-    def merge_shards(self, partials: Sequence[DualPartial]) -> DualPartial:
-        def merge(
-            summaries: Sequence[ConcurrencySummary],
-        ) -> ConcurrencySummary:
-            return ConcurrencySummary(
-                runnable_total=sum(s.runnable_total for s in summaries),
-                sample_count=sum(s.sample_count for s in summaries),
-            )
-
-        return _merge_dual(partials, merge)
 
     def reduce(
         self, partials: Sequence[DualPartial], perceptible_only: bool = False
@@ -389,29 +293,10 @@ class LocationAnalysis(MapReduceAnalysis):
     def map_context(self, ctx: StageContext) -> DualPartial:
         prefixes = ctx.config.library_prefixes
         population, perceptible = ctx.episode_split()
-        if ctx.store is not None:
-            return DualPartial(
-                all=ctx.store.location_summary(population, prefixes),
-                perceptible=ctx.store.location_summary(perceptible, prefixes),
-            )
         return DualPartial(
-            all=location_mod.summarize(population, library_prefixes=prefixes),
-            perceptible=location_mod.summarize(
-                perceptible, library_prefixes=prefixes
-            ),
+            all=ctx.store.location_summary(population, prefixes),
+            perceptible=ctx.store.location_summary(perceptible, prefixes),
         )
-
-    def merge_shards(self, partials: Sequence[DualPartial]) -> DualPartial:
-        def merge(summaries: Sequence[LocationSummary]) -> LocationSummary:
-            return LocationSummary(
-                app_samples=sum(s.app_samples for s in summaries),
-                library_samples=sum(s.library_samples for s in summaries),
-                gc_ns=sum(s.gc_ns for s in summaries),
-                native_ns=sum(s.native_ns for s in summaries),
-                episode_ns=sum(s.episode_ns for s in summaries),
-            )
-
-        return _merge_dual(partials, merge)
 
     def reduce(
         self, partials: Sequence[DualPartial], perceptible_only: bool = False
@@ -449,35 +334,15 @@ class PatternCountsPartial:
 
 
 def _mine_counts(ctx: StageContext) -> PatternCountsPartial:
-    """Pattern tallies of one trace, via the context's shared stages.
-
-    Columnar traces share one :meth:`~repro.core.plan.StageContext.pattern_counts`
-    tally keyed by the mining parameters; object traces share the
-    episode split and walk the episode list exactly as before.
-    """
+    """Pattern tallies of one trace, via the context's shared
+    :meth:`~repro.core.plan.StageContext.pattern_counts` stage keyed by
+    the mining parameters."""
     config = ctx.config
-    if ctx.store is not None:
-        counts, excluded = ctx.pattern_counts(
-            config.perceptible_threshold_ms,
-            config.include_gc_in_patterns,
-            config.all_dispatch_threads,
-        )
-        return PatternCountsPartial(counts=counts, excluded=excluded)
-    counts: Dict[str, Tuple[int, int]] = {}
-    excluded = 0
-    threshold = config.perceptible_threshold_ms
-    include_gc = config.include_gc_in_patterns
-    episodes, _perceptible = ctx.episode_split()
-    for episode in episodes:
-        if not episode.has_structure:
-            excluded += 1
-            continue
-        key = pattern_key(episode, include_gc=include_gc)
-        count, perceptible = counts.get(key, (0, 0))
-        counts[key] = (
-            count + 1,
-            perceptible + (1 if episode.is_perceptible(threshold) else 0),
-        )
+    counts, excluded = ctx.pattern_counts(
+        config.perceptible_threshold_ms,
+        config.include_gc_in_patterns,
+        config.all_dispatch_threads,
+    )
     return PatternCountsPartial(counts=counts, excluded=excluded)
 
 
@@ -504,16 +369,10 @@ class OccurrenceAnalysis(MapReduceAnalysis):
 
     name = "occurrence"
     supports_perceptible_only = False
-    shared_stages = ("pattern_counts", "episode_split")
+    shared_stages = ("pattern_counts",)
 
     def map_context(self, ctx: StageContext) -> PatternCountsPartial:
         return _mine_counts(ctx)
-
-    def merge_shards(
-        self, partials: Sequence[PatternCountsPartial]
-    ) -> PatternCountsPartial:
-        counts, excluded = _merge_counts(partials)
-        return PatternCountsPartial(counts=counts, excluded=excluded)
 
     def reduce(
         self,
@@ -565,16 +424,10 @@ class PatternStatsAnalysis(MapReduceAnalysis):
 
     name = "patterns"
     supports_perceptible_only = False
-    shared_stages = ("pattern_counts", "episode_split")
+    shared_stages = ("pattern_counts",)
 
     def map_context(self, ctx: StageContext) -> PatternCountsPartial:
         return _mine_counts(ctx)
-
-    def merge_shards(
-        self, partials: Sequence[PatternCountsPartial]
-    ) -> PatternCountsPartial:
-        counts, excluded = _merge_counts(partials)
-        return PatternCountsPartial(counts=counts, excluded=excluded)
 
     def reduce(
         self,
@@ -626,32 +479,15 @@ class StatisticsAnalysis(MapReduceAnalysis):
     supports_perceptible_only = False
     shared_stages = ("pattern_counts",)
 
-    def map_context(self, ctx: StageContext) -> Any:
+    def map_context(self, ctx: StageContext) -> SessionStats:
         threshold = ctx.config.perceptible_threshold_ms
-        if ctx.store is not None:
-            # The Table III row always mines the GUI thread with GC
-            # elided; request that tally through the context so one
-            # pass serves statistics, occurrence, and pattern mining
-            # whenever the config matches those defaults.
-            counts = ctx.pattern_counts(threshold, False, False)
-            if ctx.shard is not None:
-                # A shard cannot finalize a row (the float arithmetic
-                # needs the whole trace's tallies): return the
-                # integer-exact gather; merge_shards finalizes.
-                return store_kernels.session_stats_gather(
-                    ctx.store,
-                    threshold,
-                    rows=ctx.episode_rows(False),
-                    precomputed_counts=counts,
-                )
-            return store_kernels.session_stats_row(
-                ctx.store, threshold, precomputed_counts=counts
-            )
-        return session_stats(ctx.trace, threshold)
-
-    def merge_shards(self, partials: Sequence[Any]) -> SessionStats:
-        return store_kernels.session_stats_finalize(
-            store_kernels.merge_stats_shards(partials)
+        # The Table III row always mines the GUI thread with GC elided;
+        # request that tally through the context so one pass serves
+        # statistics, occurrence, and pattern mining whenever the config
+        # matches those defaults.
+        counts = ctx.pattern_counts(threshold, False, False)
+        return store_kernels.session_stats_row(
+            ctx.store, threshold, precomputed_counts=counts
         )
 
     def reduce(

@@ -24,11 +24,12 @@ another*. Three layers build on each other:
    feed it aggregated ``causes`` rows from the study warehouse.
 
 The tally is exposed to the engine as the ``causes`` analysis
-(:mod:`repro.core.analyses`), with a columnar kernel twin
-(:func:`repro.core.store.kernels.cause_tally`) that is byte-identical
-to the object path here — both iterate episodes in population order and
-labels in first-appearance pre-order, so partials merge and pickle
-deterministically across worker counts and shard layouts.
+(:mod:`repro.core.analyses`), whose map runs the columnar kernel
+:func:`repro.core.store.kernels.cause_tally`. :func:`tally_causes` here
+is its object-model reference: both iterate episodes in population
+order and labels in first-appearance pre-order, so their tallies are
+byte-identical and partials merge and pickle deterministically across
+worker counts.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ def tally_causes(episodes: Iterable[Episode]) -> CauseTally:
 def merge_cause_tallies(tallies: Sequence[CauseTally]) -> CauseTally:
     """Associative add-merge of tallies, in the given order.
 
-    Merging contiguous shard tallies in shard order (or per-trace
-    tallies in trace order) preserves first-appearance label order, so
-    merged results are byte-identical to one unsharded pass.
+    Merging per-trace tallies in trace order preserves first-appearance
+    label order, so merged results are byte-identical to one pass over
+    all traces.
     """
     merged: CauseTally = {}
     for tally in tallies:
@@ -108,8 +109,8 @@ class CauseSummary:
 
     Attributes:
         entries: ``(label, total self ns, episode count)`` rows in
-            first-appearance order — stable across worker counts and
-            shard layouts, so summaries pickle deterministically.
+            first-appearance order — stable across worker counts, so
+            summaries pickle deterministically.
     """
 
     entries: Tuple[Tuple[str, int, int], ...]

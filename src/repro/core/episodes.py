@@ -218,11 +218,12 @@ def trace_episodes(trace, config) -> List[Episode]:
 class IncrementalEpisodeSplitter:
     """Episode splitting for a trace that is still arriving.
 
-    The batch path (:func:`split_episodes`) sees a finished trace and
-    splits it once; a live ingest session instead completes one root
-    interval at a time. Push each completed root of the event dispatch
-    thread here, in time order, and the splitter maintains exactly the
-    populations the batch split would produce over the records so far:
+    The batch path (:func:`trace_episodes` plus :func:`perceptible`)
+    sees a finished trace and splits it once; a live ingest session
+    instead completes one root interval at a time. Push each completed
+    root of the event dispatch thread here, in time order, and the
+    splitter maintains exactly the populations the batch split would
+    produce over the records so far:
     the full episode list (dispatch roots only, indexed in completion
     order — the same ordinals :func:`episodes_from_roots` assigns) and
     the perceptible subsequence under the configured threshold.
@@ -266,13 +267,3 @@ class IncrementalEpisodeSplitter:
         """(all episodes, perceptible episodes) over the roots so far."""
         return list(self.episodes), list(self.perceptible)
 
-
-def split_episodes(trace, config) -> Tuple[List[Episode], List[Episode]]:
-    """(all episodes, perceptible episodes) of one trace.
-
-    The split every per-episode analysis shares: the full population and
-    the subsequence meeting ``config.perceptible_threshold_ms``.
-    """
-    episodes = trace_episodes(trace, config)
-    threshold = config.perceptible_threshold_ms
-    return episodes, [ep for ep in episodes if ep.is_perceptible(threshold)]

@@ -18,7 +18,10 @@ Identity is by construction, not by luck: each analysis implements
 single-use context. A fused pass therefore runs literally the same code
 as N independent passes — the only difference is which context the
 stages memoize into — so partials, reduced summaries, and cached bytes
-are identical either way.
+are identical either way. The context columnarizes a plain object-graph
+trace once, when it is built, so every ``map_context`` reads only
+``ctx.store`` and each analysis has one map implementation: its column
+kernel.
 
 Plans carry a stable :meth:`~AnalysisPlan.fingerprint` (hash of the
 sorted operator names plus a plan-format version), which the engine
@@ -35,19 +38,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
 
-from repro.core import episodes as episodes_mod
 from repro.core.store import kernels
+from repro.core.store.columns import ColumnarTrace
 from repro.core.trace import Trace
 from repro.obs import runtime as obs_runtime
 
@@ -56,23 +50,6 @@ from repro.obs import runtime as obs_runtime
 #: v2: workload families — bundles carry a ``family`` meta key and the
 #: episode vocabulary is family-resolved rather than hard-wired gui.
 PLAN_VERSION = "plan/v2"
-
-#: One intra-trace shard: ``(index, count)`` — the ``index``-th of
-#: ``count`` contiguous row-range partitions.
-Shard = Tuple[int, int]
-
-
-def shard_range(total: int, shard: Shard) -> Tuple[int, int]:
-    """The ``[lo, hi)`` slice of ``total`` rows owned by ``shard``.
-
-    Contiguous, gap-free, and exhaustive: the slices of shards
-    ``(0, n) .. (n-1, n)`` concatenate to ``range(total)`` in order —
-    the property every shard-merge relies on for byte-identity.
-    """
-    index, count = shard
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(f"bad shard {shard!r}")
-    return index * total // count, (index + 1) * total // count
 
 
 class StageContext:
@@ -86,41 +63,19 @@ class StageContext:
     the legacy per-analysis path a degenerate plan of size one.
     """
 
-    def __init__(
-        self, trace: Trace, config: Any, shard: Optional[Shard] = None
-    ) -> None:
+    def __init__(self, trace: Trace, config: Any) -> None:
         self.trace = trace
         self.config = config
-        #: The trace's columnar store, or ``None`` for plain
-        #: object-graph traces (which keep the classic episode path).
-        self.store: Any = getattr(trace, "columnar", None)
-        #: The intra-trace row-range shard this context maps, or
-        #: ``None`` for a whole-trace pass. Columnar stores only.
-        self.shard = shard
-        if shard is not None:
-            shard_range(1, shard)  # validate eagerly
-            if self.store is None:
-                from repro.core.errors import AnalysisError
-
-                raise AnalysisError(
-                    "intra-trace sharding requires a columnar-backed trace"
-                )
+        store = getattr(trace, "columnar", None)
+        if store is None:
+            # A plain object-graph trace is columnarized once, here, so
+            # every analysis maps through the column kernels alone.
+            store = ColumnarTrace.from_trace(trace)
+        #: The trace's columnar store, the only input every map reads.
+        self.store: ColumnarTrace = store
         #: Stage requests served from the memo instead of recomputed.
         self.shared_hits = 0
         self._stages: Dict[Hashable, Any] = {}
-
-    def episode_rows(self, all_dispatch_threads: bool) -> List[Any]:
-        """This context's episode-row population — the full list, or
-        this shard's contiguous slice of it (memoized per population)."""
-        rows = self.store.episode_rows(
-            all_dispatch_threads=all_dispatch_threads
-        )
-        if self.shard is None:
-            return rows
-        lo, hi = shard_range(len(rows), self.shard)
-        return self.stage(
-            ("shard_rows", all_dispatch_threads), lambda: rows[lo:hi]
-        )
 
     def stage(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The result of the stage named ``key``, computed at most once."""
@@ -134,26 +89,16 @@ class StageContext:
 
     # -- named shared stages -------------------------------------------
 
-    def episode_split(self) -> Tuple[Any, Any]:
+    def episode_split(self) -> Tuple[List[Any], List[Any]]:
         """``(all, perceptible)`` episode populations of this trace.
 
-        Columnar traces yield episode *row* descriptors, object traces
-        :class:`~repro.core.episodes.Episode` lists — exactly what the
-        respective per-analysis code paths consumed before fusion.
+        Both are lists of episode row descriptors
+        ``(thread_idx, row, index, start, end)`` under the config's
+        dispatch-thread selection and perceptibility threshold.
         """
-        if self.store is not None:
-            return self.stage(
-                "episode_split",
-                lambda: self.store.split_episode_rows(
-                    self.config,
-                    rows=self.episode_rows(
-                        self.config.all_dispatch_threads
-                    ),
-                ),
-            )
         return self.stage(
             "episode_split",
-            lambda: episodes_mod.split_episodes(self.trace, self.config),
+            lambda: self.store.split_episode_rows(self.config),
         )
 
     def pattern_counts(
@@ -162,7 +107,7 @@ class StageContext:
         include_gc: bool,
         all_dispatch_threads: bool,
     ) -> Tuple[Dict[str, Tuple[int, int]], int]:
-        """``(counts, excluded)`` pattern tallies (columnar stores only).
+        """``(counts, excluded)`` pattern tallies of this trace.
 
         Keyed by the mining parameters, so the statistics row (always
         ``include_gc=False``, GUI thread only) shares one tally pass
@@ -173,11 +118,7 @@ class StageContext:
         return self.stage(
             key,
             lambda: kernels.pattern_counts(
-                self.store,
-                threshold_ms,
-                include_gc,
-                all_dispatch_threads,
-                rows=self.episode_rows(all_dispatch_threads),
+                self.store, threshold_ms, include_gc, all_dispatch_threads
             ),
         )
 
@@ -226,21 +167,14 @@ class AnalysisPlan:
                 tally[stage] = tally.get(stage, 0) + 1
         return [stage for stage in order if tally[stage] >= 2]
 
-    def execute(
-        self, trace: Trace, config: Any, shard: Optional[Shard] = None
-    ) -> Dict[str, Any]:
+    def execute(self, trace: Trace, config: Any) -> Dict[str, Any]:
         """One fused pass: every operator's partial for one trace.
 
         All operators map through one shared :class:`StageContext`, so
         each shared stage is computed once. Partials are byte-identical
         to running each analysis's ``map_trace`` independently.
-
-        With ``shard`` the pass maps only that contiguous row-range
-        shard of the trace (columnar stores only); the per-shard
-        partials are merged back into whole-trace partials with
-        :meth:`merge_shards`, byte-identical to the unsharded pass.
         """
-        ctx = StageContext(trace, config, shard=shard)
+        ctx = StageContext(trace, config)
         partials: Dict[str, Any] = {}
         for op in self.operators:
             with obs_runtime.maybe_span(
@@ -258,23 +192,6 @@ class AnalysisPlan:
         obs_runtime.count("plan.operators", len(self.operators))
         obs_runtime.count("plan.shared_hits", ctx.shared_hits)
         return partials
-
-    def merge_shards(
-        self, shard_partials: Sequence[Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        """Merge per-shard partial dicts into whole-trace partials.
-
-        ``shard_partials`` must be in shard order (shard 0 first); every
-        analysis's ``merge_shards`` is associative over contiguous
-        shards, so the result is byte-identical to one unsharded
-        :meth:`execute` over the same trace.
-        """
-        merged: Dict[str, Any] = {}
-        for op in self.operators:
-            merged[op.name] = op.analysis.merge_shards(
-                [partials[op.name] for partials in shard_partials]
-            )
-        return merged
 
     def describe(self) -> List[str]:
         """Human-readable plan listing (the ``plan explain`` body)."""

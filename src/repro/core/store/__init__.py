@@ -55,7 +55,7 @@ from repro.core.store.columns import (
 )
 from repro.core.store.build import ColumnarBuilder
 from repro.core.store.facade import FacadeTrace, as_columnar
-from repro.core.store import accel, kernels
+from repro.core.store import kernels
 
 __all__ = [
     "REC_META",
@@ -73,7 +73,6 @@ __all__ = [
     "ColumnarBuilder",
     "FacadeTrace",
     "InternTable",
-    "accel",
     "as_columnar",
     "kernels",
 ]

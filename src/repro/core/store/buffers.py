@@ -90,22 +90,6 @@ class ColumnBuffer:
         copied.frombytes(self.tobytes())
         return ColumnBuffer(self.typecode, copied)
 
-    def to_numpy(self) -> Any:
-        """A zero-copy ndarray over the column (numpy mode only).
-
-        Raises:
-            RuntimeError: when numpy acceleration is off or unavailable.
-        """
-        from repro.core.store import accel
-
-        np = accel.get_numpy()
-        if np is None:
-            raise RuntimeError(
-                f"numpy acceleration is disabled (set {accel.ENV_FLAG}=1 "
-                "with numpy installed)"
-            )
-        return accel.as_ndarray(np, self.data)
-
     def __len__(self) -> int:
         return len(self.data)
 

@@ -17,7 +17,7 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.intervals import IntervalKind, NS_PER_MS
 from repro.core.samples import StackTrace, ThreadState
@@ -355,35 +355,12 @@ class ColumnarTrace:
         self._episode_rows_cache[all_dispatch_threads] = merged
         return merged
 
-    def split_episode_rows(
-        self,
-        config: Any,
-        rows: Optional[Sequence[Tuple[int, int, int, int, int]]] = None,
-    ) -> Tuple[list, list]:
-        """(all episode rows, perceptible episode rows) under ``config``.
-
-        ``rows`` overrides the population (the fused executor passes a
-        contiguous shard of the full row list); the perceptible filter
-        then applies to exactly that subset, so shard splits concatenate
-        to the unsharded split.
-        """
-        if rows is None:
-            rows = self.episode_rows(
-                all_dispatch_threads=config.all_dispatch_threads
-            )
+    def split_episode_rows(self, config: Any) -> Tuple[list, list]:
+        """(all episode rows, perceptible episode rows) under ``config``."""
+        rows = self.episode_rows(
+            all_dispatch_threads=config.all_dispatch_threads
+        )
         threshold = config.perceptible_threshold_ms
-        np = _accel.get_numpy()
-        if np is not None and len(rows) > 64:
-            durations = np.fromiter(
-                (item[4] - item[3] for item in rows),
-                dtype=np.int64,
-                count=len(rows),
-            )
-            mask = (durations / NS_PER_MS) >= threshold
-            perceptible = [
-                rows[index] for index in np.nonzero(mask)[0].tolist()
-            ]
-            return list(rows), perceptible
         perceptible = [
             item for item in rows
             if (item[4] - item[3]) / NS_PER_MS >= threshold
@@ -530,5 +507,4 @@ def _restore_store(state: dict) -> ColumnarTrace:
 # delegation methods then pay one attribute lookup, not an import, per
 # call.
 from repro.core import family as _family  # noqa: E402
-from repro.core.store import accel as _accel  # noqa: E402
 from repro.core.store import kernels as _kernels  # noqa: E402

@@ -14,8 +14,8 @@ executes that decomposition at scale:
 - :mod:`~repro.engine.scheduler` — process-pool plumbing with a serial
   fallback for restricted environments.
 
-Every later scaling layer (sharding, streaming aggregation,
-multi-backend execution) builds on this package.
+The unit of work is one whole trace: each task maps one trace in one
+fused pass, so a trace is never split across workers.
 """
 
 from repro.engine.cache import (

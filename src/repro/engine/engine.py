@@ -68,34 +68,25 @@ class QuarantinedTrace:
         return f"{self.application}/{self.session_id}: {self.error}"
 
 
-def _map_task(
-    task: Union[
-        Tuple[Trace, Tuple[str, ...], Any],
-        Tuple[Trace, Tuple[str, ...], Any, Optional[Tuple[int, int]]],
-    ]
-) -> List[Any]:
+def _map_task(task: Tuple[Trace, Tuple[str, ...], Any]) -> List[Any]:
     """Worker: the requested partials of one trace (module-level for pickling).
 
     Executes one **fused pass**: the names are compiled into an
     :class:`~repro.core.plan.AnalysisPlan` whose operators all map
     through one shared :class:`~repro.core.plan.StageContext`, so the
     episode split and pattern tallies are computed once for the whole
-    task instead of once per analysis. A four-tuple task carries an
-    intra-trace ``(index, count)`` shard: the pass then maps only that
-    contiguous row-range of the trace and the dispatcher merges the
-    shard partials back together.
+    task instead of once per analysis.
     """
-    trace, names, config = task[0], task[1], task[2]
-    shard = task[3] if len(task) > 3 else None
+    trace, names, config = task
     faults_runtime.check(
         "trace.map", key=f"{trace.application}/{trace.metadata.session_id}"
     )
-    partials = build_plan(names).execute(trace, config, shard=shard)
+    partials = build_plan(names).execute(trace, config)
     return [partials[name] for name in names]
 
 
 def _obs_map_task(
-    task: Tuple[Any, ...]
+    task: Tuple[Trace, Tuple[str, ...], Any, bool]
 ) -> Tuple[List[Any], Optional[dict]]:
     """Worker: ``_map_task`` plus this process's observability snapshot.
 
@@ -103,18 +94,16 @@ def _obs_map_task(
     task and its snapshot shipped back for re-parented merging; when an
     ambient observer already exists (serial fallback in the dispatching
     process) spans land there directly and no snapshot is returned.
-    A five-tuple task carries an intra-trace shard in the last slot.
     """
-    trace, names, config, profile = task[0], task[1], task[2], task[3]
-    shard = task[4] if len(task) > 4 else None
+    trace, names, config, profile = task
     if obs_runtime.current() is not None:
-        return _map_task((trace, names, config, shard)), None
+        return _map_task((trace, names, config)), None
     worker = Observer(profile=profile)
     with obs_runtime.installed(worker):
         with worker.span(
             "engine.worker_task", analyses=len(names), application=trace.application
         ):
-            partials = _map_task((trace, names, config, shard))
+            partials = _map_task((trace, names, config))
     return partials, worker.snapshot()
 
 
@@ -184,14 +173,6 @@ class AnalysisEngine:
         task_timeout: per-task result wait in seconds when fanning out
             to a pool; a hung worker trips this, the pool is torn
             down, and unfinished tasks re-run serially.
-        shards: intra-trace shard count; ``None``/``1`` (the default)
-            maps each trace in one fused pass, ``n > 1`` splits every
-            columnar-backed trace's pass into ``n`` contiguous
-            row-range shard tasks whose partials are merged back with
-            :meth:`~repro.core.plan.AnalysisPlan.merge_shards`,
-            byte-identical to the unsharded pass. Lets a single large
-            trace scale across workers. Object-graph traces ignore the
-            knob and map whole.
 
     Traces whose map fails *deterministically* (typed trace damage,
     or a transient error that survived every retry) are dropped from
@@ -209,15 +190,11 @@ class AnalysisEngine:
         obs: Optional[Observer] = None,
         retry: Optional[RetryPolicy] = None,
         task_timeout: Optional[float] = None,
-        shards: Optional[int] = None,
     ) -> None:
         self.workers = workers
         self.obs = obs
         self.retry = retry
         self.task_timeout = task_timeout
-        if shards is not None and shards < 1:
-            raise AnalysisError(f"shards must be >= 1, got {shards!r}")
-        self.shards = shards
         #: Traces dropped by the most recent map/load call.
         self.quarantined: List[QuarantinedTrace] = []
         if cache is not None:
@@ -241,9 +218,9 @@ class AnalysisEngine:
 
         Each trace is probed with one bundle read. Only the traces that
         miss are mapped, in one fused pass each, and fanned out to
-        worker processes, so each trace is pickled to a worker at most
-        once per shard. Each freshly mapped trace is stored as one
-        bundle.
+        worker processes as one task per trace, so each trace is
+        pickled to a worker at most once. Each freshly mapped trace is
+        stored as one bundle.
         """
         for name in analysis_names:
             get_analysis(name)
@@ -290,29 +267,9 @@ class AnalysisEngine:
                             continue
                     missing.append(index)
             if missing:
-                # Expand each missing trace into its shard tasks. Only
-                # columnar-backed traces shard; everything else maps
-                # whole. Shards of one trace are contiguous in the task
-                # list, so grouped outcomes arrive in shard order.
-                shard_count = (
-                    self.shards if self.shards and self.shards > 1 else 1
-                )
-                specs: List[Tuple[int, Optional[Tuple[int, int]]]] = []
-                for index in missing:
-                    store = getattr(traces[index], "columnar", None)
-                    if shard_count > 1 and store is not None:
-                        specs.extend(
-                            (index, (part, shard_count))
-                            for part in range(shard_count)
-                        )
-                    else:
-                        specs.append((index, None))
                 if obs is not None:
-                    obs.metrics.inc("engine.tasks", len(specs))
-                    sharded = sum(1 for spec in specs if spec[1] is not None)
-                    if sharded:
-                        obs.metrics.inc("engine.shards", sharded)
-                    for index, _shard in specs:
+                    obs.metrics.inc("engine.tasks", len(missing))
+                    for index in missing:
                         backing = getattr(
                             getattr(traces[index], "columnar", None),
                             "backing",
@@ -327,8 +284,8 @@ class AnalysisEngine:
                             )
                     profile = obs.profiler is not None
                     tasks: List[Any] = [
-                        (traces[index], names, config, profile, shard)
-                        for index, shard in specs
+                        (traces[index], names, config, profile)
+                        for index in missing
                     ]
                     task_func: Any = _obs_map_task
                     parent_id = (
@@ -337,10 +294,7 @@ class AnalysisEngine:
                         else None
                     )
                 else:
-                    tasks = [
-                        (traces[index], names, config, shard)
-                        for index, shard in specs
-                    ]
+                    tasks = [(traces[index], names, config) for index in missing]
                     task_func = _map_task
                 outcomes = run_tasks(
                     task_func,
@@ -350,39 +304,27 @@ class AnalysisEngine:
                     retry=self.retry,
                     quarantine_types=QUARANTINE_ERRORS,
                 )
-                failed: Dict[int, Any] = {}
-                shard_partials: Dict[int, List[Dict[str, Any]]] = {}
-                for (index, _shard), outcome in zip(specs, outcomes):
-                    if outcome.quarantined:
-                        failed.setdefault(index, outcome.error)
-                        continue
-                    if obs is not None:
-                        partials, snapshot = outcome.value
-                        obs.absorb(snapshot, parent_id=parent_id)
-                    else:
-                        partials = outcome.value
-                    shard_partials.setdefault(index, []).append(
-                        dict(zip(names, partials))
-                    )
-                for index in missing:
+                for index, outcome in zip(missing, outcomes):
                     trace = traces[index]
-                    if index in failed:
-                        # Any failed shard poisons the whole trace —
-                        # partial coverage would silently under-count.
+                    if outcome.quarantined:
                         # A quarantined trace gets no bundle.
                         self.quarantined.append(
                             QuarantinedTrace(
                                 index=index,
                                 application=trace.application,
                                 session_id=trace.metadata.session_id,
-                                error=repr(failed[index]),
+                                error=repr(outcome.error),
                             )
                         )
                         continue
-                    parts = shard_partials[index]
-                    merged = parts[0] if len(parts) == 1 else plan.merge_shards(parts)
+                    if obs is not None:
+                        partial_list, snapshot = outcome.value
+                        obs.absorb(snapshot, parent_id=parent_id)
+                    else:
+                        partial_list = outcome.value
+                    partials = dict(zip(names, partial_list))
                     for name in names:
-                        results[name][index] = merged[name]
+                        results[name][index] = partials[name]
                     if cache is None:
                         continue
                     digest = digests[index]
@@ -406,9 +348,7 @@ class AnalysisEngine:
                     }
                     cache.put_bundle(
                         ResultCache.bundle_key(digest, fingerprint, plan_fp),
-                        bundle_envelope(
-                            {name: merged[name] for name in names}, meta
-                        ),
+                        bundle_envelope(partials, meta),
                     )
             if self.quarantined:
                 # A quarantined trace contributes nothing to any result

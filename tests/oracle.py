@@ -1,0 +1,151 @@
+"""The object-model oracle the column kernels are checked against.
+
+Every registered analysis maps a trace through the column kernels of
+:mod:`repro.core.store.kernels` alone. This module rebuilds each
+built-in analysis's per-trace partial from the object functions
+instead, over episode populations split with ``trace_episodes`` and
+``Episode.is_perceptible``:
+
+- ``triggers``, ``location``, ``concurrency``, ``threadstates``: the
+  modules' ``summarize`` over both populations;
+- ``causes``: :func:`repro.core.causegraph.tally_causes`;
+- ``statistics``: :func:`repro.core.statistics.session_stats`;
+- ``occurrence`` and ``patterns``: the pattern-key loop over episodes
+  that the analyses ran on object traces before every map became a
+  kernel.
+
+The partials are reduced with the registered analyses' own ``reduce``,
+so a difference between :class:`OracleAnalyzer` and
+:class:`~repro.LagAlyzer` over the same traces is a kernel drifting
+from the object semantics.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+from typing import Any, Callable, Dict, List, Sequence, Tuple
+
+from repro.core import causegraph, concurrency, location, threadstates, triggers
+from repro.core.analyses import DualPartial, PatternCountsPartial, get_analysis
+from repro.core.analyzer import LagAlyzer
+from repro.core.episodes import Episode, trace_episodes
+from repro.core.family import family_of
+from repro.core.patterns import pattern_key
+from repro.core.statistics import session_stats
+from repro.core.trace import Trace
+
+
+def object_trace(trace: Trace) -> Trace:
+    """``trace`` as a plain object graph that carries no columnar store."""
+    store = getattr(trace, "columnar", None)
+    return trace if store is None else store.to_trace()
+
+
+def _split(trace: Trace, config: Any) -> Tuple[List[Episode], List[Episode]]:
+    """(all, perceptible) episode objects of one trace under ``config``."""
+    episodes = trace_episodes(trace, config)
+    threshold = config.perceptible_threshold_ms
+    return episodes, [ep for ep in episodes if ep.is_perceptible(threshold)]
+
+
+def _dual(summarize: Callable[[List[Episode], Trace, Any], Any]) -> Callable:
+    """A map applying ``summarize(episodes, trace, config)`` to both
+    populations of a trace."""
+
+    def map_trace(trace: Trace, config: Any) -> DualPartial:
+        population, perceptible = _split(trace, config)
+        return DualPartial(
+            all=summarize(population, trace, config),
+            perceptible=summarize(perceptible, trace, config),
+        )
+
+    return map_trace
+
+
+def _pattern_counts(trace: Trace, config: Any) -> PatternCountsPartial:
+    counts: Dict[str, Tuple[int, int]] = {}
+    excluded = 0
+    threshold = config.perceptible_threshold_ms
+    for episode in trace_episodes(trace, config):
+        if not episode.has_structure:
+            excluded += 1
+            continue
+        key = pattern_key(episode, include_gc=config.include_gc_in_patterns)
+        count, perceptible = counts.get(key, (0, 0))
+        counts[key] = (
+            count + 1,
+            perceptible + (1 if episode.is_perceptible(threshold) else 0),
+        )
+    return PatternCountsPartial(counts=counts, excluded=excluded)
+
+
+def _statistics(trace: Trace, config: Any) -> Any:
+    return session_stats(trace, config.perceptible_threshold_ms)
+
+
+#: Object-model map of every built-in analysis, keyed by registry name.
+ORACLE_MAPS: Dict[str, Callable[[Trace, Any], Any]] = {
+    "occurrence": _pattern_counts,
+    "triggers": _dual(
+        lambda eps, trace, config: triggers.summarize(
+            eps, family=family_of(trace.metadata)
+        )
+    ),
+    "location": _dual(
+        lambda eps, trace, config: location.summarize(
+            eps, library_prefixes=config.library_prefixes
+        )
+    ),
+    "concurrency": _dual(lambda eps, trace, config: concurrency.summarize(eps)),
+    "threadstates": _dual(
+        lambda eps, trace, config: threadstates.summarize(eps)
+    ),
+    "statistics": _statistics,
+    "patterns": _pattern_counts,
+    "causes": _dual(lambda eps, trace, config: causegraph.tally_causes(eps)),
+}
+
+
+class OracleAnalyzer(LagAlyzer):
+    """A :class:`~repro.LagAlyzer` whose summaries come from the oracle.
+
+    Every named summary (``trigger_summary``, ``session_stats``, …)
+    routes through :meth:`summary`, so :func:`repro.core.export.
+    analysis_to_dict` of an oracle analyzer is the object-model answer.
+    """
+
+    def __init__(self, traces: Sequence[Trace], config: Any = None) -> None:
+        super().__init__(traces, config=config)
+        self.object_traces = [object_trace(trace) for trace in self.traces]
+
+    def summary(self, name: str, perceptible_only: bool = False) -> Any:
+        partials = [
+            ORACLE_MAPS[name](trace, self.config)
+            for trace in self.object_traces
+        ]
+        return get_analysis(name).reduce(
+            partials, perceptible_only=perceptible_only
+        )
+
+    def summaries(self) -> Dict[str, Any]:
+        return {name: self.summary(name) for name in ORACLE_MAPS}
+
+
+def plain(value: Any) -> Any:
+    """A summary as comparable plain data (dicts compare unordered)."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            field.name: plain(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if isinstance(value, (enum.Enum, str, int, float, type(None))):
+        return value
+    slots = getattr(type(value), "__slots__", None)
+    if slots:
+        return {name: plain(getattr(value, name)) for name in slots}
+    return {key: plain(item) for key, item in vars(value).items()}

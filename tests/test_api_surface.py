@@ -31,7 +31,7 @@ class TestTopLevelSurface:
 
     def test_api_version_is_int(self):
         assert isinstance(repro.API_VERSION, int)
-        assert repro.API_VERSION == 2
+        assert repro.API_VERSION == 3
 
     def test_version_is_string(self):
         assert isinstance(repro.__version__, str)
@@ -82,3 +82,13 @@ class TestRemovedPaths:
         # removed in API_VERSION 2.
         with pytest.raises(ModuleNotFoundError):
             import repro.core.api  # noqa: F401
+
+    def test_intra_trace_shards_are_gone(self):
+        # Removed in API_VERSION 3: every trace maps as one task.
+        with pytest.raises(TypeError):
+            repro.AnalysisEngine(shards=2)
+
+    def test_numpy_kernels_are_gone(self):
+        # Removed in API_VERSION 3: the kernels are pure Python.
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.store.accel  # noqa: F401

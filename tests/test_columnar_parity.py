@@ -5,11 +5,10 @@ checked in, a binary round-trip of it, and an mmap-backed ``.lilac``
 column file — and the paths must be indistinguishable: identical
 columnar content (canonical lines, hence content digest) and identical
 results from every registered analysis under several configurations.
-Another leg compares the columnar fast path against the materialized
-object path, so a drift in either the column kernels or the object
-algorithms breaks the bond here. The engine legs pin mmap-vs-in-memory
-and sharded-vs-unsharded fan-outs byte-identical across worker pools
-and with the numpy kernels on and off.
+Another leg compares the column kernels, the only map path, against
+the object-model oracle of ``tests/oracle.py``, so a drift in either
+the kernels or the object algorithms breaks the bond here. The engine
+legs pin mmap-vs-in-memory fan-outs byte-identical across worker pools.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.analyses import REGISTRY
+from repro.core.analyses import REGISTRY, get_analysis
 from repro import AnalysisConfig, LagAlyzer
 from repro.core.export import analysis_to_dict
 from repro.engine.engine import AnalysisEngine
@@ -33,6 +32,8 @@ from repro.lila.source import (
     build_store,
     build_trace,
 )
+
+from oracle import ORACLE_MAPS, OracleAnalyzer, plain
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -120,22 +121,28 @@ def test_all_analyses_agree_across_encodings(
 def test_columnar_path_matches_object_path(golden_path, config_name):
     """The column kernels and the object algorithms are one semantics."""
     config = CONFIGS[config_name]
-    fast = text_facade(golden_path)
-    slow = text_facade(golden_path)
-    slow.thread_roots  # force materialization...
-    slow.columnar = None  # ...then hide the store from the dispatchers
-    assert summary_of(fast, config) == summary_of(slow, config), (
-        f"columnar and object analysis paths disagree ({config_name})"
+    trace = text_facade(golden_path)
+    kernels = LagAlyzer.from_traces([trace], config=config)
+    oracle = OracleAnalyzer([trace], config=config)
+    assert analysis_to_dict(kernels) == analysis_to_dict(oracle), (
+        f"column kernels disagree with the object oracle ({config_name})"
     )
+    for name in ORACLE_MAPS:
+        flags = [False]
+        if get_analysis(name).supports_perceptible_only:
+            flags.append(True)
+        for flag in flags:
+            assert plain(kernels.summary(name, perceptible_only=flag)) == plain(
+                oracle.summary(name, perceptible_only=flag)
+            ), (
+                f"{name} (perceptible_only={flag}) disagrees with the "
+                f"object oracle ({config_name})"
+            )
 
 
 # ---------------------------------------------------------------------
-# Zero-copy column file (.lilac) and intra-trace sharding parity
+# Zero-copy column file (.lilac) parity
 # ---------------------------------------------------------------------
-
-#: ``REPRO_NUMPY`` values exercised ("1" is inert when numpy is absent,
-#: so the leg degrades to a pure-Python re-run rather than skipping).
-NUMPY_MODES = ("0", "1")
 
 #: Engine worker settings: 0 = one worker per CPU (pool), 2 = two.
 WORKER_MODES = (0, 2)
@@ -148,11 +155,7 @@ def lilac_facade(path: Path, tmp_path: Path):
     return open_column_trace(column_path)
 
 
-@pytest.mark.parametrize("numpy_mode", NUMPY_MODES)
-def test_column_file_round_trip_is_columnar_identical(
-    golden_path, tmp_path, numpy_mode, monkeypatch
-):
-    monkeypatch.setenv("REPRO_NUMPY", numpy_mode)
+def test_column_file_round_trip_is_columnar_identical(golden_path, tmp_path):
     text = text_facade(golden_path)
     mapped = lilac_facade(golden_path, tmp_path)
     assert text.columnar.interval_count == mapped.columnar.interval_count
@@ -165,9 +168,9 @@ def test_column_file_round_trip_is_columnar_identical(
     )
 
 
-def engine_summaries(trace, workers: int, shards: int = 1) -> bytes:
+def engine_summaries(trace, workers: int) -> bytes:
     """Every analysis summary from one engine fan-out, as pinned bytes."""
-    engine = AnalysisEngine(workers=workers, use_cache=False, shards=shards)
+    engine = AnalysisEngine(workers=workers, use_cache=False)
     summaries = engine.summarize_all(
         tuple(REGISTRY), [trace], CONFIGS["default"]
     )
@@ -175,34 +178,12 @@ def engine_summaries(trace, workers: int, shards: int = 1) -> bytes:
 
 
 @pytest.mark.parametrize("workers", WORKER_MODES)
-@pytest.mark.parametrize("numpy_mode", NUMPY_MODES)
-def test_mmap_fanout_matches_in_memory(
-    golden_path, tmp_path, workers, numpy_mode, monkeypatch
-):
+def test_mmap_fanout_matches_in_memory(golden_path, tmp_path, workers):
     """A file-backed store must fan out byte-identically to in-memory."""
-    monkeypatch.setenv("REPRO_NUMPY", numpy_mode)
     in_memory = engine_summaries(text_facade(golden_path), workers)
     mapped = engine_summaries(lilac_facade(golden_path, tmp_path), workers)
     assert in_memory == mapped, (
-        f"mmap-backed fan-out drifted (workers={workers}, "
-        f"REPRO_NUMPY={numpy_mode})"
-    )
-
-
-@pytest.mark.parametrize("shards", (2, 3))
-@pytest.mark.parametrize("workers", WORKER_MODES)
-@pytest.mark.parametrize("numpy_mode", NUMPY_MODES)
-def test_sharded_fanout_matches_unsharded(
-    golden_path, tmp_path, shards, workers, numpy_mode, monkeypatch
-):
-    """Row-range shards must merge to the unsharded result, byte for byte."""
-    monkeypatch.setenv("REPRO_NUMPY", numpy_mode)
-    trace = lilac_facade(golden_path, tmp_path)
-    whole = engine_summaries(trace, workers, shards=1)
-    sharded = engine_summaries(trace, workers, shards=shards)
-    assert whole == sharded, (
-        f"sharded fan-out drifted (shards={shards}, workers={workers}, "
-        f"REPRO_NUMPY={numpy_mode})"
+        f"mmap-backed fan-out drifted (workers={workers})"
     )
 
 
@@ -224,58 +205,6 @@ def test_truncated_column_file_is_typed(golden_path, tmp_path):
         assert error.value.offset is not None, (
             f"error lost its byte offset: {error.value}"
         )
-
-
-def test_subtree_self_times_numpy_parity_synthetic(monkeypatch):
-    """The masked per-episode range reduction behind the cause kernel
-    is integer-exact across numpy modes, on both sides of the n>32
-    crossover."""
-    from array import array
-
-    from repro.core.store import accel
-
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    np = accel.get_numpy()
-    for n in (1, 2, 5, 32, 33, 200):
-        start = array("q")
-        end = array("q")
-        parent = array("q")
-        for k in range(n):
-            start.append(1_000_000 + k * 10)
-            end.append(1_000_000 + k * 10 + (n - k) * 7 + (k % 3))
-            parent.append(-1 if k == 0 else (k - 1) // 2)
-        accelerated = accel.subtree_self_times(np, start, end, parent, 0, n)
-        reference = accel.subtree_self_times(None, start, end, parent, 0, n)
-        assert list(accelerated) == list(reference), f"n={n}"
-        assert all(isinstance(value, int) for value in accelerated)
-
-
-def test_subtree_self_times_numpy_parity_golden(golden_path, monkeypatch):
-    """Both modes agree on every real episode subtree of the corpus."""
-    from repro.core.store import accel
-
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    np = accel.get_numpy()
-    store = build_store(TextTraceSource(golden_path))
-    checked = 0
-    for columns in store.threads:
-        parent = columns.parent
-        size = columns.size
-        for row in range(len(columns)):
-            if parent[row] >= 0:
-                continue
-            n = size[row]
-            accelerated = accel.subtree_self_times(
-                np, columns.start, columns.end, parent, row, n
-            )
-            reference = accel.subtree_self_times(
-                None, columns.start, columns.end, parent, row, n
-            )
-            assert list(accelerated) == list(reference), (
-                f"{columns.name} row {row} (n={n})"
-            )
-            checked += 1
-    assert checked, "corpus trace held no episode subtrees"
 
 
 def test_garbled_column_file_is_typed(golden_path, tmp_path):

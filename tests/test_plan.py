@@ -96,6 +96,45 @@ def test_fused_matches_legacy_on_object_traces(object_traces):
     _assert_parity(object_traces)
 
 
+class _SplitAndTally(analyses_mod.MapReduceAnalysis):
+    """A downstream analysis that reads both shared stages."""
+
+    name = "test-split-and-tally"
+    shared_stages = ("episode_split", "pattern_counts")
+
+    def map_context(self, ctx):
+        population, perceptible = ctx.episode_split()
+        counts, excluded = ctx.pattern_counts(100.0, False, False)
+        return population, perceptible, counts, excluded
+
+    def reduce(self, partials, perceptible_only=False):
+        self._check_flag(perceptible_only)
+        return list(partials)
+
+
+def test_registered_analysis_sees_one_stage_shape_for_every_trace():
+    """A plain trace and its columnar twin hand a registered analysis
+    the same episode rows and the same pattern tally."""
+    from repro.apps.sessions import simulate_session
+    from repro.core.store import as_columnar
+
+    analyses_mod.register(_SplitAndTally(), replace=True)
+    try:
+        plain = simulate_session("CrosswordSage", 0, seed=1, scale=0.02)
+        results = [
+            LagAlyzer.from_traces([trace], config=CONFIG).summary(
+                "test-split-and-tally"
+            )
+            for trace in (plain, as_columnar(plain))
+        ]
+    finally:
+        analyses_mod.REGISTRY.pop("test-split-and-tally", None)
+    assert results[0] == results[1]
+    ((population, _perceptible, counts, _excluded),) = results[0]
+    assert population and counts
+    assert all(isinstance(row, tuple) and len(row) == 5 for row in population)
+
+
 def test_api_summaries_matches_individual_summary_calls(golden_traces):
     analyzer = LagAlyzer(golden_traces, config=CONFIG)
     fused = analyzer.summaries()
