@@ -145,8 +145,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _replay_one(args, address, index: int, path: Path) -> dict:
     from repro.ingest.client import TraceClient
+    from repro.lila.autodetect import detect_format, load_trace
+    from repro.lila.writer import trace_to_lines
 
-    lines = path.read_text(encoding="utf-8").splitlines()
+    # The wire carries text lines: a text trace goes out verbatim, any
+    # other encoding as the lines of the trace it loads to.
+    if detect_format(path) == "text":
+        lines = path.read_text(encoding="utf-8").splitlines()
+    else:
+        lines = trace_to_lines(load_trace(path))
     session = f"{args.session_prefix}{index}"
     client = TraceClient(
         address,

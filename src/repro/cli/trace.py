@@ -22,12 +22,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = simulate_session(
         args.app, session_index=args.session, seed=args.seed, scale=args.scale
     )
-    if args.format == "binary":
-        from repro.lila.binary import write_trace_binary
-
-        path = write_trace_binary(trace, args.output)
-    else:
-        path = write_trace(trace, args.output)
+    path = write_trace(trace, args.output)
     print(
         f"wrote {path} ({len(trace.episodes)} episodes, "
         f"{len(trace.samples)} samples, "
@@ -199,7 +194,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return worst
 
 
-_CONVERT_SUFFIXES = {"text": ".lila", "binary": ".lilb", "lilac": ".lilac"}
+_CONVERT_SUFFIXES = {"text": ".lila", "lilac": ".lilac"}
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -230,16 +225,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             detail = f"{len(store.threads)} threads"
         else:
             from repro.lila.autodetect import load_trace
+            from repro.lila.writer import write_trace
 
             trace = load_trace(source)
-            if args.to == "binary":
-                from repro.lila.binary import write_trace_binary
-
-                path = write_trace_binary(trace, target)
-            else:
-                from repro.lila.writer import write_trace
-
-                path = write_trace(trace, target)
+            path = write_trace(trace, target)
             detail = f"{len(trace.episodes)} episodes"
     except (TraceFormatError, OSError) as error:
         print(f"{source}: unreadable trace: {error}", file=sys.stderr)
@@ -255,8 +244,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     p_sim.add_argument("--session", type=int, default=0)
     p_sim.add_argument("--seed", type=int, default=20100401)
     p_sim.add_argument("--scale", type=float, default=1.0)
-    p_sim.add_argument("--format", choices=("text", "binary"),
-                       default="text")
     add_output(p_sim, "session.lila")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -319,11 +306,11 @@ def register(sub: argparse._SubParsersAction) -> None:
     p_li.set_defaults(func=_cmd_lint)
 
     p_cv = sub.add_parser(
-        "convert", help="re-encode a trace (text, binary, or column file)"
+        "convert", help="re-encode a trace (text or column file)"
     )
-    p_cv.add_argument("trace", help="input trace in any encoding")
+    p_cv.add_argument("trace", help="input trace in either encoding")
     p_cv.add_argument("--to", required=True,
-                      choices=("text", "binary", "lilac"),
+                      choices=("text", "lilac"),
                       help="target encoding (lilac = mmap column file)")
     p_cv.add_argument("-o", "--output", default=None,
                       help="output path (default: input with new suffix)")

@@ -136,10 +136,10 @@ class LagAlyzer:
     ) -> "LagAlyzer":
         """Build an analyzer by reading LiLa-style traces.
 
-        ``paths`` may be explicit file paths, directories (all
-        ``*.lila``/``*.lilb`` files inside), glob patterns, open
+        ``paths`` may be explicit file paths, directories (every trace
+        file inside), glob patterns, open
         :class:`~repro.lila.source.TraceSource` objects, or a mix —
-        a single entry or a sequence. Both the text and the binary
+        a single entry or a sequence. Both the text and the `.lilac`
         encodings are accepted; the format is detected per file. With
         ``workers > 1`` files are parsed in parallel processes via the
         engine (``0`` means one worker per CPU).

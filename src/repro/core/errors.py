@@ -24,9 +24,10 @@ class TraceFormatError(LagAlyzerError):
     Ingestion errors carry their provenance as attributes so callers can
     pinpoint the damage without parsing the message: ``path`` is the
     trace file (None for in-memory input), ``line`` the 1-based line
-    number for text input, and ``offset`` the byte offset for binary
-    input. Either position may be None when the error is not tied to a
-    single record (e.g. missing metadata discovered at end of input).
+    number for text input, and ``offset`` the byte offset into a `.lilac`
+    column file. Either position may be None when the error is not tied
+    to a single record (e.g. missing metadata discovered at end of
+    input).
     """
 
     def __init__(

@@ -53,8 +53,8 @@ _REQUIRED_META = (
     "gui_thread",
 )
 
-#: Stable integer codes for the enum vocabularies (enumeration order,
-#: identical to the binary encoding's codes).
+#: Stable integer codes for the enum vocabularies (enumeration order;
+#: `.lilac` files store them raw, so they are part of that format).
 _KIND_CODES: Dict[IntervalKind, int] = {
     kind: index for index, kind in enumerate(IntervalKind)
 }

@@ -1,9 +1,10 @@
 """Loading traces regardless of encoding.
 
-All three encodings are self-identifying (``#%lila`` for text, ``LILB``
-for binary, ``LILC`` for the mmap-backed column file), so callers
-should not have to care: :func:`load_trace` sniffs the first bytes and
-dispatches.
+Both encodings are self-identifying (``#%lila`` for text, ``LILC`` for
+the mmap-backed column file), so callers should not have to care:
+:func:`load_trace` sniffs the first bytes and dispatches. A file in the
+binary encoding that API version 4 removed (magic ``LILB``) is refused
+with a :class:`TraceFormatError` that says so.
 """
 
 from __future__ import annotations
@@ -14,34 +15,43 @@ from typing import List, Sequence, Union
 
 from repro.core.errors import TraceFormatError
 from repro.core.trace import Trace
-from repro.lila import binary as binary_format
 from repro.lila import format as text_format
 from repro.lila.reader import read_trace
 
 #: File suffixes picked up when a directory is given to
-#: :func:`expand_trace_paths` (text, binary, and column encodings).
+#: :func:`expand_trace_paths`. ``.lilb`` stays listed so a directory of
+#: removed binary traces fails loudly instead of being skipped.
 TRACE_SUFFIXES = (".lila", ".lilb", ".lilac")
+
+#: Magic of the binary encoding removed in API version 4.
+_REMOVED_BINARY_MAGIC = b"LILB"
 
 _GLOB_CHARS = frozenset("*?[")
 
 
 def detect_format(path: Union[str, Path]) -> str:
-    """``"text"``, ``"binary"``, or ``"lilac"``, by magic bytes.
+    """``"text"`` or ``"lilac"``, by magic bytes.
 
     Raises:
-        TraceFormatError: when no magic matches.
+        TraceFormatError: when no magic matches, or the file is in the
+            removed binary encoding.
     """
     from repro.lila import colfile
 
     path = Path(path)
     with path.open("rb") as handle:
         head = handle.read(8)
-    if head.startswith(binary_format.MAGIC):
-        return "binary"
     if head.startswith(colfile.MAGIC):
         return "lilac"
     if head.startswith(text_format.MAGIC.encode("utf-8")):
         return "text"
+    if head.startswith(_REMOVED_BINARY_MAGIC):
+        raise TraceFormatError(
+            f"{path}: binary LiLa trace (.lilb); that encoding was removed "
+            f"in API version 4 — convert it to text or .lilac with an "
+            f"older release",
+            path=path,
+        )
     raise TraceFormatError(
         f"{path}: not a LiLa trace in any encoding "
         f"(first bytes: {head!r})"
@@ -53,8 +63,8 @@ def expand_trace_paths(
 ) -> List[Path]:
     """Resolve files, directories, and glob patterns to trace files.
 
-    Each entry may be an explicit file path, a directory (all
-    ``*.lila`` / ``*.lilb`` files inside, sorted), or a glob pattern
+    Each entry may be an explicit file path, a directory (every file
+    inside with a :data:`TRACE_SUFFIXES` suffix, sorted), or a glob pattern
     (matches sorted). Order is preserved across entries so session
     order stays under the caller's control.
 
@@ -95,27 +105,21 @@ def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace file in whichever encoding it uses."""
     from repro.obs import runtime as obs_runtime
 
-    encoding = detect_format(path)
-    if encoding == "binary" or encoding == "lilac":
-        with obs_runtime.maybe_span(
-            "lila.read_trace",
-            metric="lila.parse_ms",
-            path=Path(path).name,
-            format=encoding,
-        ):
-            if encoding == "binary":
-                trace = binary_format.read_trace_binary(path)
-            else:
-                from repro.lila.colfile import open_column_trace
+    if detect_format(path) == "text":
+        return read_trace(path)
+    from repro.lila.colfile import open_column_trace
 
-                trace = open_column_trace(path)
-        if obs_runtime.current() is not None:
-            obs_runtime.count("lila.traces_parsed")
-            try:
-                obs_runtime.count(
-                    "lila.bytes_read", Path(path).stat().st_size
-                )
-            except OSError:
-                pass
-        return trace
-    return read_trace(path)
+    with obs_runtime.maybe_span(
+        "lila.read_trace",
+        metric="lila.parse_ms",
+        path=Path(path).name,
+        format="lilac",
+    ):
+        trace = open_column_trace(path)
+    if obs_runtime.current() is not None:
+        obs_runtime.count("lila.traces_parsed")
+        try:
+            obs_runtime.count("lila.bytes_read", Path(path).stat().st_size)
+        except OSError:
+            pass
+    return trace

@@ -1,10 +1,10 @@
 """The mmap-backed `.lilac` column file.
 
-The text (``.lila``) and binary (``.lilb``) encodings serialize the
-*event stream*: loading one means re-parsing every record back into the
-columnar store, and shipping a loaded trace to a worker process means
-pickling every column by value. This module adds a third, analysis-side
-encoding that serializes the **store itself**: the typed column buffers
+The text (``.lila``) encoding serializes the *event stream*: loading it
+means re-parsing every record back into the columnar store, and
+shipping a loaded trace to a worker process means pickling every column
+by value. This module is the analysis-side encoding, which serializes
+the **store itself**: the typed column buffers
 of a :class:`~repro.core.store.ColumnarTrace` are written once, raw and
 8-byte aligned, and :func:`open_column_store` maps them back with
 ``mmap`` + ``memoryview.cast`` — zero bytes copied, zero records
@@ -25,7 +25,7 @@ Layout (fixed 16-byte prologue, then a JSON header, then raw data)::
         sample columns, raw native-endian bytes, 8-byte aligned
     ..  intern blocks: strings (u32 length + UTF-8 each), frames
         (u32 class id, u32 method id, u8 native), stacks (u16 depth +
-        u32 frame ids) — fixed little-endian, like ``.lilb``
+        u32 frame ids) — fixed little-endian
 
 Segment offsets in the header are relative to the data base, so the
 header's own length never feeds back into the offsets it records. The
@@ -43,6 +43,10 @@ something needs the strings or stacks. Either way damage raises a
 :class:`~repro.core.errors.TraceFormatError` stamped with the path and
 byte offset.
 
+Writing refuses a stack deeper than the u16 depth field can count
+(65,535 frames) with a :class:`~repro.core.errors.TraceFormatError`,
+before the target is opened.
+
 A file written on an alien-endian host still opens: the reader detects
 the byteorder flag and falls back to a byteswapped *copy* (the store is
 then in-memory, not file-backed). That path closes the mapping at open,
@@ -58,7 +62,7 @@ import sys
 import zlib
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from array import array
 
@@ -86,6 +90,9 @@ _PROLOGUE = struct.Struct("<4sHBBII")
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 _U8 = struct.Struct("<B")
+
+#: The deepest stack the stacks block can carry (its depth is a u16).
+MAX_STACK_DEPTH = 0xFFFF
 
 
 def _align8(offset: int) -> int:
@@ -135,6 +142,10 @@ def _intern_blocks(
     The strings block starts with the store's own intern pool (column
     symbol ids index it positionally, so existing ids must be
     preserved) and appends any stack-frame names not already pooled.
+
+    Raises:
+        TraceFormatError: when a stack is deeper than
+            :data:`MAX_STACK_DEPTH` frames.
     """
     strings: List[str] = list(store.strings)
     string_ids: Dict[str, int] = dict(store._strings_map)
@@ -151,6 +162,11 @@ def _intern_blocks(
     frame_ids: Dict[Tuple[int, int, bool], int] = {}
     stack_rows: List[List[int]] = []
     for stack in store.stacks:
+        if len(stack.frames) > MAX_STACK_DEPTH:
+            raise TraceFormatError(
+                f"stack of {len(stack.frames)} frames is deeper than the "
+                f"column file's {MAX_STACK_DEPTH:,}-frame limit"
+            )
         row: List[int] = []
         for frame in stack.frames:
             key = (
@@ -193,6 +209,10 @@ def write_column_file(
     a half-written file; the content digest is computed (or reused from
     the store's memo) and carried in the header, so opening the file
     never re-derives it.
+
+    Raises:
+        TraceFormatError: when a stack is too deep for the stacks block;
+            the target is not touched.
     """
     path = Path(path)
     segments = _segment_plan(store)
@@ -691,27 +711,25 @@ def open_column_trace(path: Union[str, Path]) -> FacadeTrace:
 
 
 # ----------------------------------------------------------------------
-# The TraceSource view (for convert and uniform consumers)
+# The TraceSource view (for open_source and uniform consumers)
 # ----------------------------------------------------------------------
 
 
 class ColumnTraceSource(TraceSource):
     """A :class:`~repro.lila.source.TraceSource` over a `.lilac` file.
 
-    :func:`~repro.lila.source.build_store` short-circuits through
-    :meth:`open_store` — ingesting a column file *is* opening it, no
-    records are replayed. :meth:`records` still yields the full record
-    stream (replayed from the columns) for consumers that genuinely
-    need events, e.g. ``repro trace convert`` back to text or binary.
+    A column file has no record stream: :func:`~repro.lila.source.build_store`
+    short-circuits through :meth:`open_store` — ingesting a column file
+    *is* opening it. Consumers that need the events back (``convert
+    --to text``) read the trace with ``load_trace`` and write it with
+    ``write_trace``.
     """
 
     encoding = "columns"
-    wrap_errors = False
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.line = None
-        self.offset = None
         self._store: Optional[ColumnarTrace] = None
 
     def open_store(self) -> ColumnarTrace:
@@ -719,71 +737,3 @@ class ColumnTraceSource(TraceSource):
         if self._store is None:
             self._store = open_column_store(self.path)
         return self._store
-
-    def records(self) -> Iterator[tuple]:
-        """Replay the store as the standard ``REC_*`` record stream."""
-        from repro.core.store import (
-            REC_CLOSE,
-            REC_ENTRY,
-            REC_FILTERED,
-            REC_GC,
-            REC_META,
-            REC_OPEN,
-            REC_THREAD,
-            REC_TICK,
-        )
-        from repro.core.store.columns import _GC_CODE, _KINDS, _STATES
-
-        store = self.open_store()
-        meta = store.metadata
-        yield (REC_META, "application", meta.application, False)
-        yield (REC_META, "session_id", meta.session_id, False)
-        yield (REC_META, "start_ns", meta.start_ns, False)
-        yield (REC_META, "end_ns", meta.end_ns, False)
-        yield (REC_META, "gui_thread", meta.gui_thread, False)
-        yield (REC_META, "sample_period_ns", meta.sample_period_ns, False)
-        yield (REC_META, "filter_ms", meta.filter_ms, False)
-        for key in sorted(meta.extra):
-            yield (REC_META, key, meta.extra[key], True)
-        yield (REC_FILTERED, store.short_episode_count)
-
-        strings = store.strings
-        for columns in store.threads:
-            yield (REC_THREAD, columns.name)
-            kind = columns.kind
-            start = columns.start
-            end = columns.end
-            symbol = columns.symbol
-            csize = columns.size
-            closes: List[Tuple[int, int]] = []
-            for row in range(len(columns)):
-                while closes and row >= closes[-1][0]:
-                    yield (REC_CLOSE, closes.pop()[1])
-                if kind[row] == _GC_CODE and csize[row] == 1:
-                    yield (
-                        REC_GC, start[row], end[row], strings[symbol[row]]
-                    )
-                else:
-                    yield (
-                        REC_OPEN,
-                        start[row],
-                        _KINDS[kind[row]],
-                        strings[symbol[row]],
-                    )
-                    closes.append((row + csize[row], end[row]))
-            while closes:
-                yield (REC_CLOSE, closes.pop()[1])
-
-        entry_thread = store.entry_thread
-        entry_state = store.entry_state
-        entry_stack = store.entry_stack
-        for tick in range(len(store.sample_ts)):
-            yield (REC_TICK, store.sample_ts[tick])
-            for entry in range(store.sample_offsets[tick],
-                               store.sample_offsets[tick + 1]):
-                yield (
-                    REC_ENTRY,
-                    strings[entry_thread[entry]],
-                    _STATES[entry_state[entry]],
-                    store.stacks[entry_stack[entry]],
-                )

@@ -5,8 +5,9 @@ content-addressed: a cached analysis partial is valid exactly as long
 as the trace bytes it was computed from are unchanged. This module
 provides the digest both for in-memory traces (hashing the canonical
 text serialization, so a trace digests identically no matter whether it
-was simulated, loaded from text, or loaded from binary) and for trace
-files (hashing raw bytes, cheaper when the file is already on disk).
+was simulated, parsed from text, or opened from a `.lilac` column file)
+and for trace files (hashing raw bytes, cheaper when the file is already
+on disk).
 """
 
 from __future__ import annotations

@@ -1,31 +1,32 @@
-"""One streaming ingestion abstraction over every trace encoding.
+"""One streaming ingestion abstraction over the text trace encoding.
 
-A :class:`TraceSource` turns a trace — text file, binary file, or an
-in-memory iterable of format lines — into a single validated stream of
-records (the ``REC_*`` vocabulary of :mod:`repro.core.store`). Record
-syntax is checked as each record is produced, so damage surfaces while
-streaming with its position attached: text sources stamp the 1-based
-line number, the binary source the byte offset, and both the file path,
-onto every :class:`~repro.core.errors.TraceFormatError`.
+A :class:`TraceSource` turns a trace — a text file or an in-memory
+iterable of format lines — into a single validated stream of records
+(the ``REC_*`` vocabulary of :mod:`repro.core.store`). Record syntax is
+checked as each record is produced, so damage surfaces while streaming
+with its position attached: every source stamps the 1-based line
+number, and file sources the path, onto every
+:class:`~repro.core.errors.TraceFormatError`. The `.lilac` column file
+is a source too, but one that *is* a store: it has no record stream,
+and :func:`build_store` adopts its store as-is.
 
 :func:`build_trace` is the one ingestion driver: it feeds any source
 into a :class:`~repro.core.store.ColumnarBuilder` and returns a
 :class:`~repro.core.store.FacadeTrace` — the classic ``Trace`` API over
 a columnar store, built in one pass without materializing an object per
 interval. The legacy entry points (``read_trace``, ``read_trace_lines``,
-``read_trace_binary``, ``load_trace``) are thin wrappers over this
-module and raise exactly the errors they always did.
+``load_trace``) are thin wrappers over this module and raise exactly
+the errors they always did.
 """
 
 from __future__ import annotations
 
-import zlib
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional, Union
 
 from repro.core.errors import LagAlyzerError, TraceFormatError
 from repro.core.intervals import IntervalKind
-from repro.core.samples import StackFrame, StackTrace, ThreadState
+from repro.core.samples import ThreadState
 from repro.core.store import (
     REC_CLOSE,
     REC_ENTRY,
@@ -40,7 +41,6 @@ from repro.core.store import (
     FacadeTrace,
 )
 from repro.faults import runtime as faults_runtime
-from repro.lila import binary as binary_format
 from repro.lila.format import decode_stack, parse_header
 
 
@@ -49,20 +49,13 @@ class TraceSource:
 
     Attributes:
         path: the backing file, or None for in-memory input.
-        encoding: ``"text"``, ``"binary"``, or ``"lines"``.
-        line: 1-based line number of the record last produced (text).
-        offset: byte offset of the field last read (binary).
-        wrap_errors: whether the ingestion driver should re-type
-            nesting/analysis errors as position-carrying
-            :class:`TraceFormatError` (the text readers' contract) or
-            let them propagate raw (the binary reader's contract).
+        encoding: ``"text"``, ``"lines"``, ``"push"``, or ``"columns"``.
+        line: 1-based line number of the record last produced.
     """
 
     encoding = "unknown"
-    wrap_errors = True
     path: Optional[Path] = None
     line: Optional[int] = None
-    offset: Optional[int] = None
 
     def records(self) -> Iterator[tuple]:
         """Yield validated ``REC_*`` records in stream order."""
@@ -74,7 +67,7 @@ class TraceSource:
         Sources whose on-disk layout *is* the columnar store (the
         `.lilac` column file) override this;
         :func:`build_store` then adopts the store directly instead of
-        replaying and re-building every record.
+        building one record by record.
         """
         return None
 
@@ -84,7 +77,6 @@ class TraceSource:
             error.path = self.path
         if error.line is None and error.offset is None:
             error.line = self.line
-            error.offset = self.offset
         return error
 
     def label(self) -> str:
@@ -279,12 +271,10 @@ class RecordFeed(TraceSource):
     """
 
     encoding = "push"
-    wrap_errors = True
 
     def __init__(self, label: Optional[str] = None) -> None:
         self.path = None
         self.line = None
-        self.offset = None
         self._label = label
         self._stack_cache: dict = {}
         self._state = _ParseState()
@@ -318,12 +308,10 @@ class TextTraceSource(TraceSource):
     """
 
     encoding = "text"
-    wrap_errors = True
 
     def __init__(self, path: Union[str, Path], faults: bool = False) -> None:
         self.path = Path(path)
         self.line = None
-        self.offset = None
         self._faults = faults
         self._stack_cache: dict = {}
 
@@ -343,190 +331,15 @@ class LinesTraceSource(TraceSource):
     """Record stream over an in-memory iterable of format lines."""
 
     encoding = "lines"
-    wrap_errors = True
 
     def __init__(self, lines: Iterable[str]) -> None:
         self.path = None
         self.line = None
-        self.offset = None
         self._lines = lines
         self._stack_cache: dict = {}
 
     def records(self) -> Iterator[tuple]:
         return _text_records(self, self._lines)
-
-
-class _Cursor:
-    """Position-tracked reads over binary payload bytes."""
-
-    __slots__ = ("source", "data", "pos", "base")
-
-    def __init__(
-        self, source: "BinaryTraceSource", data: bytes, base: int = 0
-    ) -> None:
-        self.source = source
-        self.data = data
-        self.pos = 0
-        self.base = base
-
-    def read(self, n: int) -> bytes:
-        self.source.offset = self.base + self.pos
-        end = self.pos + n
-        data = self.data[self.pos:end]
-        if len(data) != n:
-            raise TraceFormatError(
-                f"truncated binary trace (wanted {n} bytes, got {len(data)})",
-                path=self.source.path,
-                offset=self.source.offset,
-            )
-        self.pos = end
-        return data
-
-    def u8(self) -> int:
-        return binary_format._U8.unpack(self.read(1))[0]
-
-    def u16(self) -> int:
-        return binary_format._U16.unpack(self.read(2))[0]
-
-    def u32(self) -> int:
-        return binary_format._U32.unpack(self.read(4))[0]
-
-    def u64(self) -> int:
-        return binary_format._U64.unpack(self.read(8))[0]
-
-    def f64(self) -> float:
-        return binary_format._F64.unpack(self.read(8))[0]
-
-
-class BinaryTraceSource(TraceSource):
-    """Record stream over a binary (``.lilb``) trace file.
-
-    The CRC footer is verified before any field is trusted, exactly as
-    the classic binary reader did; structural damage that survives the
-    CRC (out-of-range ids, unknown codes) raises offset-stamped
-    :class:`TraceFormatError`. Nesting and bounds violations propagate
-    raw (``wrap_errors`` is False), preserving the binary reader's
-    historical error contract.
-    """
-
-    encoding = "binary"
-    wrap_errors = False
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.line = None
-        self.offset = 0
-
-    def _fail(self, message: str) -> TraceFormatError:
-        return TraceFormatError(message, path=self.path, offset=self.offset)
-
-    def records(self) -> Iterator[tuple]:
-        data = self.path.read_bytes()
-        cursor = _Cursor(self, data)
-        if cursor.read(4) != binary_format.MAGIC:
-            raise self._fail("not a binary LiLa trace (bad magic)")
-        version = cursor.u16()
-        if version != binary_format.VERSION:
-            raise self._fail(f"unsupported binary trace version {version}")
-        rest = data[6:]
-        if len(rest) < 4:
-            raise self._fail("truncated binary trace (missing CRC)")
-        payload, (expected,) = rest[:-4], binary_format._U32.unpack(rest[-4:])
-        actual = zlib.crc32(payload) & 0xFFFFFFFF
-        if actual != expected:
-            raise self._fail(
-                f"binary trace is corrupt (CRC {actual:#010x}, "
-                f"expected {expected:#010x})"
-            )
-        cursor = _Cursor(self, payload, base=6)
-
-        strings = [
-            cursor.read(cursor.u32()).decode("utf-8")
-            for _ in range(cursor.u32())
-        ]
-
-        def string(index: int) -> str:
-            try:
-                return strings[index]
-            except IndexError:
-                raise self._fail(f"string id {index} out of range") from None
-
-        frames = []
-        for _ in range(cursor.u32()):
-            class_id, method_id = cursor.u32(), cursor.u32()
-            native = cursor.u8() == 1
-            frames.append(
-                StackFrame(string(class_id), string(method_id), native)
-            )
-
-        stacks = []
-        for _ in range(cursor.u32()):
-            depth = cursor.u16()
-            stacks.append(
-                StackTrace(frames[cursor.u32()] for _ in range(depth))
-            )
-
-        application = string(cursor.u32())
-        session_id = string(cursor.u32())
-        gui_thread = string(cursor.u32())
-        start_ns = cursor.u64()
-        end_ns = cursor.u64()
-        sample_period_ns = cursor.u64()
-        filter_ms = cursor.f64()
-        short_count = cursor.u64()
-        extras = []
-        for _ in range(cursor.u32()):
-            key_id, value_id = cursor.u32(), cursor.u32()
-            extras.append((string(key_id), string(value_id)))
-
-        yield (REC_META, "application", application, False)
-        yield (REC_META, "session_id", session_id, False)
-        yield (REC_META, "start_ns", start_ns, False)
-        yield (REC_META, "end_ns", end_ns, False)
-        yield (REC_META, "gui_thread", gui_thread, False)
-        yield (REC_META, "sample_period_ns", sample_period_ns, False)
-        yield (REC_META, "filter_ms", filter_ms, False)
-        for key, value in extras:
-            yield (REC_META, key, value, True)
-        yield (REC_FILTERED, short_count)
-
-        for _ in range(cursor.u32()):
-            name = string(cursor.u32())
-            event_count = cursor.u32()
-            yield (REC_THREAD, name)
-            for _ in range(event_count):
-                tag = cursor.u8()
-                if tag == binary_format._TAG_OPEN:
-                    t = cursor.u64()
-                    kind = binary_format._KINDS_BY_CODE.get(cursor.u8())
-                    if kind is None:
-                        raise self._fail("unknown interval kind code")
-                    yield (REC_OPEN, t, kind, string(cursor.u32()))
-                elif tag == binary_format._TAG_CLOSE:
-                    yield (REC_CLOSE, cursor.u64())
-                elif tag == binary_format._TAG_GC:
-                    t0, t1 = cursor.u64(), cursor.u64()
-                    yield (REC_GC, t0, t1, string(cursor.u32()))
-                else:
-                    raise self._fail(f"unknown event tag {tag}")
-
-        for _ in range(cursor.u32()):
-            t = cursor.u64()
-            entry_count = cursor.u16()
-            yield (REC_TICK, t)
-            for _ in range(entry_count):
-                thread_id = cursor.u32()
-                state = binary_format._STATES_BY_CODE.get(cursor.u8())
-                if state is None:
-                    raise self._fail("unknown thread state code")
-                stack_id = cursor.u32()
-                try:
-                    stack = stacks[stack_id]
-                except IndexError:
-                    raise self._fail(
-                        f"stack id {stack_id} out of range"
-                    ) from None
-                yield (REC_ENTRY, string(thread_id), state, stack)
 
 
 def open_source(
@@ -535,15 +348,13 @@ def open_source(
     """A :class:`TraceSource` over ``path``, encoding autodetected.
 
     Raises:
-        TraceFormatError: when neither encoding's magic matches.
+        TraceFormatError: when no encoding's magic matches, or the file
+            uses an encoding this version no longer reads.
     """
     from repro.lila.autodetect import detect_format
 
     path = Path(path)
-    encoding = detect_format(path)
-    if encoding == "binary":
-        return BinaryTraceSource(path)
-    if encoding == "lilac":
+    if detect_format(path) == "lilac":
         from repro.lila.colfile import ColumnTraceSource
 
         return ColumnTraceSource(path)
@@ -559,11 +370,10 @@ def build_store(source: TraceSource) -> ColumnarTrace:
 
     - record-level damage raises :class:`TraceFormatError` stamped with
       the source's position;
-    - for ``wrap_errors`` sources (text), nesting violations raised
-      mid-stream are re-typed as line-prefixed ``TraceFormatError``, and
-      end-of-stream violations (unclosed intervals, bad bounds) as
-      unprefixed ``TraceFormatError``;
-    - for binary sources, nesting/bounds errors propagate raw.
+    - nesting violations raised mid-stream are re-typed as
+      line-prefixed ``TraceFormatError``, and end-of-stream violations
+      (unclosed intervals, bad bounds) as unprefixed
+      ``TraceFormatError``.
 
     Sources that *are* a serialized store (`.lilac`) short-circuit:
     their :meth:`TraceSource.open_store` result is adopted as-is, with
@@ -578,15 +388,12 @@ def build_store(source: TraceSource) -> ColumnarTrace:
         return direct
     builder = ColumnarBuilder()
     feed = builder.feed
-    wrap = source.wrap_errors
     for record in source.records():
         try:
             feed(record)
         except TraceFormatError as error:
             raise source.annotate(error)
         except LagAlyzerError as error:
-            if not wrap:
-                raise
             # Nesting violations from the columnar builder carry no
             # position; re-typing them here pins the damage to a line.
             raise TraceFormatError(
@@ -606,8 +413,6 @@ def build_store(source: TraceSource) -> ColumnarTrace:
     except TraceFormatError as error:
         raise source.annotate(error)
     except LagAlyzerError as error:
-        if not wrap:
-            raise
         # Intervals left open by a truncated file (or an impossible
         # structure) surface at finish time; same contract: damage
         # always raises the typed parse error.

@@ -31,7 +31,7 @@ class TestTopLevelSurface:
 
     def test_api_version_is_int(self):
         assert isinstance(repro.API_VERSION, int)
-        assert repro.API_VERSION == 3
+        assert repro.API_VERSION == 4
 
     def test_version_is_string(self):
         assert isinstance(repro.__version__, str)
@@ -92,3 +92,11 @@ class TestRemovedPaths:
         # Removed in API_VERSION 3: the kernels are pure Python.
         with pytest.raises(ModuleNotFoundError):
             import repro.core.store.accel  # noqa: F401
+
+    def test_binary_encoding_and_streaming_reader_are_gone(self):
+        # Removed in API_VERSION 4: text is the interchange encoding,
+        # .lilac the analysis encoding.
+        with pytest.raises(ModuleNotFoundError):
+            import repro.lila.binary  # noqa: F401
+        with pytest.raises(ModuleNotFoundError):
+            import repro.lila.streaming  # noqa: F401

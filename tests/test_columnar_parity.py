@@ -1,10 +1,10 @@
-"""Text <-> binary <-> column-file ingestion parity over the golden corpus.
+"""Text <-> column-file ingestion parity over the golden corpus.
 
-Every golden trace is read through all encodings — the text file as
-checked in, a binary round-trip of it, and an mmap-backed ``.lilac``
-column file — and the paths must be indistinguishable: identical
-columnar content (canonical lines, hence content digest) and identical
-results from every registered analysis under several configurations.
+Every golden trace is read through both encodings — the text file as
+checked in and an mmap-backed ``.lilac`` column file written from it —
+and the paths must be indistinguishable: identical columnar content
+(canonical lines, hence content digest) and identical results from
+every registered analysis under several configurations.
 Another leg compares the column kernels, the only map path, against
 the object-model oracle of ``tests/oracle.py``, so a drift in either
 the kernels or the object algorithms breaks the bond here. The engine
@@ -23,15 +23,9 @@ from repro.core.analyses import REGISTRY, get_analysis
 from repro import AnalysisConfig, LagAlyzer
 from repro.core.export import analysis_to_dict
 from repro.engine.engine import AnalysisEngine
-from repro.lila.binary import write_trace_binary
 from repro.lila.colfile import open_column_trace, write_column_file
 from repro.lila.digest import trace_digest
-from repro.lila.source import (
-    BinaryTraceSource,
-    TextTraceSource,
-    build_store,
-    build_trace,
-)
+from repro.lila.source import TextTraceSource, build_store, build_trace
 
 from oracle import ORACLE_MAPS, OracleAnalyzer, plain
 
@@ -71,11 +65,11 @@ def text_facade(path: Path):
     return build_trace(TextTraceSource(path))
 
 
-def binary_facade(path: Path, tmp_path: Path):
-    """The same trace after a lossless detour through ``.lilb``."""
-    trace = text_facade(path)
-    binary_path = write_trace_binary(trace, tmp_path / (path.stem + ".lilb"))
-    return build_trace(BinaryTraceSource(binary_path))
+def lilac_facade(path: Path, tmp_path: Path):
+    """The same trace served from an mmap-backed ``.lilac`` file."""
+    store = build_store(TextTraceSource(path))
+    column_path = write_column_file(store, tmp_path / (path.stem + ".lilac"))
+    return open_column_trace(column_path)
 
 
 @pytest.fixture(params=GOLDEN_TRACES, ids=lambda path: path.stem)
@@ -85,19 +79,6 @@ def golden_path(request):
 
 def test_corpus_is_present():
     assert GOLDEN_TRACES, "tests/golden holds no .lila traces"
-
-
-def test_binary_round_trip_is_columnar_identical(golden_path, tmp_path):
-    text = text_facade(golden_path)
-    binary = binary_facade(golden_path, tmp_path)
-    assert text.columnar.interval_count == binary.columnar.interval_count
-    assert text.columnar.sample_count == binary.columnar.sample_count
-    assert text.columnar.thread_order == binary.columnar.thread_order
-    assert text.columnar.canonical_lines() == binary.columnar.canonical_lines()
-    assert trace_digest(text) == trace_digest(binary)
-    # Parity was established without ever building the object graph.
-    assert text.is_materialized is False
-    assert binary.is_materialized is False
 
 
 def summary_of(trace, config) -> dict:
@@ -111,8 +92,8 @@ def test_all_analyses_agree_across_encodings(
 ):
     config = CONFIGS[config_name]
     text = text_facade(golden_path)
-    binary = binary_facade(golden_path, tmp_path)
-    assert summary_of(text, config) == summary_of(binary, config), (
+    mapped = lilac_facade(golden_path, tmp_path)
+    assert summary_of(text, config) == summary_of(mapped, config), (
         f"analysis summaries drifted between encodings ({config_name})"
     )
 
@@ -148,13 +129,6 @@ def test_columnar_path_matches_object_path(golden_path, config_name):
 WORKER_MODES = (0, 2)
 
 
-def lilac_facade(path: Path, tmp_path: Path):
-    """The same trace served from an mmap-backed ``.lilac`` file."""
-    store = build_store(TextTraceSource(path))
-    column_path = write_column_file(store, tmp_path / (path.stem + ".lilac"))
-    return open_column_trace(column_path)
-
-
 def test_column_file_round_trip_is_columnar_identical(golden_path, tmp_path):
     text = text_facade(golden_path)
     mapped = lilac_facade(golden_path, tmp_path)
@@ -166,6 +140,9 @@ def test_column_file_round_trip_is_columnar_identical(golden_path, tmp_path):
     assert mapped.columnar.backing is not None, (
         "column file opened into a copy, not an mmap view"
     )
+    # Parity was established without ever building the object graph.
+    assert text.is_materialized is False
+    assert mapped.is_materialized is False
 
 
 def engine_summaries(trace, workers: int) -> bytes:
@@ -205,6 +182,7 @@ def test_truncated_column_file_is_typed(golden_path, tmp_path):
         assert error.value.offset is not None, (
             f"error lost its byte offset: {error.value}"
         )
+        assert error.value.locate() == f"{cut}:@{error.value.offset}"
 
 
 def test_garbled_column_file_is_typed(golden_path, tmp_path):

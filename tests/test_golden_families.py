@@ -7,7 +7,7 @@ checked-in files are exactly what the simulators write for the recorded
 seed/scale) and the full analysis summary — including the per-family
 cause ranking — against ``expected_families.json``. Because the parity
 suite globs ``tests/golden/*.lila``, these traces also ride every
-text/binary/``.lilac``/object-oracle parity leg automatically.
+text/``.lilac``/object-oracle parity leg automatically.
 
 To accept intentional drift, regenerate the expectation:
 

@@ -5,16 +5,16 @@ Structural coverage for the zero-copy column file that
 trips, digest adoption, pickling of file-backed stores, the
 byteswap-copy fallback for alien-endian files, intern blocks decoded on
 first read (and damage inside them surfacing there), the ``lila.mmap``
-fault site, the ``convert`` CLI, atomic trace writers, and the
-ingest-side column-file plumbing (``ingest_spool(column_file=)`` and
-``IngestServer(column_dir=)``).
+fault site, the ``convert`` CLI, atomic trace writers, encoding
+autodetection (text, `.lilac`, and the refused binary encoding), and
+the ingest-side column-file plumbing (``ingest_spool(column_file=)``,
+``IngestServer(column_dir=)`` and ``ingest replay`` of a `.lilac`).
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-import struct
 import sys
 import threading
 import time
@@ -27,10 +27,10 @@ from repro.cli import main
 from repro.core.analyzer import AnalysisConfig, LagAlyzer
 from repro.core.errors import TraceFormatError
 from repro.core.samples import StackFrame
+from repro.core.store import ColumnarTrace
 from repro.engine.engine import AnalysisEngine
 from repro.lila import colfile
 from repro.lila.autodetect import detect_format, load_trace
-from repro.lila.binary import write_trace_binary
 from repro.lila.colfile import (
     open_column_store,
     open_column_trace,
@@ -38,7 +38,7 @@ from repro.lila.colfile import (
     write_column_file,
 )
 from repro.lila.digest import trace_digest
-from repro.lila.source import TextTraceSource, build_store
+from repro.lila.source import TextTraceSource, build_store, open_source
 from repro.lila.writer import write_trace
 
 from helpers import (
@@ -188,6 +188,44 @@ class TestRoundTrip:
         )
 
 
+#: The head of a file in the binary encoding removed in API version 4.
+_REMOVED_BINARY = b"LILB\x01\x00" + bytes(16)
+
+
+class TestAutodetect:
+    def test_detects_both_formats(self, trace_path, column_path):
+        assert detect_format(trace_path) == "text"
+        assert detect_format(column_path) == "lilac"
+
+    def test_rejects_garbage(self, tmp_path):
+        garbage = tmp_path / "x.bin"
+        garbage.write_bytes(b"garbage here")
+        with pytest.raises(TraceFormatError, match="any encoding"):
+            detect_format(garbage)
+
+    def test_analyzer_loads_mixed_formats(self, trace_path, column_path):
+        analyzer = LagAlyzer.load([trace_path, column_path])
+        assert len(analyzer.episodes) == 6
+
+    @pytest.mark.parametrize("read", (detect_format, load_trace, open_source))
+    def test_removed_binary_encoding_is_refused_typed(self, tmp_path, read):
+        old = tmp_path / "t.lilb"
+        old.write_bytes(_REMOVED_BINARY)
+        with pytest.raises(TraceFormatError, match="API version 4") as error:
+            read(old)
+        assert ".lilb" in str(error.value)
+        assert error.value.path == old
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_directory_holding_a_binary_trace_fails_typed(
+        self, trace_path, tmp_path, workers
+    ):
+        (tmp_path / "u.lilb").write_bytes(_REMOVED_BINARY)
+        with pytest.raises(TraceFormatError, match="API version 4") as error:
+            LagAlyzer.load(tmp_path, workers=workers)
+        assert str(error.value.path) == str(tmp_path / "u.lilb")
+
+
 class TestAlienEndian:
     def test_byteswapped_copy_of_a_golden_file(self, tmp_path):
         """A file from an opposite-endian host opens as an in-memory copy."""
@@ -311,7 +349,7 @@ class TestDeferredInterns:
             sorted(alone.items())
         )
 
-    @pytest.mark.parametrize("to", ("text", "binary", "lilac"))
+    @pytest.mark.parametrize("to", ("text", "lilac"))
     def test_convert_of_a_damaged_block_exits_2_and_writes_nothing(
         self, damaged, tmp_path, capsys, to
     ):
@@ -328,15 +366,19 @@ def _space_in_symbol():
 
 
 def _too_deep_stack():
-    """A stack deeper than the binary format's u16 depth field."""
+    """A stack deeper than the column file's u16 depth field."""
     sample = gui_sample(5.0, frames=[StackFrame("a.A", "m")] * 70_000)
     return make_trace([dispatch(0.0, 10.0)], samples=[sample])
+
+
+def _too_deep_store():
+    return ColumnarTrace.from_trace(_too_deep_stack())
 
 
 class TestAtomicWriters:
     @pytest.mark.parametrize("writer, make_bad, error", (
         (write_trace, _space_in_symbol, TraceFormatError),
-        (write_trace_binary, _too_deep_stack, struct.error),
+        (write_column_file, _too_deep_store, TraceFormatError),
     ))
     @pytest.mark.parametrize("existing", (False, True))
     def test_failed_write_keeps_the_target(
@@ -434,6 +476,17 @@ class TestConvertCli:
         missing = tmp_path / "nope.lilac"
         assert main(["convert", str(missing), "--to", "text"]) == 2
 
+    def test_convert_of_a_too_deep_stack_exits_2_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        deep = write_trace(_too_deep_stack(), tmp_path / "deep.lila")
+        out = tmp_path / "out" / "deep.lilac"
+        assert main([
+            "convert", str(deep), "--to", "lilac", "-o", str(out)
+        ]) == 2
+        assert "70000 frames" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_convert_refuses_overwriting_input(self, trace_path, capsys):
         assert main([
             "convert", str(trace_path), "--to", "text",
@@ -490,3 +543,28 @@ class TestIngestPlumbing:
             outcome = server.compact_spools()
         assert outcome["ingested"] == 1
         assert detect_format(column_dir / "sess-1.lilac") == "lilac"
+
+    def test_replay_sends_a_column_file_as_text_lines(
+        self, trace_path, column_path, tmp_path
+    ):
+        from repro.ingest.server import IngestServer
+
+        replay_dir = tmp_path / "replay"
+        replay_dir.mkdir()
+        for source in (trace_path, column_path):
+            (replay_dir / ("s0" + source.suffix)).write_bytes(
+                source.read_bytes()
+            )
+        with IngestServer(spool_dir=tmp_path / "spools") as server:
+            host, port = server.address
+            assert main([
+                "ingest", "replay", str(replay_dir),
+                "--address", f"{host}:{port}",
+            ]) == 0
+            spooled = {
+                state.session: state.spool.path.read_text().splitlines()
+                for state in server.sessions()
+            }
+        assert sorted(spooled) == ["replay-0", "replay-1"]
+        assert spooled["replay-0"] == trace_path.read_text().splitlines()
+        assert spooled["replay-1"] == spooled["replay-0"]

@@ -1,9 +1,10 @@
 """The :mod:`repro.lila.source` streaming layer: records and errors.
 
-Covers the record-stream contract shared by every reader — text file,
-in-memory lines, and binary — plus the provenance contract: every
-ingestion failure surfaces as :class:`TraceFormatError` stamped with
-the source's path and line (text) or byte offset (binary).
+Covers the record-stream contract shared by every reader — text file
+and in-memory lines — plus the provenance contract: every ingestion
+failure surfaces as :class:`TraceFormatError` stamped with the source's
+path and line. (Byte-offset provenance of `.lilac` damage is pinned in
+``tests/test_columnar_parity.py`` and ``tests/test_lilac.py``.)
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from repro.core.store import (
 from repro.faults import runtime as faults_runtime
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.lila.binary import write_trace_binary
+from repro.lila.colfile import ColumnTraceSource, write_column_file
 from repro.lila.source import (
-    BinaryTraceSource,
     LinesTraceSource,
     TextTraceSource,
     build_store,
@@ -38,7 +38,6 @@ from repro.lila.source import (
 from repro.obs import runtime as obs_runtime
 from repro.obs.observer import Observer
 
-from helpers import dispatch, listener_iv, make_trace
 
 TINY = """\
 #%lila 1
@@ -102,27 +101,14 @@ class TestRecordStream:
         from_lines = list(LinesTraceSource(tiny_lines()).records())
         assert from_file == from_lines
 
-    def test_binary_source_streams_equivalent_records(self, tmp_path):
-        trace = make_trace(
-            [dispatch(0, 50, [listener_iv("a.B#c", 0, 40)])]
-        )
-        path = write_trace_binary(trace, tmp_path / "t.lilb")
-        store = build_store(BinaryTraceSource(path))
-        assert store.interval_count == 2
-        rebuilt = store.to_trace().metadata
-        assert rebuilt.application == trace.metadata.application
-        assert rebuilt.session_id == trace.metadata.session_id
-        assert (rebuilt.start_ns, rebuilt.end_ns) == (
-            trace.metadata.start_ns, trace.metadata.end_ns
-        )
-
     def test_open_source_autodetects_encoding(self, tmp_path):
         text_path = tmp_path / "t.lila"
         text_path.write_text(TINY, encoding="utf-8")
-        trace = make_trace([dispatch(0, 50)])
-        binary_path = write_trace_binary(trace, tmp_path / "t.lilb")
+        column_path = write_column_file(
+            build_store(TextTraceSource(text_path)), tmp_path / "t.lilac"
+        )
         assert isinstance(open_source(text_path), TextTraceSource)
-        assert isinstance(open_source(binary_path), BinaryTraceSource)
+        assert isinstance(open_source(column_path), ColumnTraceSource)
 
     def test_labels(self, tmp_path):
         path = tmp_path / "session.lila"
@@ -190,19 +176,6 @@ class TestErrorProvenance:
         with pytest.raises(TraceFormatError) as info:
             build_store(LinesTraceSource(lines))
         assert info.value.line is None
-
-    def test_binary_error_carries_offset(self, tmp_path):
-        trace = make_trace([dispatch(0, 50)])
-        path = write_trace_binary(trace, tmp_path / "t.lilb")
-        data = path.read_bytes()
-        truncated = tmp_path / "cut.lilb"
-        truncated.write_bytes(data[: len(data) - 6])
-        with pytest.raises(TraceFormatError) as info:
-            build_store(BinaryTraceSource(truncated))
-        error = info.value
-        assert error.path == truncated
-        assert error.offset is not None
-        assert error.locate() == f"{truncated}:@{error.offset}"
 
     def test_fault_injected_damage_surfaces_as_format_error(self, tmp_path):
         path = tmp_path / "s.lila"
