@@ -2,16 +2,20 @@
 
 Before the columnar refactor, parsing a LiLa trace materialized one
 Python object per interval and per sample entry before any analysis
-could run. The streaming path (:func:`repro.lila.source.build_store`)
-folds the same record stream into parallel arrays instead. This script
+could run. The columnar path (:func:`repro.lila.source.build_store`)
+parses each line straight into parallel arrays instead. This script
 quantifies the difference on a synthetic session of configurable size:
 
 - **peak memory** while parsing and holding the result (tracemalloc
   peak; the process's max RSS is also reported where available), and
 - **parse time** (best of ``--repeats`` runs).
 
-Both paths share the same tokenizer (:class:`TextTraceSource`), so the
-comparison isolates exactly the representation cost.
+The two paths no longer share a tokenizer: the object reader folds the
+reference record stream (:meth:`TextTraceSource.records`, one tuple per
+line), while the columnar side runs its own line kernel
+(:class:`~repro.lila.source.TextParser`, no per-line tuple). The parse
+time therefore compares representation *and* tokenizer together; the
+memory comparison is still about the representation held.
 
 A further phase exercises the zero-copy column file:
 
@@ -132,10 +136,11 @@ def generate_trace(path: Path, records: int) -> int:
 def legacy_read(path: Path) -> Trace:
     """The pre-columnar eager reader: every record becomes an object.
 
-    Reproduces what ``read_trace`` did before the refactor — the same
-    record stream folded into :class:`Interval`/:class:`Sample` objects
-    and an eagerly-episoded :class:`Trace` — so the benchmark compares
-    representations, not tokenizers.
+    Reproduces what ``read_trace`` did before the refactor — the
+    reference record stream folded into :class:`Interval`/:class:`Sample`
+    objects and an eagerly-episoded :class:`Trace`. The columnar side
+    parses with its own line kernel, so the parse-time comparison
+    covers tokenizers as well as representations.
     """
     meta: Dict[str, str] = {}
     extra: Dict[str, str] = {}

@@ -11,7 +11,8 @@ surface changes incompatibly; version 2 removed the ``repro.core.api``
 alias of :mod:`repro.core.analyzer` and ``AnalysisEngine.map_trace``;
 version 3 removed the engine's split of one trace across several tasks
 and the numpy kernel mode; version 4 removed the binary trace
-encoding and the streaming reader (all listed in ``docs/api.md``).
+encoding and the streaming reader; version 5 removed the push-mode
+record parser ``RecordFeed`` (all listed in ``docs/api.md``).
 
 The package is organized as:
 
@@ -53,7 +54,7 @@ from repro.apps import simulate_session
 __version__ = "1.1.0"
 
 #: Version of the public surface below; bumped on incompatible change.
-API_VERSION = 4
+API_VERSION = 5
 
 # Heavier subsystems resolve lazily (PEP 562): importing ``repro`` for
 # a quick trace read should not pay for the study harness, the engine,

@@ -29,9 +29,10 @@ The package is split by role:
 - :mod:`~repro.core.store.facade` — :class:`FacadeTrace`, the lazy
   ``Trace`` view (object graph materialized only when touched), plus
   canonical serialization;
-- :mod:`~repro.core.store.build` — :class:`ColumnarBuilder`, streaming
-  the record stream of a :class:`~repro.lila.source.TraceSource` into a
-  store with exactly the invariants (and error messages) of
+- :mod:`~repro.core.store.build` — :class:`ColumnarBuilder`, which the
+  text line kernel (:class:`~repro.lila.source.TextParser`) fills
+  straight from the lines of a :class:`~repro.lila.source.TraceSource`,
+  with exactly the invariants (and error messages) of
   :class:`~repro.core.intervals.IntervalTreeBuilder`.
 
 Everything importable from the old single-module ``repro.core.store`` is

@@ -1,10 +1,15 @@
 """Streaming construction of the columnar store.
 
-:class:`ColumnarBuilder` folds the flat record stream of a
-:class:`~repro.lila.source.TraceSource` into a
+:class:`ColumnarBuilder` accumulates a trace into the columns of a
 :class:`~repro.core.store.columns.ColumnarTrace`, enforcing the
-proper-nesting invariant while streaming; :func:`columnarize` drives it
-from an already-materialized object-model :class:`Trace`.
+proper-nesting invariant as intervals open and close. Text traces reach
+it through the line kernel :class:`~repro.lila.source.TextParser`,
+which applies the hot records straight through the interval and tick
+methods here (:meth:`ColumnarBuilder._open_interval`,
+:meth:`ColumnarBuilder._close_interval`, :meth:`ColumnarBuilder._new_tick`)
+and hands every other record to :meth:`ColumnarBuilder.feed`, the
+intake of the ``REC_*`` record vocabulary; :func:`columnarize` drives
+``feed`` from an already-materialized object-model :class:`Trace`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import AnalysisError, NestingError, TraceFormatError
-from repro.core.intervals import Interval, IntervalKind
+from repro.core.intervals import Interval
 from repro.core.samples import StackTrace
 from repro.core.store.buffers import InternTable
 from repro.core.store.columns import (
@@ -26,7 +31,9 @@ from repro.core.store.columns import (
     REC_OPEN,
     REC_THREAD,
     REC_TICK,
+    _GC_CODE,
     _KIND_CODES,
+    _KIND_VALUES,
     _REQUIRED_META,
     _RUNNABLE_CODE,
     _STATE_CODES,
@@ -36,7 +43,7 @@ from repro.core.trace import Trace, TraceMetadata
 
 
 class ColumnarBuilder:
-    """Streams :class:`TraceSource` records into a :class:`ColumnarTrace`.
+    """Accumulates one trace into the columns of a :class:`ColumnarTrace`.
 
     The builder enforces the proper-nesting invariant while streaming,
     with exactly the error messages of
@@ -61,8 +68,8 @@ class ColumnarBuilder:
         self._strings_map: Dict[str, int] = self.interns.ids
         self._threads: List[_ThreadColumns] = []
         self._thread_map: Dict[str, int] = {}
-        # Per thread: a stack of [row, kind, symbol, start_ns, children_end]
-        # frames for the currently open intervals.
+        # Per thread: a stack of [row, kind code, symbol id, start_ns,
+        # children_end] frames for the currently open intervals.
         self._open: List[List[list]] = []
         self._last_root_end: List[Optional[int]] = []
         self._current: Optional[int] = None
@@ -105,12 +112,14 @@ class ColumnarBuilder:
         tag = record[0]
         if tag == REC_OPEN:
             _, start_ns, kind, symbol = record
-            self._open_interval(kind, symbol, start_ns)
+            self._open_interval(
+                _KIND_CODES[kind], self._intern(symbol), start_ns
+            )
         elif tag == REC_CLOSE:
             self._close_interval(record[1])
         elif tag == REC_GC:
             _, start_ns, end_ns, symbol = record
-            self._open_interval(IntervalKind.GC, symbol, start_ns)
+            self._open_interval(_GC_CODE, self._intern(symbol), start_ns)
             self._close_interval(end_ns)
         elif tag == REC_ENTRY:
             if self._pending_tick is None:
@@ -124,8 +133,7 @@ class ColumnarBuilder:
                 )
             )
         elif tag == REC_TICK:
-            self.flush_samples()
-            self._pending_tick = record[1]
+            self._new_tick(record[1])
         elif tag == REC_THREAD:
             self.flush_samples()
             name = record[1]
@@ -151,9 +159,8 @@ class ColumnarBuilder:
         else:
             raise TraceFormatError(f"unknown source record tag {tag!r}")
 
-    def _open_interval(
-        self, kind: IntervalKind, symbol: str, start_ns: int
-    ) -> None:
+    def _open_interval(self, code: int, symbol: int, start_ns: int) -> None:
+        """Open an interval of kind ``code`` and interned ``symbol``."""
         frames = self._cur_frames
         if frames is None:
             raise TraceFormatError("interval record before any T record")
@@ -161,20 +168,20 @@ class ColumnarBuilder:
             top = frames[-1]
             if start_ns < top[3]:
                 raise NestingError(
-                    f"interval {kind.value}:{symbol} starts at {start_ns}, "
-                    f"before its enclosing interval ({top[3]})"
+                    f"interval {self._label(code, symbol)} starts at "
+                    f"{start_ns}, before its enclosing interval ({top[3]})"
                 )
             if top[4] is not None and start_ns < top[4]:
                 raise NestingError(
-                    f"interval {kind.value}:{symbol} starts at {start_ns}, "
-                    f"inside the previous sibling"
+                    f"interval {self._label(code, symbol)} starts at "
+                    f"{start_ns}, inside the previous sibling"
                 )
             parent_row = top[0]
         else:
             last_end = self._last_root_end[self._current]
             if last_end is not None and start_ns < last_end:
                 raise NestingError(
-                    f"root interval {kind.value}:{symbol} starts at "
+                    f"root interval {self._label(code, symbol)} starts at "
                     f"{start_ns}, inside the previous root"
                 )
             parent_row = -1
@@ -182,28 +189,29 @@ class ColumnarBuilder:
         row = len(columns.start)
         columns.start.append(start_ns)
         columns.end.append(0)
-        columns.kind.append(_KIND_CODES[kind])
-        columns.symbol.append(self._intern(symbol))
+        columns.kind.append(code)
+        columns.symbol.append(symbol)
         columns.parent.append(parent_row)
         columns.size.append(0)
-        frames.append([row, kind, symbol, start_ns, None])
+        frames.append([row, code, symbol, start_ns, None])
 
     def _close_interval(self, end_ns: int) -> None:
+        """Close the innermost open interval of the current thread."""
         frames = self._cur_frames
         if frames is None:
             raise TraceFormatError("interval record before any T record")
         if not frames:
             raise NestingError("close without a matching open")
-        row, kind, symbol, start_ns, children_end = frames.pop()
+        row, code, symbol, start_ns, children_end = frames.pop()
         if children_end is not None and end_ns < children_end:
             raise NestingError(
-                f"interval {kind.value}:{symbol} closes at "
+                f"interval {self._label(code, symbol)} closes at "
                 f"{end_ns}, before its last child ends"
             )
         if end_ns < start_ns:
             raise NestingError(
-                f"interval {kind.value}:{symbol} ends before it starts "
-                f"({end_ns} < {start_ns})"
+                f"interval {self._label(code, symbol)} ends before it "
+                f"starts ({end_ns} < {start_ns})"
             )
         columns = self._cur_columns
         columns.end[row] = end_ns
@@ -213,6 +221,20 @@ class ColumnarBuilder:
         else:
             self._last_root_end[self._current] = end_ns
             columns.root_rows.append(row)
+
+    def _new_tick(self, ns: int) -> List[Tuple[int, int, int]]:
+        """Seal the pending tick and open one at ``ns``.
+
+        Returns the new tick's entry list, which stays the pending one
+        until the next tick or thread record.
+        """
+        self.flush_samples()
+        self._pending_tick = ns
+        return self._pending_entries
+
+    def _label(self, code: int, symbol: int) -> str:
+        """``kind:symbol`` of an interval, as nesting errors name it."""
+        return f"{_KIND_VALUES[code]}:{self._strings[symbol]}"
 
     # -- finishing -----------------------------------------------------
 
@@ -257,7 +279,7 @@ class ColumnarBuilder:
         for frames in self._open:
             if frames:
                 open_names = ", ".join(
-                    f"{frame[1].value}:{frame[2]}" for frame in frames
+                    self._label(frame[1], frame[2]) for frame in frames
                 )
                 raise NestingError(
                     f"unclosed intervals at end of trace: {open_names}"

@@ -1,8 +1,8 @@
 """Column containers: the record vocabulary and the parallel arrays.
 
 This module holds the *data* half of the columnar store — the
-``REC_*`` record vocabulary every :class:`~repro.lila.source.TraceSource`
-yields, the stable integer codes for the enum vocabularies, the
+``REC_*`` record vocabulary :meth:`~repro.core.store.ColumnarBuilder.feed`
+applies, the stable integer codes for the enum vocabularies, the
 per-thread :class:`_ThreadColumns` arrays, and :class:`ColumnarTrace`
 itself (construction, pickling, size accounting, and episode
 enumeration). The analysis kernels that *read* the columns live in
@@ -25,7 +25,8 @@ from repro.core.store.buffers import ColumnBuffer, InternTable
 from repro.core.trace import Trace, TraceMetadata
 
 # ----------------------------------------------------------------------
-# The record vocabulary every TraceSource yields.
+# The record vocabulary of the reference record stream and of
+# ColumnarBuilder.feed.
 # ----------------------------------------------------------------------
 
 REC_META = 0

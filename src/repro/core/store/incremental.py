@@ -1,22 +1,26 @@
 """Incremental appends into the columnar store.
 
-The one-shot :class:`~repro.core.store.build.ColumnarBuilder` consumes
-a complete record stream and only then seals a
+The one-shot :class:`~repro.core.store.build.ColumnarBuilder` takes a
+complete trace and only then seals a
 :class:`~repro.core.store.columns.ColumnarTrace`. The ingest daemon
-feeds the same records *as they arrive* over the wire and needs to know,
-mid-stream, which interval trees are already complete — every root
-interval that has closed is final (the nesting invariant guarantees
-nothing can reopen it), so episode splitting and pattern tallies can
-advance per completed episode instead of per completed trace.
+pushes the same text lines *as they arrive* over the wire through the
+same line kernel (:class:`~repro.lila.source.TextParser`) and needs to
+know, mid-stream, which interval trees are already complete — every
+root interval that has closed is final (the nesting invariant
+guarantees nothing can reopen it), so episode splitting and pattern
+tallies can advance per completed episode instead of per completed
+trace.
 
 :class:`IncrementalColumnarBuilder` is the one-shot builder plus that
-completion signal: :meth:`take_completed_roots` drains the roots closed
-since the last call, and :meth:`materialize_root` builds the classic
+completion signal, hooked into the one method the kernel closes every
+interval with (:meth:`_close_interval`): :meth:`take_completed_roots`
+drains the roots closed since the last call, and
+:meth:`materialize_root` builds the classic
 :class:`~repro.core.intervals.Interval` tree for one completed root
 straight from the columns (the arrays are append-only, so rows of a
 closed subtree never change afterwards). Sealing via ``finish`` is
 unchanged, which is what makes incremental-mode final summaries
-byte-identical to a one-shot build over the same records.
+byte-identical to a one-shot build over the same lines.
 """
 
 from __future__ import annotations

@@ -9,36 +9,44 @@ pattern keeps recurring?") want answers *between* batches.
 :class:`IncrementalSessionAnalyzer` is the per-session pipeline the
 daemon advances after every flush:
 
-- :class:`~repro.lila.source.RecordFeed` parses each text line into a
-  validated source record (same validation, same error messages as the
-  file reader);
-- :class:`~repro.core.store.incremental.IncrementalColumnarBuilder`
-  appends it to the columnar store under construction and reports each
-  root interval the line completed;
+- :class:`~repro.lila.source.TextParser`, the line kernel every text
+  trace goes through, parses each pushed line straight into the
+  columns of an
+  :class:`~repro.core.store.incremental.IncrementalColumnarBuilder`
+  (same validation, same error messages, same line numbers as the file
+  reader), which reports each root interval the lines completed;
 - :class:`~repro.core.episodes.IncrementalEpisodeSplitter` turns the
   completed dispatch roots of the event dispatch thread into episodes,
   and per-episode pattern tallies advance immediately.
 
 :meth:`rolling_summary` publishes the running totals at any moment.
-When the session ends, :meth:`finalize` seals the very same builder a
-one-shot :func:`~repro.lila.source.build_store` would have used —
-``flush_samples``, required-meta check, ``finish`` — so
-:meth:`summaries` over the sealed trace is **byte-identical** to a
-one-shot analysis of the same records (the parity test pickles both).
+When the session ends, :meth:`finalize` seals the builder with the
+same :meth:`~repro.lila.source.TextParser.finish` a one-shot
+:func:`~repro.lila.source.build_store` runs, so :meth:`summaries` over
+the sealed trace is **byte-identical** to a one-shot analysis of the
+same lines (the parity test pickles both).
 """
 
 from __future__ import annotations
 
-from typing import Any, Counter as CounterType, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    Counter as CounterType,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+)
 from collections import Counter
 
 from repro.core.analyzer import AnalysisConfig, LagAlyzer
 from repro.core.episodes import Episode, IncrementalEpisodeSplitter
-from repro.core.errors import AnalysisError
+from repro.core.errors import AnalysisError, LagAlyzerError
 from repro.core.patterns import pattern_key
 from repro.core.store.facade import FacadeTrace
 from repro.core.store.incremental import IncrementalColumnarBuilder
-from repro.lila.source import RecordFeed
+from repro.lila.source import TextParser, TraceSource
 
 
 class IncrementalSessionAnalyzer:
@@ -50,15 +58,15 @@ class IncrementalSessionAnalyzer:
         config: Optional[AnalysisConfig] = None,
     ) -> None:
         self.config = config or AnalysisConfig()
-        self._feed = RecordFeed(label)
+        self._label = label if label is not None else "<push>"
         self._builder = IncrementalColumnarBuilder()
+        self._parser = TextParser(self._builder, TraceSource())
         self._splitter: Optional[IncrementalEpisodeSplitter] = None
         #: Structural pattern tallies over episodes completed so far
         #: (episodes without structure are excluded, exactly as
         #: :meth:`PatternTable.from_episodes` excludes them).
         self.pattern_counts: CounterType[str] = Counter()
         self.unstructured_episodes = 0
-        self.lines_fed = 0
         self._sealed: Optional[FacadeTrace] = None
 
     # ------------------------------------------------------------------
@@ -71,6 +79,11 @@ class IncrementalSessionAnalyzer:
         name = self._builder.meta.get("gui_thread")
         return name if isinstance(name, str) else None
 
+    @property
+    def lines_fed(self) -> int:
+        """Lines pushed so far, the header and any damaged line included."""
+        return self._parser.line_no
+
     def push_line(self, line: str) -> List[Episode]:
         """Feed one record line; the episodes it completed (often none).
 
@@ -79,28 +92,41 @@ class IncrementalSessionAnalyzer:
                 invalid — stamped with the line number, identical to
                 the file reader's message for the same damage.
         """
-        if self._sealed is not None:
-            raise AnalysisError("session already finalized")
-        self.lines_fed += 1
-        record = self._feed.feed(line)
-        if record is None:
-            return []
-        self._builder.feed(record)
-        completed = self._builder.take_completed_roots()
-        if not completed:
-            return []
-        return self._advance(completed)
+        return self.push_lines((line,))
 
     def push_lines(self, lines: Sequence[str]) -> List[Episode]:
-        """Feed a batch of lines; all episodes the batch completed."""
-        episodes: List[Episode] = []
-        for line in lines:
-            episodes.extend(self.push_line(line))
-        return episodes
+        """Feed a batch of lines; all episodes the batch completed.
+
+        Until the metadata has named the event dispatch thread the lines
+        go in one at a time, so a root completed before that point is
+        never taken for an episode. On damage, the episodes completed by
+        the lines before the damaged one are advanced before the error
+        propagates.
+        """
+        if self._sealed is not None:
+            raise AnalysisError("session already finalized")
+        if self.gui_thread is None:
+            episodes: List[Episode] = []
+            remaining = iter(lines)
+            for line in remaining:
+                episodes.extend(self._push((line,)))
+                if self.gui_thread is not None:
+                    episodes.extend(self._push(remaining))
+                    break
+            return episodes
+        return self._push(lines)
+
+    def _push(self, lines: Iterable[str]) -> List[Episode]:
+        try:
+            self._parser.feed_lines(lines)
+        except LagAlyzerError:
+            self._advance(self._builder.take_completed_roots())
+            raise
+        return self._advance(self._builder.take_completed_roots())
 
     def _advance(self, completed: List) -> List[Episode]:
         gui_thread = self.gui_thread
-        if gui_thread is None:
+        if not completed or gui_thread is None:
             # Roots before the gui_thread meta record can't be episodes
             # we recognize; well-formed streams put metadata first.
             return []
@@ -180,15 +206,12 @@ class IncrementalSessionAnalyzer:
         """Seal the builder into the trace a one-shot build would make.
 
         Safe to call once, after the last line; the same closure and
-        bounds invariants a one-shot :func:`build_store` enforces apply
-        (a stream that left intervals open raises here).
+        bounds invariants a one-shot :func:`build_store` enforces apply,
+        with the same typed errors (a stream that left intervals open
+        raises here).
         """
         if self._sealed is None:
-            builder = self._builder
-            builder.flush_samples()
-            builder.check_required_meta()
-            metadata = builder.build_metadata()
-            self._sealed = FacadeTrace(builder.finish(metadata))
+            self._sealed = FacadeTrace(self._parser.finish())
         return self._sealed
 
     def summaries(
@@ -206,7 +229,7 @@ class IncrementalSessionAnalyzer:
     def __repr__(self) -> str:
         state = "sealed" if self._sealed is not None else "live"
         return (
-            f"IncrementalSessionAnalyzer({self._feed.label()!r}, "
+            f"IncrementalSessionAnalyzer({self._label!r}, "
             f"{self.lines_fed} lines, "
             f"{len(self.episodes)} episodes, {state})"
         )

@@ -22,7 +22,6 @@ from repro.lila.format import FORMAT_VERSION, MAGIC
 from repro.lila.reader import read_trace, read_trace_lines
 from repro.lila.source import (
     LinesTraceSource,
-    RecordFeed,
     TextTraceSource,
     TraceSource,
     build_store,
@@ -37,7 +36,6 @@ __all__ = [
     "FORMAT_VERSION",
     "LinesTraceSource",
     "MAGIC",
-    "RecordFeed",
     "TextTraceSource",
     "TraceSource",
     "build_store",

@@ -718,7 +718,7 @@ def open_column_trace(path: Union[str, Path]) -> FacadeTrace:
 class ColumnTraceSource(TraceSource):
     """A :class:`~repro.lila.source.TraceSource` over a `.lilac` file.
 
-    A column file has no record stream: :func:`~repro.lila.source.build_store`
+    A column file has no text to parse: :func:`~repro.lila.source.build_store`
     short-circuits through :meth:`open_store` — ingesting a column file
     *is* opening it. Consumers that need the events back (``convert
     --to text``) read the trace with ``load_trace`` and write it with

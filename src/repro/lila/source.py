@@ -1,32 +1,42 @@
-"""One streaming ingestion abstraction over the text trace encoding.
+"""Text traces into columns: the trace sources and the line kernel.
 
-A :class:`TraceSource` turns a trace — a text file or an in-memory
-iterable of format lines — into a single validated stream of records
-(the ``REC_*`` vocabulary of :mod:`repro.core.store`). Record syntax is
-checked as each record is produced, so damage surfaces while streaming
-with its position attached: every source stamps the 1-based line
-number, and file sources the path, onto every
-:class:`~repro.core.errors.TraceFormatError`. The `.lilac` column file
-is a source too, but one that *is* a store: it has no record stream,
-and :func:`build_store` adopts its store as-is.
+A :class:`TraceSource` names one trace — a text file, an in-memory
+iterable of format lines, or a `.lilac` column file — and
+:func:`build_store` turns it into a sealed
+:class:`~repro.core.store.ColumnarTrace`; :func:`build_trace` wraps
+that in a :class:`~repro.core.store.FacadeTrace`, the classic ``Trace``
+API over the columns, built without materializing an object per
+interval.
 
-:func:`build_trace` is the one ingestion driver: it feeds any source
-into a :class:`~repro.core.store.ColumnarBuilder` and returns a
-:class:`~repro.core.store.FacadeTrace` — the classic ``Trace`` API over
-a columnar store, built in one pass without materializing an object per
-interval. The legacy entry points (``read_trace``, ``read_trace_lines``,
-``load_trace``) are thin wrappers over this module and raise exactly
-the errors they always did.
+Text is parsed by one line kernel, :class:`TextParser`, which writes
+each line straight into a :class:`~repro.core.store.ColumnarBuilder`'s
+columns. The same kernel reads a whole file, a list of lines, and —
+one pushed batch at a time — a live ingest session
+(:class:`~repro.ingest.incremental.IncrementalSessionAnalyzer`).
+Record syntax is checked as each line is read, so damage surfaces with
+its position attached: every
+:class:`~repro.core.errors.TraceFormatError` carries the 1-based line
+number and, for files, the path. A `.lilac` column file *is* a store:
+:func:`build_store` adopts it as-is.
+
+:meth:`TraceSource.records` is the reference record stream: the same
+lines as validated ``REC_*`` records (the vocabulary of
+:mod:`repro.core.store`), for :meth:`ColumnarBuilder.feed` to fold. No
+production path reads it; tests hold the kernel to it. The legacy entry
+points (``read_trace``, ``read_trace_lines``, ``load_trace``) are thin
+wrappers over this module and raise exactly the errors they always did.
 """
 
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Union
+from typing import ContextManager, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.core.errors import LagAlyzerError, TraceFormatError
 from repro.core.intervals import IntervalKind
-from repro.core.samples import ThreadState
+from repro.core.samples import StackTrace, ThreadState
 from repro.core.store import (
     REC_CLOSE,
     REC_ENTRY,
@@ -40,34 +50,45 @@ from repro.core.store import (
     ColumnarTrace,
     FacadeTrace,
 )
+from repro.core.store.columns import _GC_CODE, _KIND_CODES, _STATE_CODES
 from repro.faults import runtime as faults_runtime
 from repro.lila.format import decode_stack, parse_header
 
 
 class TraceSource:
-    """A one-pass, validated record stream over one trace.
+    """One trace to ingest, with the position of the line last read.
 
     Attributes:
         path: the backing file, or None for in-memory input.
-        encoding: ``"text"``, ``"lines"``, ``"push"``, or ``"columns"``.
-        line: 1-based line number of the record last produced.
+        encoding: ``"text"``, ``"lines"``, or ``"columns"``.
+        line: 1-based number of the line last read.
     """
 
     encoding = "unknown"
     path: Optional[Path] = None
     line: Optional[int] = None
 
-    def records(self) -> Iterator[tuple]:
-        """Yield validated ``REC_*`` records in stream order."""
+    def open_lines(self) -> ContextManager[Iterable[str]]:
+        """The trace's text-format lines, for the span of a ``with``."""
         raise NotImplementedError
 
+    def records(self) -> Iterator[tuple]:
+        """Yield validated ``REC_*`` records in stream order.
+
+        The reference record stream: :func:`build_store` parses with
+        :class:`TextParser` instead, and tests hold the two to the same
+        stores and the same errors.
+        """
+        with self.open_lines() as lines:
+            yield from _text_records(self, lines)
+
     def open_store(self) -> Optional[ColumnarTrace]:
-        """A ready-made store, bypassing the record stream, or ``None``.
+        """A ready-made store, bypassing the text parse, or ``None``.
 
         Sources whose on-disk layout *is* the columnar store (the
         `.lilac` column file) override this;
         :func:`build_store` then adopts the store directly instead of
-        building one record by record.
+        building one line by line.
         """
         return None
 
@@ -102,12 +123,14 @@ _STATES_BY_TOKEN: Dict[str, ThreadState] = {}
 
 
 class _ParseState:
-    """Cross-line parser state shared by pull and push text parsing."""
+    """Cross-line state of one text parse."""
 
-    __slots__ = ("in_tick",)
+    __slots__ = ("in_tick", "stacks")
 
     def __init__(self) -> None:
         self.in_tick = False
+        #: Decoded stacks by their text token.
+        self.stacks: Dict[str, StackTrace] = {}
 
 
 def _parse_body_line(
@@ -117,13 +140,13 @@ def _parse_body_line(
 
     Returns ``None`` for blank/comment lines; raises line-stamped
     :class:`TraceFormatError` for any damage — exactly the classic text
-    reader's contract, shared by the streaming sources and the push-mode
-    :class:`RecordFeed` the ingest daemon drives.
+    reader's contract, shared by the reference record stream and the
+    lines :class:`TextParser` leaves off its fast path.
     """
     if not line or line.startswith("#"):
         return None
     path = source.path
-    stack_cache = source._stack_cache
+    stack_cache = state.stacks
     in_tick = state.in_tick
     record, _, rest = line.partition(" ")
     if record == "t":
@@ -257,54 +280,231 @@ def _text_records(
             yield record
 
 
-class RecordFeed(TraceSource):
-    """Push-mode text-format parser: feed lines, receive records.
+class TextParser:
+    """The line kernel: text-format lines straight into a builder's columns.
 
-    The pull sources above wrap an iterable that must be complete before
-    parsing starts; the ingest daemon instead receives lines a batch at
-    a time from a live client and needs records *as they arrive*.
-    :meth:`feed` accepts one format line (the first must be the header)
-    and returns the validated record it encodes, or ``None`` for the
-    header and for blank/comment lines. Validation, error messages, and
-    line stamping are identical to :class:`TextTraceSource` — both run
-    :func:`_parse_body_line`.
+    One parser reads one trace. It keeps its state across
+    :meth:`feed_lines` calls — the line number, the header check, the
+    open sampling tick — so it parses a whole file in one call or a
+    live session one pushed batch at a time.
+
+    The records that make up nearly every trace (``t``, ``O``, ``C``,
+    ``P`` and ``G``) take a fast path: the line is split once, its
+    tokens are resolved through per-parser caches keyed by the raw
+    token (stack token to stack id, state token to state code, kind
+    token to kind code, symbol token to string id), and the builder's
+    own interval and tick methods apply it, so nesting keeps one
+    implementation. Every other line — ``T``, ``M`` and ``F`` records,
+    blank and comment lines, unknown tags, and any line the fast path
+    rejects (a wrong field count, a bad integer, a token not seen yet,
+    a ``t`` outside a tick) — goes through :func:`_parse_body_line` and
+    :meth:`ColumnarBuilder.feed`, the reference stream's own code, which
+    then teaches the caches the tokens it resolved. A line is tokenized
+    in full before the builder sees it, so no record is applied twice.
     """
 
-    encoding = "push"
-
-    def __init__(self, label: Optional[str] = None) -> None:
-        self.path = None
-        self.line = None
-        self._label = label
-        self._stack_cache: dict = {}
+    def __init__(self, builder: ColumnarBuilder, source: TraceSource) -> None:
+        self.builder = builder
+        self.source = source
+        #: Lines read so far, the header included.
+        self.line_no = 0
         self._state = _ParseState()
-        self._line_no = 0
+        self._stack_ids: Dict[str, int] = {}
+        self._state_codes: Dict[str, int] = {}
+        self._kind_codes: Dict[str, int] = {}
+        self._symbol_ids: Dict[str, int] = {}
 
-    def label(self) -> str:
-        return self._label if self._label is not None else "<push>"
+    def feed_lines(self, lines: Iterable[str]) -> None:
+        """Parse ``lines`` into the builder, continuing the trace so far.
 
-    def feed(self, raw: str) -> Optional[tuple]:
-        """Parse the next format line; return its record (or ``None``)."""
-        self._line_no += 1
-        line_no = self._line_no
-        self.line = line_no
-        line = raw.rstrip("\n")
-        if line_no == 1:
-            try:
-                parse_header(line)
-            except TraceFormatError as error:
-                raise self.annotate(error)
-            return None
-        return _parse_body_line(self, line_no, line, self._state)
+        Raises:
+            TraceFormatError: for any damage, stamped with the source's
+                path and the line it hit; a nesting violation is re-typed
+                with a ``line N:`` prefix.
+        """
+        source = self.source
+        iterator = iter(lines)
+        if self.line_no == 0:
+            for first in iterator:
+                self.line_no = source.line = 1
+                try:
+                    parse_header(first.rstrip("\n"))
+                except TraceFormatError as error:
+                    raise source.annotate(error)
+                break
+            else:
+                return
+        builder = self.builder
+        state = self._state
+        open_interval = builder._open_interval
+        close_interval = builder._close_interval
+        new_tick = builder._new_tick
+        intern = builder._intern
+        string_ids = builder._strings_map
+        stack_ids = self._stack_ids
+        state_codes = self._state_codes
+        kind_codes = self._kind_codes
+        symbol_ids = self._symbol_ids
+        entries = builder._pending_entries
+        in_tick = state.in_tick
+        line_no = self.line_no
+        records = 0
+        try:
+            for raw in iterator:
+                line_no += 1
+                # The last field keeps the line's newline: caches are
+                # keyed by the raw token, and ``int`` ignores it.
+                parts = raw.split(" ")
+                tag = parts[0]
+                try:
+                    if tag == "t":
+                        if in_tick and len(parts) == 4:
+                            code = state_codes.get(parts[2])
+                            stack = stack_ids.get(parts[3])
+                            if code is not None and stack is not None:
+                                thread = string_ids.get(parts[1])
+                                if thread is None:
+                                    thread = intern(parts[1])
+                                records += 1
+                                entries.append((thread, code, stack))
+                                continue
+                    elif tag == "O":
+                        if len(parts) == 4:
+                            code = kind_codes.get(parts[2])
+                            if code is not None:
+                                try:
+                                    start = int(parts[1])
+                                except ValueError:
+                                    pass
+                                else:
+                                    token = parts[3]
+                                    symbol = symbol_ids.get(token)
+                                    if symbol is None:
+                                        symbol = symbol_ids[token] = intern(
+                                            token.rstrip("\n")
+                                        )
+                                    records += 1
+                                    open_interval(code, symbol, start)
+                                    continue
+                    elif tag == "C":
+                        if len(parts) == 2:
+                            try:
+                                end = int(parts[1])
+                            except ValueError:
+                                pass
+                            else:
+                                records += 1
+                                close_interval(end)
+                                continue
+                    elif tag == "P":
+                        if len(parts) == 2:
+                            try:
+                                tick = int(parts[1])
+                            except ValueError:
+                                pass
+                            else:
+                                records += 1
+                                entries = new_tick(tick)
+                                in_tick = state.in_tick = True
+                                continue
+                    elif tag == "G":
+                        if len(parts) == 4:
+                            try:
+                                start = int(parts[1])
+                                end = int(parts[2])
+                            except ValueError:
+                                pass
+                            else:
+                                token = parts[3]
+                                symbol = symbol_ids.get(token)
+                                if symbol is None:
+                                    symbol = symbol_ids[token] = intern(
+                                        token.rstrip("\n")
+                                    )
+                                records += 1
+                                open_interval(_GC_CODE, symbol, start)
+                                close_interval(end)
+                                continue
+                    # A rare record or a rejected line: the reference path.
+                    source.line = line_no
+                    record = _parse_body_line(
+                        source, line_no, raw.rstrip("\n"), state
+                    )
+                    in_tick = state.in_tick
+                    if record is not None:
+                        builder.feed(record)
+                        entries = builder._pending_entries
+                        self._learn(parts, record)
+                except TraceFormatError as error:
+                    source.line = line_no
+                    raise source.annotate(error)
+                except LagAlyzerError as error:
+                    # Nesting violations from the builder carry no
+                    # position; re-typing them here pins the damage to a
+                    # line.
+                    raise TraceFormatError(
+                        f"line {line_no}: {error}",
+                        path=source.path,
+                        line=line_no,
+                    ) from None
+        finally:
+            self.line_no = source.line = line_no
+            builder.record_count += records
+
+    def _learn(self, parts: List[str], record: tuple) -> None:
+        """Cache the tokens of a ``t`` or ``O`` record the reference
+        path resolved, so the same tokens take the fast path next."""
+        if len(parts) != 4:
+            return
+        tag = record[0]
+        if tag == REC_ENTRY:
+            self._state_codes[parts[2]] = _STATE_CODES[record[2]]
+            self._stack_ids[parts[3]] = self.builder.stack_interns.ids[
+                record[3]
+            ]
+        elif tag == REC_OPEN:
+            self._kind_codes[parts[2]] = _KIND_CODES[record[2]]
+
+    def finish(self) -> ColumnarTrace:
+        """Seal the store once every line is in.
+
+        Raises:
+            TraceFormatError: no line at all, missing or bad metadata,
+                intervals left open, or episodes outside the session
+                bounds, stamped with the source's path.
+        """
+        source = self.source
+        builder = self.builder
+        if self.line_no == 0:
+            raise TraceFormatError("empty trace input", path=source.path)
+        builder.flush_samples()
+        try:
+            builder.check_required_meta()
+            metadata = builder.build_metadata()
+        except TraceFormatError as error:
+            raise source.annotate(error)
+        try:
+            return builder.finish(metadata)
+        except TraceFormatError as error:
+            raise source.annotate(error)
+        except LagAlyzerError as error:
+            # Intervals left open by a truncated file (or an impossible
+            # structure) surface at finish time; same contract: damage
+            # always raises the typed parse error.
+            raise TraceFormatError(str(error), path=source.path) from None
+
+
+#: Universal-newline line ends, as text-mode reading splits lines.
+_LINE_ENDS = re.compile("\r\n|\r|\n")
 
 
 class TextTraceSource(TraceSource):
-    """Record stream over a text-format (``.lila``) trace file.
+    """A text-format (``.lila``) trace file.
 
     With ``faults=True`` the ``lila.read`` fault-injection site is armed
     exactly as the classic reader armed it: a pre-read check plus the
     line filter, so injected damage surfaces as line-stamped
-    :class:`TraceFormatError` from this source's validation.
+    :class:`TraceFormatError` from the parse.
     """
 
     encoding = "text"
@@ -313,22 +513,46 @@ class TextTraceSource(TraceSource):
         self.path = Path(path)
         self.line = None
         self._faults = faults
-        self._stack_cache: dict = {}
 
-    def records(self) -> Iterator[tuple]:
+    @contextmanager
+    def open_lines(self) -> Iterator[Iterable[str]]:
+        """The file's lines; a byte that is not UTF-8 raises typed."""
         if self._faults:
             faults_runtime.check("lila.read", key=self.path.name)
-        with self.path.open("r", encoding="utf-8") as handle:
-            lines: Iterable[str] = handle
-            if self._faults:
-                lines = faults_runtime.filter_lines(
-                    "lila.read", self.path.name, handle
-                )
-            yield from _text_records(self, lines)
+        try:
+            with self.path.open("r", encoding="utf-8") as handle:
+                lines: Iterable[str] = handle
+                if self._faults:
+                    lines = faults_runtime.filter_lines(
+                        "lila.read", self.path.name, handle
+                    )
+                yield lines
+        except UnicodeDecodeError as error:
+            raise self._undecodable(error) from None
+
+    def _undecodable(self, error: UnicodeDecodeError) -> TraceFormatError:
+        """The typed error for a byte that is not UTF-8.
+
+        The decoder reads ahead of the parse, so the line is found by
+        rescanning the file's bytes: this runs only on the error path.
+        """
+        data = self.path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as found:
+            line = len(_LINE_ENDS.findall(data[:found.start].decode("utf-8")))
+            return TraceFormatError(
+                f"line {line + 1}: byte 0x{data[found.start]:02x} is not "
+                f"UTF-8 ({found.reason})",
+                path=self.path,
+                line=line + 1,
+            )
+        # The file no longer holds the bad byte the read hit.
+        return TraceFormatError(f"not UTF-8 text: {error}", path=self.path)
 
 
 class LinesTraceSource(TraceSource):
-    """Record stream over an in-memory iterable of format lines."""
+    """An in-memory iterable of format lines."""
 
     encoding = "lines"
 
@@ -336,10 +560,9 @@ class LinesTraceSource(TraceSource):
         self.path = None
         self.line = None
         self._lines = lines
-        self._stack_cache: dict = {}
 
-    def records(self) -> Iterator[tuple]:
-        return _text_records(self, self._lines)
+    def open_lines(self) -> ContextManager[Iterable[str]]:
+        return nullcontext(self._lines)
 
 
 def open_source(
@@ -362,11 +585,11 @@ def open_source(
 
 
 def build_store(source: TraceSource) -> ColumnarTrace:
-    """Stream ``source`` into a sealed :class:`ColumnarTrace`.
+    """Parse ``source`` into a sealed :class:`ColumnarTrace`.
 
-    This is the single ingestion driver behind every reader. Error
-    contract (identical to the pre-columnar readers, message for
-    message):
+    This is the single ingestion driver behind every reader: it runs
+    :class:`TextParser` over the source's lines. Error contract
+    (identical to the pre-columnar readers, message for message):
 
     - record-level damage raises :class:`TraceFormatError` stamped with
       the source's position;
@@ -377,55 +600,25 @@ def build_store(source: TraceSource) -> ColumnarTrace:
 
     Sources that *are* a serialized store (`.lilac`) short-circuit:
     their :meth:`TraceSource.open_store` result is adopted as-is, with
-    no records streamed and no columns copied.
+    no line parsed and no columns copied.
     """
+    from repro.obs import runtime as obs_runtime
+
     direct = source.open_store()
     if direct is not None:
-        from repro.obs import runtime as obs_runtime
-
         if obs_runtime.current() is not None:
             obs_runtime.set_gauge("store.bytes", direct.nbytes)
         return direct
-    builder = ColumnarBuilder()
-    feed = builder.feed
-    for record in source.records():
-        try:
-            feed(record)
-        except TraceFormatError as error:
-            raise source.annotate(error)
-        except LagAlyzerError as error:
-            # Nesting violations from the columnar builder carry no
-            # position; re-typing them here pins the damage to a line.
-            raise TraceFormatError(
-                f"line {source.line}: {error}",
-                path=source.path,
-                line=source.line,
-            ) from None
-    builder.flush_samples()
-
-    try:
-        builder.check_required_meta()
-        metadata = builder.build_metadata()
-    except TraceFormatError as error:
-        raise source.annotate(error)
-    try:
-        store = builder.finish(metadata)
-    except TraceFormatError as error:
-        raise source.annotate(error)
-    except LagAlyzerError as error:
-        # Intervals left open by a truncated file (or an impossible
-        # structure) surface at finish time; same contract: damage
-        # always raises the typed parse error.
-        raise TraceFormatError(str(error), path=source.path) from None
-
-    from repro.obs import runtime as obs_runtime
-
+    parser = TextParser(ColumnarBuilder(), source)
+    with source.open_lines() as lines:
+        parser.feed_lines(lines)
+    store = parser.finish()
     if obs_runtime.current() is not None:
-        obs_runtime.count("lila.records_streamed", builder.record_count)
+        obs_runtime.count("lila.records_streamed", parser.builder.record_count)
         obs_runtime.set_gauge("store.bytes", store.nbytes)
     return store
 
 
 def build_trace(source: TraceSource) -> FacadeTrace:
-    """Stream ``source`` into a columnar-backed :class:`FacadeTrace`."""
+    """Parse ``source`` into a columnar-backed :class:`FacadeTrace`."""
     return FacadeTrace(build_store(source))

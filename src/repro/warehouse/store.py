@@ -412,8 +412,8 @@ class StudyWarehouse:
     ) -> bool:
         """Analyze one ingest spool file and store its session.
 
-        ``records`` is the spool's record-line count, matching the
-        daemon's zero-loss ``records_flushed`` accounting.
+        ``records`` is the spool's line count, matching the daemon's
+        zero-loss ``records_flushed`` accounting.
 
         ``column_file`` converts the spool to a ``.lilac`` column file
         at that path first and analyzes the mmap-backed store instead of
@@ -422,23 +422,23 @@ class StudyWarehouse:
         """
         from repro.lila.source import build_store, build_trace, open_source
 
-        spool_path = Path(spool_path)
-        # Every flushed line lands in the spool verbatim, so the line
-        # count is exactly the daemon's ``records_flushed`` for the
-        # session — the zero-loss contract, queryable after the fact.
-        with open(spool_path, "r", encoding="utf-8") as handle:
-            records = sum(1 for _ in handle)
+        source = open_source(Path(spool_path))
         if column_file is not None:
             from repro.lila.colfile import (
                 open_column_trace,
                 write_column_file,
             )
 
-            store = build_store(open_source(spool_path))
+            store = build_store(source)
             write_column_file(store, Path(column_file))
             trace = open_column_trace(Path(column_file))
         else:
-            trace = build_trace(open_source(spool_path))
+            trace = build_trace(source)
+        # Every flushed line lands in the spool verbatim, so the number
+        # of the last line parsed is exactly the daemon's
+        # ``records_flushed`` for the session — the zero-loss contract,
+        # queryable after the fact.
+        records = source.line or 0
         return self.ingest_trace(
             trace, run_id, config,
             records=records, ts=ts, session_id=session_id,

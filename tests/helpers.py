@@ -1,7 +1,10 @@
-"""Shared builders for tests: tiny hand-made traces and episodes."""
+"""Shared builders for tests: tiny hand-made traces and episodes, and
+the golden corpus the parity suites run over."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.episodes import Episode
@@ -16,6 +19,33 @@ from repro.core.samples import (
 from repro.core.trace import Trace, TraceMetadata
 
 GUI = "AWT-EventQueue-0"
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: The application whose golden traces stand for each workload family.
+_FAMILY_APPS = {
+    "gui": "CrosswordSage",
+    "io_service": "OrderApi",
+    "async_pipeline": "IndexBuilder",
+}
+
+
+def parity_golden_traces() -> List[Path]:
+    """The golden ``.lila`` traces, narrowed by ``PARITY_FAMILY``.
+
+    ``PARITY_FAMILY`` names one workload family (the CI family matrix
+    runs one leg per family); unset, every golden trace is returned.
+    """
+    family = os.environ.get("PARITY_FAMILY", "")
+    if family and family not in _FAMILY_APPS:
+        raise RuntimeError(
+            f"PARITY_FAMILY={family!r} is not one of {sorted(_FAMILY_APPS)}"
+        )
+    return sorted(
+        path
+        for path in GOLDEN_DIR.glob("*.lila")
+        if not family or path.stem.startswith(_FAMILY_APPS[family])
+    )
 
 APP_FRAME = StackFrame("com.example.app.Editor", "update")
 LIB_FRAME = StackFrame("javax.swing.JComponent", "paint")

@@ -18,6 +18,10 @@ The partials are reduced with the registered analyses' own ``reduce``,
 so a difference between :class:`OracleAnalyzer` and
 :class:`~repro.LagAlyzer` over the same traces is a kernel drifting
 from the object semantics.
+
+:func:`reference_build_store` is the same kind of oracle for ingestion:
+the record-stream build that the line kernel behind
+:func:`repro.lila.source.build_store` replaced.
 """
 
 from __future__ import annotations
@@ -29,11 +33,15 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 from repro.core import causegraph, concurrency, location, threadstates, triggers
 from repro.core.analyses import DualPartial, PatternCountsPartial, get_analysis
 from repro.core.analyzer import LagAlyzer
+from repro.core.errors import LagAlyzerError, TraceFormatError
 from repro.core.episodes import Episode, trace_episodes
 from repro.core.family import family_of
 from repro.core.patterns import pattern_key
 from repro.core.statistics import session_stats
+from repro.core.store import ColumnarBuilder, ColumnarTrace
 from repro.core.trace import Trace
+from repro.lila.source import TraceSource
+from repro.obs import runtime as obs_runtime
 
 
 def object_trace(trace: Trace) -> Trace:
@@ -130,6 +138,44 @@ class OracleAnalyzer(LagAlyzer):
 
     def summaries(self) -> Dict[str, Any]:
         return {name: self.summary(name) for name in ORACLE_MAPS}
+
+
+def reference_build_store(source: TraceSource) -> ColumnarTrace:
+    """``source`` built the way :func:`repro.lila.source.build_store`
+    built it before text parsed straight into columns.
+
+    The reference record stream (:meth:`TraceSource.records`) folded
+    through :meth:`ColumnarBuilder.feed`, with the same error re-typing
+    and the same ``lila.records_streamed`` count.
+    """
+    builder = ColumnarBuilder()
+    feed = builder.feed
+    for record in source.records():
+        try:
+            feed(record)
+        except TraceFormatError as error:
+            raise source.annotate(error)
+        except LagAlyzerError as error:
+            raise TraceFormatError(
+                f"line {source.line}: {error}",
+                path=source.path,
+                line=source.line,
+            ) from None
+    builder.flush_samples()
+    try:
+        builder.check_required_meta()
+        metadata = builder.build_metadata()
+    except TraceFormatError as error:
+        raise source.annotate(error)
+    try:
+        store = builder.finish(metadata)
+    except TraceFormatError as error:
+        raise source.annotate(error)
+    except LagAlyzerError as error:
+        raise TraceFormatError(str(error), path=source.path) from None
+    if obs_runtime.current() is not None:
+        obs_runtime.count("lila.records_streamed", builder.record_count)
+    return store
 
 
 def plain(value: Any) -> Any:

@@ -31,7 +31,7 @@ class TestTopLevelSurface:
 
     def test_api_version_is_int(self):
         assert isinstance(repro.API_VERSION, int)
-        assert repro.API_VERSION == 4
+        assert repro.API_VERSION == 5
 
     def test_version_is_string(self):
         assert isinstance(repro.__version__, str)
@@ -100,3 +100,13 @@ class TestRemovedPaths:
             import repro.lila.binary  # noqa: F401
         with pytest.raises(ModuleNotFoundError):
             import repro.lila.streaming  # noqa: F401
+
+    def test_push_mode_record_parser_is_gone(self):
+        # Removed in API_VERSION 5: text parses straight into columns,
+        # live sessions included (IncrementalSessionAnalyzer.push_line).
+        import repro.lila
+        import repro.lila.source
+
+        assert "RecordFeed" not in repro.lila.__all__
+        assert not hasattr(repro.lila, "RecordFeed")
+        assert not hasattr(repro.lila.source, "RecordFeed")

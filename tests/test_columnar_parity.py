@@ -13,7 +13,6 @@ legs pin mmap-vs-in-memory fan-outs byte-identical across worker pools.
 
 from __future__ import annotations
 
-import os
 import pickle
 from pathlib import Path
 
@@ -27,27 +26,12 @@ from repro.lila.colfile import open_column_trace, write_column_file
 from repro.lila.digest import trace_digest
 from repro.lila.source import TextTraceSource, build_store, build_trace
 
+from helpers import parity_golden_traces
 from oracle import ORACLE_MAPS, OracleAnalyzer, plain
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: ``PARITY_FAMILY`` narrows the corpus to one workload family's traces
 #: (the CI family matrix runs one leg per family); unset runs them all.
-_FAMILY_APPS = {
-    "gui": "CrosswordSage",
-    "io_service": "OrderApi",
-    "async_pipeline": "IndexBuilder",
-}
-_FAMILY = os.environ.get("PARITY_FAMILY", "")
-if _FAMILY and _FAMILY not in _FAMILY_APPS:
-    raise RuntimeError(
-        f"PARITY_FAMILY={_FAMILY!r} is not one of {sorted(_FAMILY_APPS)}"
-    )
-GOLDEN_TRACES = sorted(
-    path
-    for path in GOLDEN_DIR.glob("*.lila")
-    if not _FAMILY or path.stem.startswith(_FAMILY_APPS[_FAMILY])
-)
+GOLDEN_TRACES = parity_golden_traces()
 
 CONFIGS = {
     "default": AnalysisConfig(perceptible_threshold_ms=100.0),

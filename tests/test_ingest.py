@@ -408,6 +408,23 @@ class TestIncrementalParity:
         assert summary["covered_episodes"] == 2
         assert summary["unstructured_episodes"] == 1
 
+    @pytest.mark.parametrize("batch", [1, 3, 1000])
+    def test_batching_does_not_change_the_rolling_analysis(self, batch):
+        """Roots that close before the metadata names the dispatch
+        thread are never episodes, however the lines were batched."""
+        lines = sample_lines(session="late")
+        gui_meta = next(
+            line for line in lines if line.startswith("M gui_thread ")
+        )
+        lines.remove(gui_meta)
+        # Announced once the first of the three roots has closed.
+        lines.insert(lines.index("C 150000000") + 1, gui_meta)
+        analyzer = IncrementalSessionAnalyzer(config=AnalysisConfig())
+        for start in range(0, len(lines), batch):
+            analyzer.push_lines(lines[start:start + batch])
+        assert analyzer.rolling_summary()["episodes"] == 2
+        assert analyzer.lines_fed == len(lines)
+
     def test_summaries_byte_identical_to_one_shot(self, tmp_path):
         lines = sample_lines(session="parity")
         config = AnalysisConfig()

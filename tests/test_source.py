@@ -1,16 +1,22 @@
 """The :mod:`repro.lila.source` streaming layer: records and errors.
 
-Covers the record-stream contract shared by every reader — text file
-and in-memory lines — plus the provenance contract: every ingestion
-failure surfaces as :class:`TraceFormatError` stamped with the source's
-path and line. (Byte-offset provenance of `.lilac` damage is pinned in
-``tests/test_columnar_parity.py`` and ``tests/test_lilac.py``.)
+Covers the reference record stream's shape — text file and in-memory
+lines — plus the provenance contract: every ingestion failure surfaces
+as :class:`TraceFormatError` stamped with the source's path and line,
+a byte that is not UTF-8 included. (Byte-offset provenance of `.lilac`
+damage is pinned in ``tests/test_columnar_parity.py`` and
+``tests/test_lilac.py``; the line kernel is held to the reference
+stream in ``tests/test_parse_kernel.py``.)
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro import LagAlyzer
+from repro.apps.sessions import simulate_session
 from repro.core.errors import TraceFormatError
 from repro.core.intervals import IntervalKind
 from repro.core.samples import ThreadState
@@ -28,13 +34,16 @@ from repro.faults import runtime as faults_runtime
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.lila.colfile import ColumnTraceSource, write_column_file
+from repro.lila.reader import read_trace
 from repro.lila.source import (
     LinesTraceSource,
     TextTraceSource,
+    TraceSource,
     build_store,
     build_trace,
     open_source,
 )
+from repro.lila.writer import trace_to_lines
 from repro.obs import runtime as obs_runtime
 from repro.obs.observer import Observer
 
@@ -192,12 +201,85 @@ class TestErrorProvenance:
         assert info.value.line is not None
 
 
+class TestUndecodableByte:
+    """A byte that is not UTF-8 is damage like any other: typed, with
+    the path and the line that holds it, however far the decoder had
+    read ahead of the parse."""
+
+    @pytest.fixture(scope="class")
+    def session_lines(self):
+        return trace_to_lines(simulate_session("CrosswordSage", scale=0.01))
+
+    @staticmethod
+    def write(path, lines, damaged_line, newline="\n"):
+        data = b"".join(
+            line.encode("utf-8") + newline.encode("ascii") for line in lines
+        )
+        lines_bytes = data.split(newline.encode("ascii"))
+        lines_bytes[damaged_line - 1] += b"\xff"
+        path.write_bytes(newline.encode("ascii").join(lines_bytes))
+        return path
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "damaged_line", [2, 41, -1], ids=["line2", "line41", "last"]
+    )
+    @pytest.mark.parametrize(
+        "read",
+        [read_trace, lambda path: build_store(open_source(path))],
+        ids=["read_trace", "build_store"],
+    )
+    def test_error_is_typed_with_path_and_line(
+        self, tmp_path, session_lines, read, damaged_line, newline
+    ):
+        if damaged_line < 0:
+            damaged_line += len(session_lines) + 1
+        path = self.write(
+            tmp_path / "bad.lila", session_lines, damaged_line, newline
+        )
+        with pytest.raises(TraceFormatError) as info:
+            read(path)
+        assert info.value.path == path
+        assert info.value.line == damaged_line
+        assert str(info.value) == (
+            f"line {damaged_line}: byte 0xff is not UTF-8 (invalid start byte)"
+        )
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_load_fails_typed_with_the_bad_path(
+        self, tmp_path, session_lines, workers
+    ):
+        good = tmp_path / "good.lila"
+        good.write_text("\n".join(session_lines) + "\n", encoding="utf-8")
+        bad = self.write(tmp_path / "bad.lila", session_lines, 41)
+        with pytest.raises(TraceFormatError, match="line 41: byte 0xff") as info:
+            LagAlyzer.load([bad, good], workers=workers)
+        assert Path(info.value.path) == bad
+        assert info.value.line == 41
+
+
 # ----------------------------------------------------------------------
 # The driver
 # ----------------------------------------------------------------------
 
 
 class TestBuildStore:
+    def test_text_sources_never_read_the_record_stream(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "t.lila"
+        path.write_text(TINY, encoding="utf-8")
+        expected = build_store(LinesTraceSource(tiny_lines())).canonical_lines()
+
+        def refuse(self):
+            raise AssertionError("build_store read the record stream")
+
+        for cls in (TraceSource, TextTraceSource, LinesTraceSource):
+            monkeypatch.setattr(cls, "records", refuse)
+        for source in (TextTraceSource(path), LinesTraceSource(tiny_lines())):
+            assert build_store(source).canonical_lines() == expected
+            assert source.line == len(tiny_lines())
+
     def test_build_trace_returns_lazy_facade(self):
         trace = build_trace(LinesTraceSource(tiny_lines()))
         assert trace.is_materialized is False

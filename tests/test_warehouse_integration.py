@@ -65,10 +65,11 @@ class TestServeToWarehouse:
             for session, app in (
                 ("s0", "JMol"), ("s1", "JMol"), ("s2", "Euclide"),
             ):
-                sent[session] = stream(
-                    server.address, session, app,
-                    session_lines(session, app),
-                )
+                lines = session_lines(session, app)
+                if session == "s2":
+                    # Comments and blank lines are spooled lines too.
+                    lines[1:1] = ["# replayed by hand", ""]
+                sent[session] = stream(server.address, session, app, lines)
             # Spool flushing is asynchronous; wait for the daemon to
             # absorb everything it acked before shutdown compacts.
             deadline = time.monotonic() + 5.0
@@ -175,6 +176,21 @@ class TestServeToWarehouse:
             second = server.compact_spools()
             assert second == {"ingested": 0, "skipped": 1, "failed": 0}
 
+    @staticmethod
+    def _good_and_bad_spools(server):
+        """Stream sessions ``good`` and ``bad``; their spools, flushed."""
+        for session in ("good", "bad"):
+            stream(
+                server.address, session, "JMol",
+                session_lines(session, "JMol"),
+            )
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(
+            state.pending_batches() for state in server.sessions()
+        ):
+            time.sleep(0.01)
+        return {s.session: s.spool.path for s in server.sessions()}
+
     def test_one_damaged_spool_never_loses_the_rest(self, tmp_path):
         warehouse_path = tmp_path / "wh.sqlite"
         with IngestServer(
@@ -182,18 +198,8 @@ class TestServeToWarehouse:
             study_warehouse=warehouse_path,
             run_id="run",
         ) as server:
-            for session in ("good", "bad"):
-                stream(
-                    server.address, session, "JMol",
-                    session_lines(session, "JMol"),
-                )
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and any(
-                state.pending_batches() for state in server.sessions()
-            ):
-                time.sleep(0.01)
-            states = {s.session: s for s in server.sessions()}
-            states["bad"].spool.path.write_text(
+            spools = self._good_and_bad_spools(server)
+            spools["bad"].write_text(
                 "#%lila 1\nthis is not a lila record\n", encoding="utf-8"
             )
             with pytest.warns(RuntimeWarning, match="spool compaction failed"):
@@ -206,3 +212,21 @@ class TestServeToWarehouse:
         assert [
             agg.sessions for agg in wh.aggregate(apps=["JMol"])
         ] == [1]
+
+    def test_a_spool_byte_that_is_not_utf8_fails_typed(self, tmp_path):
+        with IngestServer(
+            spool_dir=tmp_path / "spools",
+            study_warehouse=tmp_path / "wh.sqlite",
+            run_id="run",
+        ) as server:
+            spools = self._good_and_bad_spools(server)
+            lines = spools["bad"].read_bytes().split(b"\n")
+            lines[3] += b"\xff"
+            spools["bad"].write_bytes(b"\n".join(lines))
+            with pytest.warns(
+                RuntimeWarning,
+                match=r"session 'bad': line 4: byte 0xff is not UTF-8",
+            ):
+                counts = server.compact_spools()
+            assert counts == {"ingested": 1, "skipped": 0, "failed": 1}
+            server.study_warehouse = None
