@@ -18,10 +18,11 @@ another*. Three layers build on each other:
    :func:`critical_path` walks the heaviest chain from the root,
    :func:`rank_outliers` contrasts the per-episode mean cause vectors
    of outlier episodes against the rest.
-3. **Run diffing** — :func:`diff_cause_totals` attributes a latency
-   delta between two runs' cause tallies to ranked per-label deltas
-   (regressions first). ``LagAlyzer.diff`` and ``repro study diff``
-   feed it aggregated ``causes`` rows from the study warehouse.
+3. **Run diffing** — :func:`rank_cause_deltas` attributes a latency
+   delta between two runs' label-ordered cause totals to ranked
+   per-label deltas (regressions first). ``LagAlyzer.diff`` and
+   ``repro study diff`` feed it the study warehouse's cause rollup;
+   :func:`diff_cause_totals` feeds it two in-memory tallies.
 
 The tally is exposed to the engine as the ``causes`` analysis
 (:mod:`repro.core.analyses`), whose map runs the columnar kernel
@@ -337,25 +338,56 @@ def diff_cause_totals(
     Labels missing from one run contribute their full total from the
     other (a cause that appeared, or vanished, is itself the delta).
     """
-    labels = sorted(set(tally_a) | set(tally_b))
-    deltas = []
-    for label in labels:
-        a_total, a_count = tally_a.get(label, (0, 0))
-        b_total, b_count = tally_b.get(label, (0, 0))
+    return rank_cause_deltas(
+        [(label, ns, count) for label, (ns, count) in sorted(tally_a.items())],
+        [(label, ns, count) for label, (ns, count) in sorted(tally_b.items())],
+        run_a,
+        run_b,
+    )
+
+
+def rank_cause_deltas(
+    rows_a: Sequence[Tuple[str, int, int]],
+    rows_b: Sequence[Tuple[str, int, int]],
+    run_a: str,
+    run_b: str,
+) -> DiffReport:
+    """Rank two runs' per-label totals into a :class:`DiffReport`.
+
+    ``rows_a`` and ``rows_b`` are ``(label, total ns, episodes)`` rows,
+    one per label, in ascending label order — the order the study
+    warehouse returns them in. One merge pass builds the deltas in label
+    order; a stable sort on ``delta_ns`` then leaves ties in label
+    order, which is the report's ``(-delta_ns, label)`` ranking.
+    """
+    deltas: List[CauseDelta] = []
+    total = 0
+    iter_a, iter_b = iter(rows_a), iter(rows_b)
+    row_a, row_b = next(iter_a, None), next(iter_b, None)
+    while row_a is not None or row_b is not None:
+        if row_b is None or (row_a is not None and row_a[0] < row_b[0]):
+            label, a_total, a_count = row_a
+            b_total = b_count = 0
+            row_a = next(iter_a, None)
+        elif row_a is None or row_b[0] < row_a[0]:
+            label, b_total, b_count = row_b
+            a_total = a_count = 0
+            row_b = next(iter_b, None)
+        else:
+            label, a_total, a_count = row_a
+            b_total, b_count = row_b[1], row_b[2]
+            row_a, row_b = next(iter_a, None), next(iter_b, None)
+        total += b_total - a_total
         deltas.append(
             CauseDelta(
-                label=label,
-                delta_ns=b_total - a_total,
-                a_total_ns=a_total,
-                b_total_ns=b_total,
-                a_episodes=a_count,
-                b_episodes=b_count,
+                label, b_total - a_total, a_total, b_total, a_count, b_count
             )
         )
-    deltas.sort(key=lambda d: (-d.delta_ns, d.label))
+    deltas.sort(key=_delta_ns, reverse=True)
     return DiffReport(
-        run_a=run_a,
-        run_b=run_b,
-        total_delta_ns=sum(d.delta_ns for d in deltas),
-        deltas=tuple(deltas),
+        run_a=run_a, run_b=run_b, total_delta_ns=total, deltas=tuple(deltas)
     )
+
+
+def _delta_ns(delta: CauseDelta) -> int:
+    return delta.delta_ns

@@ -268,6 +268,8 @@ class ColumnarBuilder:
             )
         except ValueError as error:
             raise TraceFormatError(f"bad metadata value: {error}") from None
+        except AnalysisError as error:
+            raise TraceFormatError(f"bad metadata: {error}") from None
 
     def finish(self, metadata: TraceMetadata) -> ColumnarTrace:
         """Seal the store: closure, ordering, and bounds invariants.

@@ -165,6 +165,25 @@ class CacheStats:
         return asdict(self)
 
 
+def _write_atomically(path: Path, data: bytes, suffix: str) -> None:
+    """Write ``data`` to ``path`` through a temp file of this writer's
+    own in the same directory, renamed over ``path``: readers, and
+    writers racing for the same name, only ever see a whole file."""
+    fd, tmp_name = tempfile.mkstemp(
+        dir=str(path.parent), prefix=".tmp-", suffix=suffix
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """A content-addressed pickle store with integrity checking.
 
@@ -305,20 +324,7 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         checksum = hashlib.sha256(payload).digest()[:_CHECKSUM_BYTES]
-        blob = _MAGIC + checksum + payload
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=_ENTRY_SUFFIX
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _write_atomically(path, _MAGIC + checksum + payload, _ENTRY_SUFFIX)
 
     def _decode(self, blob: bytes, key: str = "") -> Any:
         """``(value,)`` on success, :data:`MISS` on corruption.
@@ -443,9 +449,11 @@ class ResultCache:
         total = self.persisted_stats().merge(current)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self._stats_path().with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(total.as_dict()), encoding="utf-8")
-            os.replace(tmp, self._stats_path())
+            _write_atomically(
+                self._stats_path(),
+                json.dumps(total.as_dict()).encode("utf-8"),
+                ".json",
+            )
         except OSError as error:
             self.stats = self.stats.merge(current)  # keep counters for a later flush
             obs_runtime.count("cache.write_errors")

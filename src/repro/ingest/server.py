@@ -37,7 +37,6 @@ import os
 import socketserver
 import threading
 import time
-import warnings
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
@@ -439,7 +438,7 @@ class IngestServer:
         #: The warehouse publisher, running between start() and stop().
         self.publisher: Optional[TelemetryPublisher] = None
         if study_warehouse is not None and not hasattr(
-            study_warehouse, "ingest_spool"
+            study_warehouse, "ingest_spools"
         ):
             from repro.warehouse import StudyWarehouse
 
@@ -521,65 +520,34 @@ class IngestServer:
         warehouse ingest plan (``statistics`` + ``occurrence``), and
         stored under this daemon's ``run_id`` — so the warehouse's
         per-session ``records`` equals the spool's record count, which
-        equals ``records_flushed`` (the zero-loss contract). Per-session
-        failures warn, count ``warehouse.write_errors``, and move on;
-        one damaged spool never loses the rest. Returns
+        equals ``records_flushed`` (the zero-loss contract). Every
+        session goes through one warehouse connection
+        (:meth:`~repro.warehouse.StudyWarehouse.ingest_spools`).
+        Per-session failures warn, count ``warehouse.write_errors``, and
+        move on; one damaged spool never loses the rest. Returns
         ``{"ingested", "skipped", "failed"}``.
         """
-        ingested = skipped = failed = 0
         if self.study_warehouse is None:
             return {"ingested": 0, "skipped": 0, "failed": 0}
-        try:
-            self.study_warehouse.record_run(
-                self.run_id, source="spool"
-            )
-        except Exception as error:
-            warnings.warn(
-                f"study warehouse unavailable under "
-                f"{self.study_warehouse.path}: {error} — spools are "
-                f"intact, compaction skipped",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            obs_runtime.count("warehouse.write_errors")
-            return {
-                "ingested": 0,
-                "skipped": 0,
-                "failed": len(self.sessions()),
-            }
         from repro.core.analyzer import AnalysisConfig
 
         config = self.config if self.config is not None else AnalysisConfig()
         if self.column_dir is not None:
             self.column_dir.mkdir(parents=True, exist_ok=True)
-        for state in self.sessions():
-            column_file = (
-                self.column_dir / f"{state.session}.lilac"
-                if self.column_dir is not None
-                else None
-            )
-            try:
-                changed = self.study_warehouse.ingest_spool(
-                    state.spool.path, self.run_id, config,
-                    session_id=state.session,
-                    column_file=column_file,
+        return self.study_warehouse.ingest_spools(
+            [
+                (
+                    state.session,
+                    state.spool.path,
+                    self.column_dir / f"{state.session}.lilac"
+                    if self.column_dir is not None
+                    else None,
                 )
-            except Exception as error:
-                failed += 1
-                obs_runtime.count("warehouse.write_errors")
-                warnings.warn(
-                    f"spool compaction failed for session "
-                    f"{state.session!r}: {error} — spool kept at "
-                    f"{state.spool.path}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            if changed:
-                ingested += 1
-            else:
-                skipped += 1
-        return {"ingested": ingested, "skipped": skipped, "failed": failed}
+                for state in self.sessions()
+            ],
+            self.run_id,
+            config,
+        )
 
     def __enter__(self) -> "IngestServer":
         return self.start()

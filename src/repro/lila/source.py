@@ -105,15 +105,27 @@ class TraceSource:
         return self.path.name if self.path is not None else f"<{self.encoding}>"
 
 
+#: The timestamps a column holds: signed 64-bit nanoseconds.
+_NS_MIN, _NS_MAX = -(2**63), 2**63 - 1
+
+
 def _parse_ns(token: str, line_no: int, path: Optional[Path]) -> int:
     try:
-        return int(token)
+        ns = int(token)
     except ValueError:
         raise TraceFormatError(
             f"line {line_no}: bad timestamp {token!r}",
             path=path,
             line=line_no,
         ) from None
+    if not _NS_MIN <= ns <= _NS_MAX:
+        raise TraceFormatError(
+            f"line {line_no}: timestamp {token!r} is outside the signed"
+            f" 64-bit range",
+            path=path,
+            line=line_no,
+        )
+    return ns
 
 
 #: Successful kind/state token lookups, memoized process-wide: the
@@ -296,8 +308,9 @@ class TextParser:
     own interval and tick methods apply it, so nesting keeps one
     implementation. Every other line — ``T``, ``M`` and ``F`` records,
     blank and comment lines, unknown tags, and any line the fast path
-    rejects (a wrong field count, a bad integer, a token not seen yet,
-    a ``t`` outside a tick) — goes through :func:`_parse_body_line` and
+    rejects (a wrong field count, a bad integer, a timestamp outside the
+    signed 64 bits a column holds, a token not seen yet, a ``t`` outside
+    a tick) — goes through :func:`_parse_body_line` and
     :meth:`ColumnarBuilder.feed`, the reference stream's own code, which
     then teaches the caches the tokens it resolved. A line is tokenized
     in full before the builder sees it, so no record is applied twice.
@@ -346,6 +359,7 @@ class TextParser:
         kind_codes = self._kind_codes
         symbol_ids = self._symbol_ids
         entries = builder._pending_entries
+        ns_min, ns_max = _NS_MIN, _NS_MAX
         in_tick = state.in_tick
         line_no = self.line_no
         records = 0
@@ -377,15 +391,15 @@ class TextParser:
                                 except ValueError:
                                     pass
                                 else:
-                                    token = parts[3]
-                                    symbol = symbol_ids.get(token)
-                                    if symbol is None:
-                                        symbol = symbol_ids[token] = intern(
-                                            token.rstrip("\n")
-                                        )
-                                    records += 1
-                                    open_interval(code, symbol, start)
-                                    continue
+                                    if ns_min <= start <= ns_max:
+                                        token = parts[3]
+                                        symbol = symbol_ids.get(token)
+                                        if symbol is None:
+                                            symbol = intern(token.rstrip("\n"))
+                                            symbol_ids[token] = symbol
+                                        records += 1
+                                        open_interval(code, symbol, start)
+                                        continue
                     elif tag == "C":
                         if len(parts) == 2:
                             try:
@@ -393,9 +407,10 @@ class TextParser:
                             except ValueError:
                                 pass
                             else:
-                                records += 1
-                                close_interval(end)
-                                continue
+                                if ns_min <= end <= ns_max:
+                                    records += 1
+                                    close_interval(end)
+                                    continue
                     elif tag == "P":
                         if len(parts) == 2:
                             try:
@@ -403,10 +418,11 @@ class TextParser:
                             except ValueError:
                                 pass
                             else:
-                                records += 1
-                                entries = new_tick(tick)
-                                in_tick = state.in_tick = True
-                                continue
+                                if ns_min <= tick <= ns_max:
+                                    records += 1
+                                    entries = new_tick(tick)
+                                    in_tick = state.in_tick = True
+                                    continue
                     elif tag == "G":
                         if len(parts) == 4:
                             try:
@@ -415,16 +431,19 @@ class TextParser:
                             except ValueError:
                                 pass
                             else:
-                                token = parts[3]
-                                symbol = symbol_ids.get(token)
-                                if symbol is None:
-                                    symbol = symbol_ids[token] = intern(
-                                        token.rstrip("\n")
-                                    )
-                                records += 1
-                                open_interval(_GC_CODE, symbol, start)
-                                close_interval(end)
-                                continue
+                                if (
+                                    ns_min <= start <= ns_max
+                                    and ns_min <= end <= ns_max
+                                ):
+                                    token = parts[3]
+                                    symbol = symbol_ids.get(token)
+                                    if symbol is None:
+                                        symbol = intern(token.rstrip("\n"))
+                                        symbol_ids[token] = symbol
+                                    records += 1
+                                    open_interval(_GC_CODE, symbol, start)
+                                    close_interval(end)
+                                    continue
                     # A rare record or a rejected line: the reference path.
                     source.line = line_no
                     record = _parse_body_line(

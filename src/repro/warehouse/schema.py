@@ -19,7 +19,7 @@ import sqlite3
 from repro.core.errors import LagAlyzerError
 
 #: Version this code writes; files at lower versions migrate up on open.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # Version 1: the core study tables — runs, per-session summaries, and
 # per-session pattern occurrence rows.
@@ -117,8 +117,38 @@ CREATE INDEX idx_causes_run_label ON causes (run_id, label,
     total_ns, episodes, perceptible_ns, perceptible_episodes);
 """
 
+# Version 5: a per-(run, label, app) cause rollup, kept in step with
+# `causes` by each session write, so `study diff` reads one row per
+# label and app instead of summing every session's rows. `rows` counts
+# the cause rows summed in; a rollup row leaves with its last one. The
+# backfill sums only numeric rows, as the v4 query did. The run/label
+# index goes: that per-session sum was its only reader. `causes` stays
+# the per-session ground truth a replaced session is subtracted from.
+_V5 = """
+CREATE TABLE IF NOT EXISTS cause_rollup (
+    run_id               TEXT NOT NULL,
+    label                TEXT NOT NULL,
+    app                  TEXT NOT NULL,
+    total_ns             INTEGER NOT NULL DEFAULT 0,
+    episodes             INTEGER NOT NULL DEFAULT 0,
+    perceptible_ns       INTEGER NOT NULL DEFAULT 0,
+    perceptible_episodes INTEGER NOT NULL DEFAULT 0,
+    rows                 INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (run_id, label, app)
+) WITHOUT ROWID;
+INSERT INTO cause_rollup (run_id, label, app, total_ns, episodes,
+    perceptible_ns, perceptible_episodes, rows)
+    SELECT run_id, label, app, SUM(total_ns), SUM(episodes),
+    SUM(perceptible_ns), SUM(perceptible_episodes), COUNT(*)
+    FROM causes
+    WHERE typeof(total_ns) IN ('integer', 'real')
+    AND typeof(episodes) IN ('integer', 'real')
+    GROUP BY run_id, label, app;
+DROP INDEX IF EXISTS idx_causes_run_label
+"""
+
 #: ``MIGRATIONS[n]`` migrates a version-``n`` database to ``n + 1``.
-MIGRATIONS = (_V1, _V2, _V3, _V4)
+MIGRATIONS = (_V1, _V2, _V3, _V4, _V5)
 
 
 class StudyWarehouseError(LagAlyzerError):

@@ -14,8 +14,8 @@ Design rules (shared with :mod:`repro.obs.warehouse`):
 - **Repository pattern, one connection per public call.** A public
   method opens one connection on first use, walks the migration chain
   once, and closes it when it returns; public methods it calls on the
-  same instance and thread (``diff`` -> ``cause_totals``,
-  ``ingest_bundles`` -> ``ingest_session``) reuse it. Delete the file
+  same instance and thread (``ingest_bundles`` and ``ingest_spools``
+  -> ``ingest_session``) reuse it. Delete the file
   between calls and the next write recreates it. Each session write
   still commits on its own, so a batch call's commits sit in the WAL
   (surviving a process kill) and are checkpointed when the call's
@@ -38,6 +38,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
@@ -92,6 +93,13 @@ _NUMERIC_GUARD = (
     " AND typeof(perceptible) IN ('integer', 'real')"
     " AND typeof(e2e_s) IN ('integer', 'real')"
     " AND typeof(long_per_min) IN ('integer', 'real')"
+)
+
+#: The same guard for ``causes`` rows: only numeric rows sum into
+#: ``cause_rollup``, and only they come out of it again.
+_CAUSE_GUARD = (
+    "typeof(total_ns) IN ('integer', 'real')"
+    " AND typeof(episodes) IN ('integer', 'real')"
 )
 
 #: ``sessions`` columns filled from :class:`SessionStats` fields.
@@ -253,20 +261,23 @@ class StudyWarehouse:
         records: int = 0,
         ts: Optional[float] = None,
         family: str = "gui",
-        causes: Optional[Dict[str, Tuple[int, int, int, int]]] = None,
+        causes: Any = None,
     ) -> bool:
         """Store one session's summary + pattern + cause rows.
 
         ``family`` is the workload family the session's trace declared;
         ``causes`` maps cause labels to ``(total_ns, episodes,
         perceptible_ns, perceptible_episodes)`` — the session's
-        self-time attribution, the substrate of :meth:`diff`.
+        self-time attribution, the substrate of :meth:`diff`. It may
+        also be the ``causes`` analysis partial those rows flatten
+        from, which is flattened only when the session is written.
 
         Dedup contract: re-ingesting a ``(run, app, session)`` whose
         stored ``trace_digest`` matches is a no-op returning ``False``;
         a *different* digest (the session was re-traced) replaces the
         row and its pattern/cause rows. Returns ``True`` when rows
-        changed.
+        changed. The ``cause_rollup`` rows of the run and app move with
+        the cause rows, in the same transaction.
 
         Raises:
             OSError, sqlite3.Error: the write failed — callers that sit
@@ -285,7 +296,10 @@ class StudyWarehouse:
             ).fetchone()
             if existing is not None and existing[0] == trace_digest:
                 return False
+            if causes is not None and not isinstance(causes, dict):
+                causes = _cause_rows(causes)
             stat_values = [float(getattr(stats, name)) for name in _STAT_COLUMNS]
+            key = (run_id, app, session_id)
             with connection:
                 connection.execute(
                     "INSERT OR IGNORE INTO runs (run_id, created_ts)"
@@ -295,12 +309,37 @@ class StudyWarehouse:
                 connection.execute(
                     "DELETE FROM patterns WHERE run_id = ? AND app = ?"
                     " AND session_id = ?",
-                    (run_id, app, session_id),
+                    key,
                 )
+                # Read off `causes` itself, not via the session row, so
+                # rows orphaned by a quarantined session row come out of
+                # the rollup too.
+                stale = connection.execute(
+                    "SELECT label, total_ns, episodes, perceptible_ns,"
+                    " perceptible_episodes FROM causes"
+                    " WHERE run_id = ? AND app = ? AND session_id = ?"
+                    f" AND {_CAUSE_GUARD}",
+                    key,
+                ).fetchall()
+                if stale:
+                    connection.executemany(
+                        "UPDATE cause_rollup SET total_ns = total_ns - ?,"
+                        " episodes = episodes - ?,"
+                        " perceptible_ns = perceptible_ns - ?,"
+                        " perceptible_episodes = perceptible_episodes - ?,"
+                        " rows = rows - 1"
+                        " WHERE run_id = ? AND label = ? AND app = ?",
+                        [row[1:] + (run_id, row[0], app) for row in stale],
+                    )
+                    connection.executemany(
+                        "DELETE FROM cause_rollup WHERE run_id = ?"
+                        " AND label = ? AND app = ? AND rows <= 0",
+                        [(run_id, row[0], app) for row in stale],
+                    )
                 connection.execute(
                     "DELETE FROM causes WHERE run_id = ? AND app = ?"
                     " AND session_id = ?",
-                    (run_id, app, session_id),
+                    key,
                 )
                 connection.execute(
                     "INSERT INTO sessions (run_id, app, session_id,"
@@ -339,19 +378,34 @@ class StudyWarehouse:
                     ],
                 )
                 if causes:
+                    cause_rows = [
+                        (
+                            str(label), int(row[0]), int(row[1]),
+                            int(row[2]), int(row[3]),
+                        )
+                        for label, row in sorted(causes.items())
+                    ]
                     connection.executemany(
                         "INSERT INTO causes (run_id, app, session_id,"
                         " label, total_ns, episodes, perceptible_ns,"
                         " perceptible_episodes)"
                         " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                        [
-                            (
-                                run_id, app, session_id, str(label),
-                                int(row[0]), int(row[1]),
-                                int(row[2]), int(row[3]),
-                            )
-                            for label, row in sorted(causes.items())
-                        ],
+                        [key + row for row in cause_rows],
+                    )
+                    connection.executemany(
+                        "INSERT INTO cause_rollup (run_id, label, app,"
+                        " total_ns, episodes, perceptible_ns,"
+                        " perceptible_episodes, rows)"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, 1)"
+                        " ON CONFLICT(run_id, label, app) DO UPDATE SET"
+                        " total_ns = total_ns + excluded.total_ns,"
+                        " episodes = episodes + excluded.episodes,"
+                        " perceptible_ns ="
+                        "   perceptible_ns + excluded.perceptible_ns,"
+                        " perceptible_episodes = perceptible_episodes"
+                        "   + excluded.perceptible_episodes,"
+                        " rows = rows + 1",
+                        [(run_id, row[0], app) + row[1:] for row in cause_rows],
                     )
         obs_runtime.count("warehouse.sessions_ingested")
         return True
@@ -398,7 +452,7 @@ class StudyWarehouse:
             records=records,
             ts=ts,
             family=family_name_of(trace.metadata),
-            causes=_cause_rows(partials.get("causes")),
+            causes=partials.get("causes"),
         )
 
     def ingest_spool(
@@ -443,6 +497,62 @@ class StudyWarehouse:
             trace, run_id, config,
             records=records, ts=ts, session_id=session_id,
         )
+
+    def ingest_spools(
+        self,
+        spools: Iterable[Tuple[str, Union[str, Path], Optional[Union[str, Path]]]],
+        run_id: str,
+        config: Any,
+    ) -> Dict[str, int]:
+        """Compact ingest spools into one run, on one connection.
+
+        The spool counterpart of :meth:`ingest_bundles`: ``spools``
+        yields ``(session_id, spool_path, column_file)`` triples (see
+        :meth:`ingest_spool`), and :meth:`record_run` plus every session
+        write share this call's connection, each session still
+        committing on its own. A session that fails warns, counts
+        ``warehouse.write_errors`` and is skipped; one damaged spool
+        never loses the rest.
+
+        Returns counters: ``{"ingested", "skipped", "failed"}`` —
+        ``skipped`` are sessions already stored with the same digest.
+        """
+        spools = list(spools)
+        ingested = skipped = failed = 0
+        with self._connection():
+            try:
+                self.record_run(run_id, source="spool")
+            except Exception as error:
+                warnings.warn(
+                    f"study warehouse unavailable under {self.path}:"
+                    f" {error} — spools are intact, compaction skipped",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                obs_runtime.count("warehouse.write_errors")
+                return {"ingested": 0, "skipped": 0, "failed": len(spools)}
+            for session_id, spool_path, column_file in spools:
+                try:
+                    changed = self.ingest_spool(
+                        spool_path, run_id, config,
+                        session_id=session_id, column_file=column_file,
+                    )
+                except Exception as error:
+                    failed += 1
+                    obs_runtime.count("warehouse.write_errors")
+                    warnings.warn(
+                        f"spool compaction failed for session "
+                        f"{session_id!r}: {error} — spool kept at "
+                        f"{spool_path}",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    continue
+                if changed:
+                    ingested += 1
+                else:
+                    skipped += 1
+        return {"ingested": ingested, "skipped": skipped, "failed": failed}
 
     def ingest_bundles(
         self,
@@ -502,7 +612,7 @@ class StudyWarehouse:
                     config_fingerprint=str(meta.get("config_fingerprint", "")),
                     ts=ts,
                     family=str(meta.get("family", "gui")),
-                    causes=_cause_rows(record.partials.get("causes")),
+                    causes=record.partials.get("causes"),
                 )
                 if changed:
                     ingested += 1
@@ -755,6 +865,33 @@ class StudyWarehouse:
             entries=entries,
         )
 
+    @staticmethod
+    def _cause_query(
+        run_id: str, apps: Optional[Sequence[str]], perceptible_only: bool
+    ) -> Tuple[str, List[Any]]:
+        """One run's ``(label, ns, episodes)`` sums off ``cause_rollup``.
+
+        The rows stream in primary-key order, so ``GROUP BY label``
+        needs no temp B-tree and they come back in label order; ``apps``
+        is a filter on the same range.
+        """
+        ns, episodes = (
+            ("perceptible_ns", "perceptible_episodes") if perceptible_only
+            else ("total_ns", "episodes")
+        )
+        clauses = ["run_id = ?"]
+        params: List[Any] = [run_id]
+        if apps:
+            clauses.append(_in("app", apps))
+            params.extend(apps)
+        return (
+            f"SELECT label, CAST(SUM({ns}) AS INTEGER),"
+            f" CAST(SUM({episodes}) AS INTEGER)"
+            f" FROM cause_rollup WHERE {' AND '.join(clauses)}"
+            " GROUP BY label ORDER BY label",
+            params,
+        )
+
     def cause_totals(
         self,
         run_id: str,
@@ -763,33 +900,13 @@ class StudyWarehouse:
     ) -> Dict[str, Tuple[int, int]]:
         """Aggregated cause tally of one run: ``label -> (ns, episodes)``.
 
-        Sums the run's per-session cause rows; ``perceptible_only``
-        reads the perceptible columns instead. Labels come back in
-        label order (deterministic regardless of ingest order). Without
-        ``apps`` the sum reads only ``idx_causes_run_label``, already in
-        label order.
+        Sums the run's ``cause_rollup`` rows, one per label and app;
+        ``perceptible_only`` reads the perceptible columns instead.
+        Labels come back in label order (deterministic regardless of
+        ingest order).
         """
-        if perceptible_only:
-            value_cols = "SUM(perceptible_ns), SUM(perceptible_episodes)"
-        else:
-            value_cols = "SUM(total_ns), SUM(episodes)"
-        clauses = [
-            "run_id = ?",
-            "typeof(total_ns) IN ('integer', 'real')",
-            "typeof(episodes) IN ('integer', 'real')",
-        ]
-        params: List[Any] = [run_id]
-        if apps:
-            clauses.append(_in("app", apps))
-            params.extend(apps)
-        rows = self._rows(
-            f"SELECT label, {value_cols} FROM causes"
-            f" WHERE {' AND '.join(clauses)} GROUP BY label ORDER BY label",
-            params,
-        )
-        return {
-            row[0]: (int(row[1] or 0), int(row[2] or 0)) for row in rows
-        }
+        rows = self._rows(*self._cause_query(run_id, apps, perceptible_only))
+        return {label: (ns, episodes) for label, ns, episodes in rows}
 
     def diff(
         self,
@@ -800,19 +917,20 @@ class StudyWarehouse:
     ) -> Any:
         """Attribute the latency delta between two runs to ranked causes.
 
-        Aggregates each run's ``causes`` rows and hands the two tallies
-        to :func:`repro.core.causegraph.diff_cause_totals`; the report
-        ranks per-label self-time deltas regressions-first, so the
-        injected (or real) cause of a slowdown surfaces at the top. The
-        ranking is deterministic across worker counts because the
-        underlying rows are value-identical however they were computed.
+        Reads both runs' label-ordered cause sums on one connection and
+        merges them with :func:`repro.core.causegraph.rank_cause_deltas`;
+        the report ranks per-label self-time deltas regressions-first,
+        so the injected (or real) cause of a slowdown surfaces at the
+        top. The ranking is deterministic across worker counts because
+        the underlying rows are value-identical however they were
+        computed.
         """
-        from repro.core.causegraph import diff_cause_totals
+        from repro.core.causegraph import rank_cause_deltas
 
         with self._connection():
-            totals_a = self.cause_totals(run_a, apps, perceptible_only)
-            totals_b = self.cause_totals(run_b, apps, perceptible_only)
-        return diff_cause_totals(totals_a, totals_b, run_a, run_b)
+            rows_a = self._rows(*self._cause_query(run_a, apps, perceptible_only))
+            rows_b = self._rows(*self._cause_query(run_b, apps, perceptible_only))
+        return rank_cause_deltas(rows_a, rows_b, run_a, run_b)
 
     # ------------------------------------------------------------------
     # Retention and hygiene
@@ -828,8 +946,8 @@ class StudyWarehouse:
 
         ``max_age_s`` drops runs created earlier than ``now -
         max_age_s``; ``keep_runs`` keeps only the newest N runs. Either
-        filter alone or both together; sessions and pattern rows of a
-        dropped run go with it. Returns runs removed.
+        filter alone or both together; the sessions, pattern, cause and
+        rollup rows of a dropped run go with it. Returns runs removed.
         """
         if max_age_s is None and keep_runs is None:
             return 0
@@ -861,7 +979,10 @@ class StudyWarehouse:
             doomed = sorted(set(doomed))
             if doomed:
                 with connection:
-                    for table in ("patterns", "causes", "sessions", "runs"):
+                    for table in (
+                        "patterns", "causes", "cause_rollup", "sessions",
+                        "runs",
+                    ):
                         connection.execute(
                             f"DELETE FROM {table}"
                             f" WHERE {_in('run_id', doomed)}",

@@ -22,13 +22,20 @@ from the object semantics.
 :func:`reference_build_store` is the same kind of oracle for ingestion:
 the record-stream build that the line kernel behind
 :func:`repro.lila.source.build_store` replaced.
+
+:func:`reference_cause_totals` and :func:`reference_diff` are the
+study warehouse's ``cause_totals`` and ``diff`` as schema v4 answered
+them: a ``GROUP BY`` over every session's ``causes`` rows, ranked by
+sorting the union of both runs' labels.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+import sqlite3
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import causegraph, concurrency, location, threadstates, triggers
 from repro.core.analyses import DualPartial, PatternCountsPartial, get_analysis
@@ -195,3 +202,67 @@ def plain(value: Any) -> Any:
     if slots:
         return {name: plain(getattr(value, name)) for name in slots}
     return {key: plain(item) for key, item in vars(value).items()}
+
+
+def reference_cause_totals(
+    path: Union[str, Path],
+    run_id: str,
+    apps: Optional[Sequence[str]] = None,
+    perceptible_only: bool = False,
+) -> Dict[str, Tuple[int, int]]:
+    """One run's cause tally summed off every ``causes`` row of a
+    warehouse file, with the v4 statement and its ``typeof`` guard."""
+    if perceptible_only:
+        value_cols = "SUM(perceptible_ns), SUM(perceptible_episodes)"
+    else:
+        value_cols = "SUM(total_ns), SUM(episodes)"
+    clauses = [
+        "run_id = ?",
+        "typeof(total_ns) IN ('integer', 'real')",
+        "typeof(episodes) IN ('integer', 'real')",
+    ]
+    params: List[Any] = [run_id]
+    if apps:
+        clauses.append(f"app IN ({', '.join('?' * len(apps))})")
+        params.extend(apps)
+    connection = sqlite3.connect(str(path))
+    try:
+        rows = connection.execute(
+            f"SELECT label, {value_cols} FROM causes"
+            f" WHERE {' AND '.join(clauses)} GROUP BY label ORDER BY label",
+            params,
+        ).fetchall()
+    finally:
+        connection.close()
+    return {row[0]: (int(row[1] or 0), int(row[2] or 0)) for row in rows}
+
+
+def reference_diff(
+    tally_a: Dict[str, Tuple[int, int]],
+    tally_b: Dict[str, Tuple[int, int]],
+    run_a: str,
+    run_b: str,
+) -> causegraph.DiffReport:
+    """The A -> B report ranked the v4 way: every label of either run,
+    sorted on ``(-delta_ns, label)``."""
+    deltas = []
+    for label in sorted(set(tally_a) | set(tally_b)):
+        a_total, a_count = tally_a.get(label, (0, 0))
+        b_total, b_count = tally_b.get(label, (0, 0))
+        deltas.append(
+            causegraph.CauseDelta(
+                label=label,
+                delta_ns=b_total - a_total,
+                a_total_ns=a_total,
+                b_total_ns=b_total,
+                a_episodes=a_count,
+                b_episodes=b_count,
+            )
+        )
+    deltas.sort(key=lambda d: (-d.delta_ns, d.label))
+    return causegraph.DiffReport(
+        run_a=run_a,
+        run_b=run_b,
+        total_delta_ns=sum(d.delta_ns for d in deltas),
+        deltas=tuple(deltas),
+    )

@@ -6,7 +6,9 @@ every cache temperature, the produced summary is byte-identical
 """
 
 import hashlib
+import multiprocessing
 import pickle
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,8 @@ from repro.engine import AnalysisEngine, MISS, ResultCache, parallel_map
 from repro.engine.cache import config_fingerprint
 from repro.lila.digest import file_digest, trace_digest
 from repro.lila.writer import write_trace
+from repro.obs import runtime as obs_runtime
+from repro.obs.observer import Observer
 
 from helpers import dispatch, listener_iv, make_trace
 
@@ -292,6 +296,47 @@ class TestCacheRobustness:
         assert total.hits == 5
         assert total.misses == 1
         assert ResultCache(tmp_path).persisted_stats().hits == 5
+
+    def test_concurrent_stats_flushes_never_fail(self, tmp_path):
+        """Two processes flushing at once each write through a temp file
+        of their own: no flush fails, and ``stats.json`` stays whole."""
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        results = context.Queue()
+        writers = [
+            context.Process(
+                target=_flush_repeatedly,
+                args=(str(tmp_path), barrier, results),
+            )
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        outcomes = [results.get(timeout=120) for _ in writers]
+        for writer in writers:
+            writer.join(timeout=120)
+            assert writer.exitcode == 0
+        assert outcomes == [(0, 0), (0, 0)]
+        stats, status = ResultCache(tmp_path).persisted_stats_status()
+        assert status == "ok"
+        assert 0 < stats.hits <= 400
+        assert not list(tmp_path.glob(".tmp-*"))
+
+
+def _flush_repeatedly(root: str, barrier, results) -> None:
+    """Flush one hit 200 times; put ``(warnings, cache.write_errors)``."""
+    observer = Observer()
+    cache = ResultCache(root)
+    barrier.wait()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with obs_runtime.installed(observer):
+            for _ in range(200):
+                cache.stats.hits += 1
+                cache.flush_stats()
+    results.put(
+        (len(caught), observer.metrics.counter_value("cache.write_errors"))
+    )
 
 
 class TestDigests:

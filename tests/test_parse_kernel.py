@@ -30,6 +30,7 @@ from repro.apps.async_pipeline import simulate_pipeline_session
 from repro.apps.catalog import APPLICATION_NAMES
 from repro.apps.io_service import simulate_service_session
 from repro.apps.sessions import simulate_session
+from repro.core.errors import TraceFormatError
 from repro.core.store.columns import SAMPLE_COLUMN_SPECS, THREAD_COLUMN_SPECS
 from repro.ingest.incremental import IncrementalSessionAnalyzer
 from repro.lila.source import LinesTraceSource, TextTraceSource, build_store
@@ -269,6 +270,43 @@ def test_mutated_inputs_agree(input_lines, mutate, tmp_path):
 )
 def test_degenerate_inputs_agree(lines, tmp_path):
     assert assert_kernel_matches_reference(lines, tmp_path)[0] == "error"
+
+
+#: Metadata every sealed trace needs, as lines.
+_META = [
+    "M application App", "M session_id s", "M start_ns 0",
+    "M end_ns 100", "M gui_thread gui",
+]
+_BEYOND = str(2**63 + 5)
+_BELOW = str(-(2**63) - 1)
+
+
+@pytest.mark.parametrize(
+    "lines, line",
+    [
+        # Found at the seal, so it carries the last line read.
+        (["#%lila 1"] + _META[:3] + ["M end_ns -5", "M gui_thread gui"], 6),
+        (["#%lila 1"] + _META + ["T gui", f"O {_BEYOND} dispatch a#b"], 8),
+        (["#%lila 1"] + _META + ["T gui", f"O {_BELOW} dispatch a#b"], 8),
+        (["#%lila 1"] + _META + ["T gui", "O 5 dispatch a#b", f"C {_BEYOND}"],
+         9),
+        (["#%lila 1"] + _META + ["T gui", f"G 5 {_BEYOND} young"], 8),
+        (["#%lila 1"] + _META + ["T gui", f"P {_BEYOND}"], 8),
+        # The same kind token again: the second line takes the fast path.
+        (["#%lila 1"] + _META + ["T gui", "O 5 dispatch a#b", "C 6",
+                                 f"O {_BEYOND} dispatch a#b"], 10),
+    ],
+    ids=["metadata-ends-before-start", "open-beyond-int64",
+         "open-below-int64", "close-beyond-int64", "gc-beyond-int64",
+         "tick-beyond-int64", "fast-open-beyond-int64"],
+)
+def test_damage_past_the_columns_is_typed(lines, line, tmp_path):
+    """An end before the start and a timestamp past the 64-bit columns
+    are damage like any other: a typed error, from the kernel and the
+    reference alike, with the line for a timestamp."""
+    outcome = assert_kernel_matches_reference(lines, tmp_path)
+    assert outcome[:2] == ("error", TraceFormatError)
+    assert outcome[4] == line
 
 
 # ----------------------------------------------------------------------

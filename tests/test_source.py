@@ -30,6 +30,7 @@ from repro.core.store import (
     REC_THREAD,
     REC_TICK,
 )
+from repro.engine.engine import AnalysisEngine
 from repro.faults import runtime as faults_runtime
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
@@ -256,6 +257,53 @@ class TestUndecodableByte:
             LagAlyzer.load([bad, good], workers=workers)
         assert Path(info.value.path) == bad
         assert info.value.line == 41
+
+
+class TestDamageOutsideTheColumns:
+    """A session that ends before it starts and a timestamp past the
+    64-bit columns are typed damage, so a quarantining load sets the
+    trace aside instead of dying on it."""
+
+    GOLDEN = Path(__file__).parent / "golden" / "CrosswordSage-session-0.lila"
+
+    @staticmethod
+    def damaged(lines, damage):
+        lines = list(lines)
+        if damage == "end-before-start":
+            index = next(
+                i for i, line in enumerate(lines) if line.startswith("M end_ns ")
+            )
+            lines[index] = "M end_ns -5"
+        else:
+            index = next(
+                i for i, line in enumerate(lines) if line.startswith("O ")
+            )
+            parts = lines[index].split(" ")
+            parts[1] = str(2**63 + 5)
+            lines[index] = " ".join(parts)
+        return lines, index + 1
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize(
+        "damage", ["end-before-start", "timestamp-beyond-int64"]
+    )
+    def test_load_quarantines_the_damaged_trace(self, tmp_path, damage, workers):
+        lines = self.GOLDEN.read_text(encoding="utf-8").splitlines()
+        bad_lines, bad_line = self.damaged(lines, damage)
+        bad = tmp_path / "bad.lila"
+        bad.write_text("\n".join(bad_lines) + "\n", encoding="utf-8")
+        good = tmp_path / "good.lila"
+        good.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(bad)
+        assert info.value.path == bad
+        if damage == "timestamp-beyond-int64":
+            assert info.value.line == bad_line
+        engine = AnalysisEngine(workers=workers, use_cache=False)
+        traces = engine.load_traces([bad, good], on_error="quarantine")
+        assert [trace.metadata.session_id for trace in traces] == ["session-0"]
+        assert [entry.session_id for entry in engine.quarantined] == ["bad.lila"]
+        assert "TraceFormatError" in engine.quarantined[0].error
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ the spool's line count.
 
 from __future__ import annotations
 
+import sqlite3
 import time
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from helpers import dispatch, gui_sample, listener_iv, make_trace
 from repro.ingest import IngestServer, TraceClient
 from repro.lila.writer import trace_to_lines
+from repro.warehouse import store as warehouse_store
 from repro.warehouse.store import StudyWarehouse
 
 
@@ -175,6 +177,42 @@ class TestServeToWarehouse:
             assert first == {"ingested": 1, "skipped": 0, "failed": 0}
             second = server.compact_spools()
             assert second == {"ingested": 0, "skipped": 1, "failed": 0}
+
+    def test_compaction_opens_one_warehouse_connection(
+        self, tmp_path, monkeypatch
+    ):
+        warehouse_path = tmp_path / "wh.sqlite"
+        with IngestServer(
+            spool_dir=tmp_path / "spools",
+            study_warehouse=warehouse_path,
+            run_id="run",
+        ) as server:
+            for session in ("s0", "s1", "s2"):
+                stream(
+                    server.address, session, "JMol",
+                    session_lines(session, "JMol"),
+                )
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                state.pending_batches() for state in server.sessions()
+            ):
+                time.sleep(0.01)
+            opened = []
+            real_connect = sqlite3.connect
+
+            def counting(*args, **kwargs) -> sqlite3.Connection:
+                opened.append(args[0])
+                return real_connect(*args, **kwargs)
+
+            monkeypatch.setattr(warehouse_store.sqlite3, "connect", counting)
+            counts = server.compact_spools()
+            monkeypatch.undo()
+            assert counts == {"ingested": 3, "skipped": 0, "failed": 0}
+            assert opened == [str(warehouse_path)]
+            server.study_warehouse = None
+        assert [
+            agg.sessions for agg in StudyWarehouse(warehouse_path).aggregate()
+        ] == [3]
 
     @staticmethod
     def _good_and_bad_spools(server):
