@@ -12,7 +12,9 @@ alias of :mod:`repro.core.analyzer` and ``AnalysisEngine.map_trace``;
 version 3 removed the engine's split of one trace across several tasks
 and the numpy kernel mode; version 4 removed the binary trace
 encoding and the streaming reader; version 5 removed the push-mode
-record parser ``RecordFeed`` (all listed in ``docs/api.md``).
+record parser ``RecordFeed``; version 6 removed
+``StudyWarehouse.compact`` and the warehouse column-file options (all
+listed in ``docs/api.md``).
 
 The package is organized as:
 
@@ -32,6 +34,7 @@ The package is organized as:
   deterministic fault injection for the whole pipeline.
 - :mod:`repro.warehouse` — the persistent cross-session study
   warehouse (SQLite) and its query API.
+- :mod:`repro.sqlitedb` — the SQLite layer both warehouses open through.
 
 Quickstart::
 
@@ -54,7 +57,7 @@ from repro.apps import simulate_session
 __version__ = "1.1.0"
 
 #: Version of the public surface below; bumped on incompatible change.
-API_VERSION = 5
+API_VERSION = 6
 
 # Heavier subsystems resolve lazily (PEP 562): importing ``repro`` for
 # a quick trace read should not pay for the study harness, the engine,

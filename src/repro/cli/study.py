@@ -4,9 +4,10 @@
 {runs|aggregate|top|series|regressions}`` reads a study warehouse built
 with ``study --warehouse`` or ``ingest serve --study-warehouse``.
 
-Exit-code contract for ``study query``: 0 on success, 1 when
-``regressions`` finds a regression, 2 when the warehouse file does not
-exist.
+Exit-code contract for ``study query`` and ``study diff``: 0 on
+success, 1 when ``regressions`` finds a regression, 2 when the
+warehouse file does not exist or is unusable (another store's file, a
+newer schema) or the query is malformed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from repro.cli._shared import (
     add_workers,
 )
 
-#: ``study query`` against a warehouse file that does not exist.
+#: ``study query`` against a warehouse file that does not exist or
+#: cannot be used.
 EXIT_NO_WAREHOUSE = 2
 
 #: ``study query regressions`` found at least one regression.
@@ -146,9 +148,15 @@ def _cmd_study_entry(args: argparse.Namespace) -> int:
     never take effect.
     """
     query_func = getattr(args, "query_func", None)
-    if query_func is not None:
+    if query_func is None:
+        return _cmd_study(args)
+    from repro.warehouse import StudyWarehouseError
+
+    try:
         return query_func(args)
-    return _cmd_study(args)
+    except StudyWarehouseError as error:
+        print(f"error: {args.warehouse}: {error}", file=sys.stderr)
+        return EXIT_NO_WAREHOUSE
 
 
 def _open_warehouse(args: argparse.Namespace):

@@ -407,7 +407,6 @@ class IngestServer:
         publish_interval_s: float = 2.0,
         run_id: Optional[str] = None,
         study_warehouse: Optional[Union[str, Path, Any]] = None,
-        column_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         self.spool_dir = Path(spool_dir)
         self.queue_limit = max(1, int(queue_limit))
@@ -444,9 +443,6 @@ class IngestServer:
 
             study_warehouse = StudyWarehouse(study_warehouse)
         self.study_warehouse = study_warehouse
-        #: When set, spool compaction also writes one ``.lilac`` column
-        #: file per session here and analyzes the mmap-backed store.
-        self.column_dir = Path(column_dir) if column_dir is not None else None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -532,19 +528,8 @@ class IngestServer:
         from repro.core.analyzer import AnalysisConfig
 
         config = self.config if self.config is not None else AnalysisConfig()
-        if self.column_dir is not None:
-            self.column_dir.mkdir(parents=True, exist_ok=True)
         return self.study_warehouse.ingest_spools(
-            [
-                (
-                    state.session,
-                    state.spool.path,
-                    self.column_dir / f"{state.session}.lilac"
-                    if self.column_dir is not None
-                    else None,
-                )
-                for state in self.sessions()
-            ],
+            [(state.session, state.spool.path) for state in self.sessions()],
             self.run_id,
             config,
         )

@@ -11,11 +11,12 @@ day across every run that ever published.
 
 Design rules:
 
-- **Repository pattern, short-lived connections.** Every operation
-  opens its own connection, ensures the schema, commits, and closes.
-  There is no long-lived handle to corrupt: delete the file mid-run
-  and the next flush simply recreates it. Telemetry storage must never
-  be a single point of failure for the system it observes.
+- **Repository pattern, one connection per public call**, opened
+  through :class:`repro.sqlitedb.SQLiteStore` (WAL, the one-step
+  schema chain walked). There is no long-lived handle to corrupt:
+  delete the file mid-run and the next flush simply recreates it.
+  Telemetry storage must never be a single point of failure for the
+  system it observes.
 - **Additive writes.** A flush *merges* into its ``(run, name,
   bucket)`` row — counters and histogram cells add, gauges keep the
   max — so re-publishing after a failed flush is idempotent-ish in the
@@ -35,9 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import LagAlyzerError
-
-#: Schema version recorded in the ``meta`` table.
-SCHEMA_VERSION = 1
+from repro.sqlitedb import SQLiteStore
 
 #: Default width of a storage time bucket, in seconds.
 DEFAULT_BUCKET_S = 60
@@ -97,32 +96,8 @@ CREATE INDEX IF NOT EXISTS idx_span_rollups_name
 """
 
 
-#: How long a telemetry connection waits on another writer's lock.
-_BUSY_TIMEOUT_S = 5.0
-
-
 class WarehouseError(LagAlyzerError):
     """The warehouse file is unusable or a query is malformed."""
-
-
-def enable_wal(connection: sqlite3.Connection, timeout_s: float) -> None:
-    """Switch the file to WAL, waiting out a concurrent first open.
-
-    Switching a fresh file into WAL takes an exclusive lock without
-    consulting the busy handler, so the loser of two racing first opens
-    fails at once; it retries for up to ``timeout_s`` (the connection's
-    own busy timeout) instead. Both SQLite stores, this one and
-    :mod:`repro.warehouse.store`, open through it.
-    """
-    deadline = time.monotonic() + timeout_s
-    while True:
-        try:
-            connection.execute("PRAGMA journal_mode=WAL")
-            return
-        except sqlite3.OperationalError as error:
-            if "locked" not in str(error) or time.monotonic() >= deadline:
-                raise
-            time.sleep(0.005)
 
 
 def estimate_percentile(
@@ -149,7 +124,7 @@ def estimate_percentile(
     return float(buckets[-1]) if buckets else 0.0
 
 
-class Warehouse:
+class Warehouse(SQLiteStore):
     """One SQLite-backed telemetry warehouse.
 
     Args:
@@ -158,49 +133,27 @@ class Warehouse:
             in the same bucket merge into one row.
     """
 
+    BUSY_TIMEOUT_S = 5.0
+    #: One step, stored under ``schema_version``: every file this store
+    #: has written opens at v1 with no migration.
+    MIGRATIONS = (_SCHEMA,)
+    VERSION_KEY = "schema_version"
+    ERROR = WarehouseError
+
     def __init__(
         self,
         path: Union[str, Path],
         bucket_s: int = DEFAULT_BUCKET_S,
     ) -> None:
-        self.path = Path(path)
+        super().__init__(path)
         self.bucket_s = max(1, int(bucket_s))
 
-    # ------------------------------------------------------------------
-    # Connection / schema management
-    # ------------------------------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        """A fresh connection with WAL mode and the schema ensured."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_S)
-        try:
-            enable_wal(connection, _BUSY_TIMEOUT_S)
-            connection.execute("PRAGMA synchronous=NORMAL")
-            connection.executescript(_SCHEMA)
-            connection.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                ("schema_version", str(SCHEMA_VERSION)),
-            )
-            # Close the implicit transaction the meta insert opened, so
-            # callers that need autocommit (VACUUM) start clean.
-            connection.commit()
-        except sqlite3.Error:
-            connection.close()
-            raise
-        return connection
+    def __reduce__(self) -> Tuple[type, Tuple[Path, int]]:
+        return (type(self), (self.path, self.bucket_s))
 
     def bucket_ts(self, ts: float) -> int:
         """The storage bucket a wall-clock timestamp lands in."""
         return int(ts) // self.bucket_s * self.bucket_s
-
-    def schema_version(self) -> int:
-        """The schema version stored in the file (ensures the schema)."""
-        with self._connect() as connection:
-            row = connection.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-        return int(row[0]) if row else 0
 
     # ------------------------------------------------------------------
     # Writes
@@ -227,48 +180,45 @@ class Warehouse:
         """
         now = time.time() if ts is None else float(ts)
         bucket = self.bucket_ts(now)
-        connection = self._connect()
-        try:
-            with connection:  # one transaction per flush
-                connection.execute(
-                    "INSERT INTO runs (run_id, host, started_ts, last_ts,"
-                    " flushes) VALUES (?, ?, ?, ?, 1)"
-                    " ON CONFLICT(run_id) DO UPDATE SET"
-                    " last_ts = excluded.last_ts,"
-                    " flushes = flushes + 1",
-                    (run_id, host, int(now), int(now)),
+        # One transaction per flush.
+        with self._connection() as connect, connect() as connection:
+            connection.execute(
+                "INSERT INTO runs (run_id, host, started_ts, last_ts,"
+                " flushes) VALUES (?, ?, ?, ?, 1)"
+                " ON CONFLICT(run_id) DO UPDATE SET"
+                " last_ts = excluded.last_ts,"
+                " flushes = flushes + 1",
+                (run_id, host, int(now), int(now)),
+            )
+            for name, value in delta.get("counters", {}).items():
+                self._merge_metric(
+                    connection, run_id, name, "counter", bucket,
+                    float(value), add=True,
                 )
-                for name, value in delta.get("counters", {}).items():
-                    self._merge_metric(
-                        connection, run_id, name, "counter", bucket,
-                        float(value), add=True,
-                    )
-                for name, value in delta.get("gauges", {}).items():
-                    self._merge_metric(
-                        connection, run_id, name, "gauge", bucket,
-                        float(value), add=False,
-                    )
-                for name, raw in delta.get("histograms", {}).items():
-                    self._merge_histogram(
-                        connection, run_id, name, bucket, raw
-                    )
-                for name, raw in delta.get("spans", {}).items():
-                    connection.execute(
-                        "INSERT INTO span_rollups (run_id, name, bucket_ts,"
-                        " count, total_ms, max_ms) VALUES (?, ?, ?, ?, ?, ?)"
-                        " ON CONFLICT(run_id, name, bucket_ts) DO UPDATE SET"
-                        " count = count + excluded.count,"
-                        " total_ms = total_ms + excluded.total_ms,"
-                        " max_ms = MAX(max_ms, excluded.max_ms)",
-                        (
-                            run_id, name, bucket,
-                            int(raw.get("count", 0)),
-                            float(raw.get("total_ms", 0.0)),
-                            float(raw.get("max_ms", 0.0)),
-                        ),
-                    )
-        finally:
-            connection.close()
+            for name, value in delta.get("gauges", {}).items():
+                self._merge_metric(
+                    connection, run_id, name, "gauge", bucket,
+                    float(value), add=False,
+                )
+            for name, raw in delta.get("histograms", {}).items():
+                self._merge_histogram(
+                    connection, run_id, name, bucket, raw
+                )
+            for name, raw in delta.get("spans", {}).items():
+                connection.execute(
+                    "INSERT INTO span_rollups (run_id, name, bucket_ts,"
+                    " count, total_ms, max_ms) VALUES (?, ?, ?, ?, ?, ?)"
+                    " ON CONFLICT(run_id, name, bucket_ts) DO UPDATE SET"
+                    " count = count + excluded.count,"
+                    " total_ms = total_ms + excluded.total_ms,"
+                    " max_ms = MAX(max_ms, excluded.max_ms)",
+                    (
+                        run_id, name, bucket,
+                        int(raw.get("count", 0)),
+                        float(raw.get("total_ms", 0.0)),
+                        float(raw.get("max_ms", 0.0)),
+                    ),
+                )
 
     @staticmethod
     def _merge_metric(
@@ -357,13 +307,10 @@ class Warehouse:
 
     def runs(self) -> List[Dict[str, Any]]:
         """Every run that ever published, newest last."""
-        if not self.path.is_file():
-            return []
-        with self._connect() as connection:
-            rows = connection.execute(
-                "SELECT run_id, host, started_ts, last_ts, flushes"
-                " FROM runs ORDER BY started_ts, run_id"
-            ).fetchall()
+        rows = self._rows(
+            "SELECT run_id, host, started_ts, last_ts, flushes"
+            " FROM runs ORDER BY started_ts, run_id"
+        )
         return [
             {
                 "run_id": run_id,
@@ -377,40 +324,20 @@ class Warehouse:
 
     def metric_names(self) -> Dict[str, List[str]]:
         """All published names by table: counters/gauges/histograms/spans."""
-        if not self.path.is_file():
-            return {
-                "counters": [], "gauges": [], "histograms": [], "spans": [],
-            }
-        with self._connect() as connection:
-            counters = [
-                row[0] for row in connection.execute(
-                    "SELECT DISTINCT name FROM metric_points"
-                    " WHERE kind = 'counter' ORDER BY name"
-                )
-            ]
-            gauges = [
-                row[0] for row in connection.execute(
-                    "SELECT DISTINCT name FROM metric_points"
-                    " WHERE kind = 'gauge' ORDER BY name"
-                )
-            ]
-            histograms = [
-                row[0] for row in connection.execute(
-                    "SELECT DISTINCT name FROM histogram_points"
-                    " ORDER BY name"
-                )
-            ]
-            spans = [
-                row[0] for row in connection.execute(
-                    "SELECT DISTINCT name FROM span_rollups ORDER BY name"
-                )
-            ]
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "spans": spans,
+        queries = {
+            "counters": "SELECT DISTINCT name FROM metric_points"
+            " WHERE kind = 'counter' ORDER BY name",
+            "gauges": "SELECT DISTINCT name FROM metric_points"
+            " WHERE kind = 'gauge' ORDER BY name",
+            "histograms": "SELECT DISTINCT name FROM histogram_points"
+            " ORDER BY name",
+            "spans": "SELECT DISTINCT name FROM span_rollups ORDER BY name",
         }
+        with self._connection():
+            return {
+                table: [row[0] for row in self._rows(sql)]
+                for table, sql in queries.items()
+            }
 
     def series(
         self,
@@ -425,18 +352,15 @@ class Warehouse:
         display bucket; gauges take the max.
         """
         width = self._display_bucket(bucket)
-        if not self.path.is_file():
-            return []
         where, params = self._filters(run_id, since_ts)
-        with self._connect() as connection:
-            rows = connection.execute(
-                "SELECT bucket_ts / ? * ? AS b,"
-                " SUM(CASE WHEN kind = 'counter' THEN value END),"
-                " MAX(CASE WHEN kind = 'gauge' THEN value END)"
-                f" FROM metric_points WHERE name = ?{where}"
-                " GROUP BY b ORDER BY b",
-                [width, width, name, *params],
-            ).fetchall()
+        rows = self._rows(
+            "SELECT bucket_ts / ? * ? AS b,"
+            " SUM(CASE WHEN kind = 'counter' THEN value END),"
+            " MAX(CASE WHEN kind = 'gauge' THEN value END)"
+            f" FROM metric_points WHERE name = ?{where}"
+            " GROUP BY b ORDER BY b",
+            [width, width, name, *params],
+        )
         return [
             (int(b), float(total if total is not None else high))
             for b, total, high in rows
@@ -460,16 +384,13 @@ class Warehouse:
         if not 0.0 < q <= 1.0:
             raise WarehouseError(f"percentile q={q} outside (0, 1]")
         width = self._display_bucket(bucket)
-        if not self.path.is_file():
-            return []
         where, params = self._filters(run_id, since_ts)
-        with self._connect() as connection:
-            rows = connection.execute(
-                "SELECT bucket_ts, buckets, counts, count"
-                f" FROM histogram_points WHERE name = ?{where}"
-                " ORDER BY bucket_ts",
-                [name, *params],
-            ).fetchall()
+        rows = self._rows(
+            "SELECT bucket_ts, buckets, counts, count"
+            f" FROM histogram_points WHERE name = ?{where}"
+            " ORDER BY bucket_ts",
+            [name, *params],
+        )
         merged: Dict[int, Tuple[List[float], List[int], int]] = {}
         for bucket_ts, buckets_json, counts_json, count in rows:
             display = int(bucket_ts) // width * width
@@ -498,16 +419,13 @@ class Warehouse:
         since_ts: Optional[float] = None,
     ) -> List[Dict[str, Any]]:
         """Aggregate span rollups by name (slowest mean first)."""
-        if not self.path.is_file():
-            return []
         where, params = self._filters(run_id, since_ts)
-        with self._connect() as connection:
-            rows = connection.execute(
-                "SELECT name, SUM(count), SUM(total_ms), MAX(max_ms)"
-                f" FROM span_rollups WHERE 1=1{where}"
-                " GROUP BY name",
-                params,
-            ).fetchall()
+        rows = self._rows(
+            "SELECT name, SUM(count), SUM(total_ms), MAX(max_ms)"
+            f" FROM span_rollups WHERE 1=1{where}"
+            " GROUP BY name",
+            params,
+        )
         summary = [
             {
                 "name": name,
@@ -527,16 +445,13 @@ class Warehouse:
         since_ts: Optional[float] = None,
     ) -> Dict[str, float]:
         """Counter totals by name over the selected rows."""
-        if not self.path.is_file():
-            return {}
         where, params = self._filters(run_id, since_ts)
-        with self._connect() as connection:
-            rows = connection.execute(
-                "SELECT name, SUM(value) FROM metric_points"
-                f" WHERE kind = 'counter'{where}"
-                " GROUP BY name ORDER BY name",
-                params,
-            ).fetchall()
+        rows = self._rows(
+            "SELECT name, SUM(value) FROM metric_points"
+            f" WHERE kind = 'counter'{where}"
+            " GROUP BY name ORDER BY name",
+            params,
+        )
         return {name: float(value) for name, value in rows}
 
     @staticmethod
@@ -568,25 +483,19 @@ class Warehouse:
             (time.time() if now is None else now) - max_age_s
         )
         removed = 0
-        connection = self._connect()
-        try:
-            with connection:
-                for table in (
-                    "metric_points", "histogram_points", "span_rollups"
-                ):
-                    cursor = connection.execute(
-                        f"DELETE FROM {table} WHERE bucket_ts < ?",  # noqa: S608
-                        (cutoff,),
-                    )
-                    removed += cursor.rowcount
-                connection.execute(
-                    "DELETE FROM runs WHERE run_id NOT IN ("
-                    " SELECT run_id FROM metric_points"
-                    " UNION SELECT run_id FROM histogram_points"
-                    " UNION SELECT run_id FROM span_rollups)"
+        with self._connection() as connect, connect() as connection:
+            for table in ("metric_points", "histogram_points", "span_rollups"):
+                cursor = connection.execute(
+                    f"DELETE FROM {table} WHERE bucket_ts < ?",  # noqa: S608
+                    (cutoff,),
                 )
-        finally:
-            connection.close()
+                removed += cursor.rowcount
+            connection.execute(
+                "DELETE FROM runs WHERE run_id NOT IN ("
+                " SELECT run_id FROM metric_points"
+                " UNION SELECT run_id FROM histogram_points"
+                " UNION SELECT run_id FROM span_rollups)"
+            )
         return removed
 
     def compact(
@@ -605,8 +514,8 @@ class Warehouse:
             return 0
         cutoff = (time.time() if now is None else now) - older_than_s
         coarse = max(self.bucket_s, int(coarse_s))
-        connection = self._connect()
-        try:
+        with self._connection() as connect:
+            connection = connect()
             before = self._point_rows(connection)
             with connection:
                 connection.execute(
@@ -628,14 +537,9 @@ class Warehouse:
                 )
                 self._fold_rollup_collisions(connection, coarse, cutoff)
             after = self._point_rows(connection)
-        finally:
-            connection.close()
-        # VACUUM cannot run inside a transaction.
-        connection = self._connect()
-        try:
+            # VACUUM cannot run inside a transaction; the one above has
+            # committed.
             connection.execute("VACUUM")
-        finally:
-            connection.close()
         return before - after
 
     @staticmethod

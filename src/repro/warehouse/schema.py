@@ -1,20 +1,16 @@
 """Versioned schema and migrations for the study warehouse.
 
-Unlike the telemetry warehouse (whose single-version schema is applied
-with ``CREATE TABLE IF NOT EXISTS``), the study warehouse is a durable
-cross-run dataset: its file outlives code upgrades, so the schema is
-expressed as an ordered migration chain. ``MIGRATIONS[n]`` upgrades a
-version-``n`` file to version ``n + 1``; opening a file always walks
-the chain from its recorded version to :data:`SCHEMA_VERSION`, inside
-one transaction per step, preserving existing rows.
-
-A file written by a *newer* code version (recorded version above
-:data:`SCHEMA_VERSION`) is refused rather than guessed at.
+The study warehouse is a durable cross-run dataset: its file outlives
+code upgrades, so the schema is an ordered migration chain.
+``MIGRATIONS[n]`` upgrades a version-``n`` file to version ``n + 1``;
+opening a file walks the chain from the version recorded under
+``study_schema_version`` to :data:`SCHEMA_VERSION`
+(:func:`repro.sqlitedb.ensure_schema`), one transaction per step,
+preserving existing rows. A file written by a *newer* code version, or
+by the telemetry warehouse, is refused rather than guessed at.
 """
 
 from __future__ import annotations
-
-import sqlite3
 
 from repro.core.errors import LagAlyzerError
 
@@ -153,70 +149,3 @@ MIGRATIONS = (_V1, _V2, _V3, _V4, _V5)
 
 class StudyWarehouseError(LagAlyzerError):
     """The study warehouse file is unusable or a query is malformed."""
-
-
-def stored_version(connection: sqlite3.Connection) -> int:
-    """The schema version recorded in the file, 0 for a fresh file."""
-    row = connection.execute(
-        "SELECT name FROM sqlite_master WHERE type='table' AND name='meta'"
-    ).fetchone()
-    if row is None:
-        return 0
-    row = connection.execute(
-        "SELECT value FROM meta WHERE key = 'study_schema_version'"
-    ).fetchone()
-    return int(row[0]) if row else 0
-
-
-def _statements(script: str) -> list:
-    """The individual statements of a migration script.
-
-    Scripts are executed statement by statement inside an explicit
-    transaction (``executescript`` would commit around itself and break
-    the write-lock serialization below), so they must not contain
-    string literals with semicolons.
-    """
-    return [part.strip() for part in script.split(";") if part.strip()]
-
-
-def ensure_schema(connection: sqlite3.Connection) -> int:
-    """Walk ``connection`` up the migration chain to the current version.
-
-    Returns the version the file started at. Each step runs inside a
-    ``BEGIN IMMEDIATE`` transaction: the write lock serializes
-    concurrent first-opens (the version is re-read under the lock, so
-    the loser sees the winner's work instead of re-running a
-    non-idempotent ``ALTER TABLE``), and a crash mid-chain leaves a
-    valid lower-version file that the next open resumes upgrading.
-
-    Raises:
-        StudyWarehouseError: the file reports a version newer than this
-            code understands.
-    """
-    start = stored_version(connection)
-    if start > SCHEMA_VERSION:
-        raise StudyWarehouseError(
-            f"study warehouse is schema v{start}, newer than this code's "
-            f"v{SCHEMA_VERSION} — upgrade repro or use a fresh file"
-        )
-    while stored_version(connection) < SCHEMA_VERSION:
-        connection.execute("BEGIN IMMEDIATE")
-        try:
-            version = stored_version(connection)
-            if version >= SCHEMA_VERSION:
-                connection.execute("COMMIT")
-                break
-            for statement in _statements(MIGRATIONS[version]):
-                connection.execute(statement)
-            connection.execute(
-                "INSERT INTO meta (key, value)"
-                " VALUES ('study_schema_version', ?)"
-                " ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (str(version + 1),),
-            )
-            connection.execute("COMMIT")
-        except BaseException:
-            if connection.in_transaction:
-                connection.execute("ROLLBACK")
-            raise
-    return start

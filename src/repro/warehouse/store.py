@@ -11,15 +11,17 @@ regression diffs between two run sets.
 
 Design rules (shared with :mod:`repro.obs.warehouse`):
 
-- **Repository pattern, one connection per public call.** A public
-  method opens one connection on first use, walks the migration chain
-  once, and closes it when it returns; public methods it calls on the
-  same instance and thread (``ingest_bundles`` and ``ingest_spools``
-  -> ``ingest_session``) reuse it. Delete the file
-  between calls and the next write recreates it. Each session write
+- **Repository pattern, one connection per public call**, opened
+  through :class:`repro.sqlitedb.SQLiteStore`: public methods a call
+  makes on the same instance and thread (``ingest_bundles`` and
+  ``ingest_spools`` -> ``ingest_session``) reuse it. Each session write
   still commits on its own, so a batch call's commits sit in the WAL
   (surviving a process kill) and are checkpointed when the call's
   connection closes.
+- **One session-replace step.** Every write that changes a session's
+  rows (``ingest_session``, ``quarantine_corrupt``) goes through
+  :meth:`StudyWarehouse._replace_rows`, which subtracts the old rows
+  from ``cause_rollup`` before it deletes them.
 - **Parameterized SQL everywhere.** Application and session identifiers
   come straight off the ingest wire; they are always bound values,
   never spliced into statements.
@@ -36,24 +38,16 @@ Design rules (shared with :mod:`repro.obs.warehouse`):
 from __future__ import annotations
 
 import sqlite3
-import threading
 import time
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
-from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.statistics import SessionStats
 from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs_runtime
-from repro.obs.warehouse import enable_wal
-from repro.warehouse.schema import (
-    StudyWarehouseError,
-    ensure_schema,
-    stored_version,
-)
+from repro.sqlitedb import SQLiteStore
+from repro.warehouse.schema import MIGRATIONS, StudyWarehouseError
 from repro.warehouse.types import (
     AppAggregate,
     PatternAggregate,
@@ -105,9 +99,6 @@ _CAUSE_GUARD = (
 #: ``sessions`` columns filled from :class:`SessionStats` fields.
 _STAT_COLUMNS: Tuple[str, ...] = SessionStats._NUMERIC_FIELDS
 
-#: How long a connection waits on another writer's lock.
-_BUSY_TIMEOUT_S = 10.0
-
 
 def _cause_rows(partial: Any) -> Optional[Dict[str, Tuple[int, int, int, int]]]:
     """Flatten a ``causes`` partial into per-label warehouse rows.
@@ -145,71 +136,17 @@ def _metric_sql(metric: str) -> str:
     return sql
 
 
-class StudyWarehouse:
+class StudyWarehouse(SQLiteStore):
     """One SQLite-backed study warehouse.
 
     Args:
         path: the database file (created, with parents, on first write).
     """
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._local = threading.local()
-
-    def __reduce__(self) -> Tuple[type, Tuple[Path]]:
-        # Pickles as its path: the thread-local only ever holds the
-        # connection of a call in progress.
-        return (type(self), (self.path,))
-
-    # ------------------------------------------------------------------
-    # Connection / schema management
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def _connection(self) -> Iterator[Callable[[], sqlite3.Connection]]:
-        """Scope one public call to one connection, opened on first use.
-
-        Yields ``connect()``, which returns the scope's connection —
-        opening it (WAL, schema migrated) on the first call, so a query
-        that never calls it never creates the file. Re-entrant per
-        instance and thread: a scope entered inside another yields the
-        outer ``connect``, and the outermost exit closes the connection.
-        """
-        outer = getattr(self._local, "connect", None)
-        if outer is not None:
-            yield outer
-            return
-        opened: Optional[sqlite3.Connection] = None
-
-        def connect() -> sqlite3.Connection:
-            nonlocal opened
-            if opened is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                connection = sqlite3.connect(
-                    str(self.path), timeout=_BUSY_TIMEOUT_S
-                )
-                try:
-                    enable_wal(connection, _BUSY_TIMEOUT_S)
-                    connection.execute("PRAGMA synchronous=NORMAL")
-                    ensure_schema(connection)
-                except BaseException:
-                    connection.close()
-                    raise
-                opened = connection
-            return opened
-
-        self._local.connect = connect
-        try:
-            yield connect
-        finally:
-            self._local.connect = None
-            if opened is not None:
-                opened.close()
-
-    def schema_version(self) -> int:
-        """The schema version of the file (migrating it if behind)."""
-        with self._connection() as connect:
-            return stored_version(connect())
+    BUSY_TIMEOUT_S = 10.0
+    MIGRATIONS = MIGRATIONS
+    VERSION_KEY = "study_schema_version"
+    ERROR = StudyWarehouseError
 
     # ------------------------------------------------------------------
     # Writes
@@ -275,9 +212,9 @@ class StudyWarehouse:
         Dedup contract: re-ingesting a ``(run, app, session)`` whose
         stored ``trace_digest`` matches is a no-op returning ``False``;
         a *different* digest (the session was re-traced) replaces the
-        row and its pattern/cause rows. Returns ``True`` when rows
-        changed. The ``cause_rollup`` rows of the run and app move with
-        the cause rows, in the same transaction.
+        row and its pattern/cause rows (:meth:`_replace_rows`). Returns
+        ``True`` when rows changed. The ``cause_rollup`` rows of the run
+        and app move with the cause rows, in the same transaction.
 
         Raises:
             OSError, sqlite3.Error: the write failed — callers that sit
@@ -286,7 +223,6 @@ class StudyWarehouse:
         """
         faults_runtime.check("warehouse.write", key=f"{app}/{session_id}")
         now = time.time() if ts is None else float(ts)
-        counts = pattern_counts or {}
         with self._connection() as connect:
             connection = connect()
             existing = connection.execute(
@@ -299,47 +235,11 @@ class StudyWarehouse:
             if causes is not None and not isinstance(causes, dict):
                 causes = _cause_rows(causes)
             stat_values = [float(getattr(stats, name)) for name in _STAT_COLUMNS]
-            key = (run_id, app, session_id)
             with connection:
                 connection.execute(
                     "INSERT OR IGNORE INTO runs (run_id, created_ts)"
                     " VALUES (?, ?)",
                     (run_id, now),
-                )
-                connection.execute(
-                    "DELETE FROM patterns WHERE run_id = ? AND app = ?"
-                    " AND session_id = ?",
-                    key,
-                )
-                # Read off `causes` itself, not via the session row, so
-                # rows orphaned by a quarantined session row come out of
-                # the rollup too.
-                stale = connection.execute(
-                    "SELECT label, total_ns, episodes, perceptible_ns,"
-                    " perceptible_episodes FROM causes"
-                    " WHERE run_id = ? AND app = ? AND session_id = ?"
-                    f" AND {_CAUSE_GUARD}",
-                    key,
-                ).fetchall()
-                if stale:
-                    connection.executemany(
-                        "UPDATE cause_rollup SET total_ns = total_ns - ?,"
-                        " episodes = episodes - ?,"
-                        " perceptible_ns = perceptible_ns - ?,"
-                        " perceptible_episodes = perceptible_episodes - ?,"
-                        " rows = rows - 1"
-                        " WHERE run_id = ? AND label = ? AND app = ?",
-                        [row[1:] + (run_id, row[0], app) for row in stale],
-                    )
-                    connection.executemany(
-                        "DELETE FROM cause_rollup WHERE run_id = ?"
-                        " AND label = ? AND app = ? AND rows <= 0",
-                        [(run_id, row[0], app) for row in stale],
-                    )
-                connection.execute(
-                    "DELETE FROM causes WHERE run_id = ? AND app = ?"
-                    " AND session_id = ?",
-                    key,
                 )
                 connection.execute(
                     "INSERT INTO sessions (run_id, app, session_id,"
@@ -365,50 +265,105 @@ class StudyWarehouse:
                     ]
                     + stat_values,
                 )
-                connection.executemany(
-                    "INSERT INTO patterns (run_id, app, session_id,"
-                    " pattern_key, count, perceptible)"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
+                self._replace_rows(
+                    connection,
+                    (run_id, app, session_id),
                     [
-                        (
-                            run_id, app, session_id, str(key),
-                            int(pair[0]), int(pair[1]),
-                        )
-                        for key, pair in sorted(counts.items())
+                        (str(key), int(pair[0]), int(pair[1]))
+                        for key, pair in sorted((pattern_counts or {}).items())
                     ],
-                )
-                if causes:
-                    cause_rows = [
+                    [
                         (
                             str(label), int(row[0]), int(row[1]),
                             int(row[2]), int(row[3]),
                         )
-                        for label, row in sorted(causes.items())
-                    ]
-                    connection.executemany(
-                        "INSERT INTO causes (run_id, app, session_id,"
-                        " label, total_ns, episodes, perceptible_ns,"
-                        " perceptible_episodes)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                        [key + row for row in cause_rows],
-                    )
-                    connection.executemany(
-                        "INSERT INTO cause_rollup (run_id, label, app,"
-                        " total_ns, episodes, perceptible_ns,"
-                        " perceptible_episodes, rows)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, 1)"
-                        " ON CONFLICT(run_id, label, app) DO UPDATE SET"
-                        " total_ns = total_ns + excluded.total_ns,"
-                        " episodes = episodes + excluded.episodes,"
-                        " perceptible_ns ="
-                        "   perceptible_ns + excluded.perceptible_ns,"
-                        " perceptible_episodes = perceptible_episodes"
-                        "   + excluded.perceptible_episodes,"
-                        " rows = rows + 1",
-                        [(run_id, row[0], app) + row[1:] for row in cause_rows],
-                    )
+                        for label, row in sorted((causes or {}).items())
+                    ],
+                )
         obs_runtime.count("warehouse.sessions_ingested")
         return True
+
+    @staticmethod
+    def _replace_rows(
+        connection: sqlite3.Connection,
+        key: Tuple[str, str, str],
+        pattern_rows: Sequence[Tuple[str, int, int]] = (),
+        cause_rows: Sequence[Tuple[str, int, int, int, int]] = (),
+    ) -> None:
+        """Replace one (run, app, session)'s pattern and cause rows.
+
+        Runs inside the caller's transaction. The old cause rows come
+        out of ``cause_rollup`` first, read off ``causes`` itself rather
+        than via the session row, so rows an earlier sweep left without
+        a session row come out too; a rollup row whose ``rows`` count
+        reaches 0 goes. Then both tables' old rows are deleted and the
+        new ones written: ``(pattern_key, count, perceptible)`` and
+        ``(label, total_ns, episodes, perceptible_ns,
+        perceptible_episodes)``, the causes summed into the rollup. With
+        no new rows, the session's rows leave every table.
+        """
+        run_id, app, _ = key
+        connection.execute(
+            "DELETE FROM patterns WHERE run_id = ? AND app = ?"
+            " AND session_id = ?",
+            key,
+        )
+        stale = connection.execute(
+            "SELECT label, total_ns, episodes, perceptible_ns,"
+            " perceptible_episodes FROM causes"
+            " WHERE run_id = ? AND app = ? AND session_id = ?"
+            f" AND {_CAUSE_GUARD}",
+            key,
+        ).fetchall()
+        if stale:
+            connection.executemany(
+                "UPDATE cause_rollup SET total_ns = total_ns - ?,"
+                " episodes = episodes - ?,"
+                " perceptible_ns = perceptible_ns - ?,"
+                " perceptible_episodes = perceptible_episodes - ?,"
+                " rows = rows - 1"
+                " WHERE run_id = ? AND label = ? AND app = ?",
+                [row[1:] + (run_id, row[0], app) for row in stale],
+            )
+            connection.executemany(
+                "DELETE FROM cause_rollup WHERE run_id = ?"
+                " AND label = ? AND app = ? AND rows <= 0",
+                [(run_id, row[0], app) for row in stale],
+            )
+        connection.execute(
+            "DELETE FROM causes WHERE run_id = ? AND app = ?"
+            " AND session_id = ?",
+            key,
+        )
+        connection.executemany(
+            "INSERT INTO patterns (run_id, app, session_id,"
+            " pattern_key, count, perceptible)"
+            " VALUES (?, ?, ?, ?, ?, ?)",
+            [key + row for row in pattern_rows],
+        )
+        if cause_rows:
+            connection.executemany(
+                "INSERT INTO causes (run_id, app, session_id,"
+                " label, total_ns, episodes, perceptible_ns,"
+                " perceptible_episodes)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                [key + row for row in cause_rows],
+            )
+            connection.executemany(
+                "INSERT INTO cause_rollup (run_id, label, app,"
+                " total_ns, episodes, perceptible_ns,"
+                " perceptible_episodes, rows)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, 1)"
+                " ON CONFLICT(run_id, label, app) DO UPDATE SET"
+                " total_ns = total_ns + excluded.total_ns,"
+                " episodes = episodes + excluded.episodes,"
+                " perceptible_ns ="
+                "   perceptible_ns + excluded.perceptible_ns,"
+                " perceptible_episodes = perceptible_episodes"
+                "   + excluded.perceptible_episodes,"
+                " rows = rows + 1",
+                [(run_id, row[0], app) + row[1:] for row in cause_rows],
+            )
 
     def ingest_trace(
         self,
@@ -462,32 +417,16 @@ class StudyWarehouse:
         config: Any,
         ts: Optional[float] = None,
         session_id: Optional[str] = None,
-        column_file: Optional[Union[str, Path]] = None,
     ) -> bool:
         """Analyze one ingest spool file and store its session.
 
         ``records`` is the spool's line count, matching the daemon's
         zero-loss ``records_flushed`` accounting.
-
-        ``column_file`` converts the spool to a ``.lilac`` column file
-        at that path first and analyzes the mmap-backed store instead of
-        the parsed object graph — the spool is parsed exactly once and
-        every later read of the session maps the column file.
         """
-        from repro.lila.source import build_store, build_trace, open_source
+        from repro.lila.source import build_trace, open_source
 
         source = open_source(Path(spool_path))
-        if column_file is not None:
-            from repro.lila.colfile import (
-                open_column_trace,
-                write_column_file,
-            )
-
-            store = build_store(source)
-            write_column_file(store, Path(column_file))
-            trace = open_column_trace(Path(column_file))
-        else:
-            trace = build_trace(source)
+        trace = build_trace(source)
         # Every flushed line lands in the spool verbatim, so the number
         # of the last line parsed is exactly the daemon's
         # ``records_flushed`` for the session — the zero-loss contract,
@@ -500,14 +439,14 @@ class StudyWarehouse:
 
     def ingest_spools(
         self,
-        spools: Iterable[Tuple[str, Union[str, Path], Optional[Union[str, Path]]]],
+        spools: Iterable[Tuple[str, Union[str, Path]]],
         run_id: str,
         config: Any,
     ) -> Dict[str, int]:
         """Compact ingest spools into one run, on one connection.
 
         The spool counterpart of :meth:`ingest_bundles`: ``spools``
-        yields ``(session_id, spool_path, column_file)`` triples (see
+        yields ``(session_id, spool_path)`` pairs (see
         :meth:`ingest_spool`), and :meth:`record_run` plus every session
         write share this call's connection, each session still
         committing on its own. A session that fails warns, counts
@@ -531,11 +470,10 @@ class StudyWarehouse:
                 )
                 obs_runtime.count("warehouse.write_errors")
                 return {"ingested": 0, "skipped": 0, "failed": len(spools)}
-            for session_id, spool_path, column_file in spools:
+            for session_id, spool_path in spools:
                 try:
                     changed = self.ingest_spool(
-                        spool_path, run_id, config,
-                        session_id=session_id, column_file=column_file,
+                        spool_path, run_id, config, session_id=session_id,
                     )
                 except Exception as error:
                     failed += 1
@@ -628,13 +566,6 @@ class StudyWarehouse:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def _rows(self, sql: str, params: Sequence[Any] = ()) -> List[tuple]:
-        """Every row of one read query; a missing file reads as empty."""
-        if not self.path.exists():
-            return []
-        with self._connection() as connect:
-            return connect().execute(sql, params).fetchall()
 
     @staticmethod
     def _filters(
@@ -990,70 +921,16 @@ class StudyWarehouse:
                         )
         return len(doomed)
 
-    def compact(
-        self, older_than_s: float, now: Optional[float] = None
-    ) -> int:
-        """Fold old runs' per-session pattern rows into per-run rows.
-
-        Pattern rows dominate warehouse size; for runs older than the
-        horizon, per-session detail matters less than totals. Rows of
-        each old (run, app, pattern) collapse into one row with the
-        ``''`` sentinel session id, preserving every sum the top-N
-        query reads. Returns rows reclaimed; the file is VACUUMed when
-        any were.
-        """
-        if not self.path.exists():
-            return 0
-        now = time.time() if now is None else float(now)
-        cutoff = now - float(older_than_s)
-        with self._connection() as connect:
-            connection = connect()
-            old_runs = [
-                row[0]
-                for row in connection.execute(
-                    "SELECT run_id FROM runs WHERE created_ts < ?", (cutoff,)
-                )
-            ]
-            if not old_runs:
-                return 0
-            in_old = _in("run_id", old_runs)
-            before = connection.execute(
-                f"SELECT COUNT(*) FROM patterns WHERE {in_old}", old_runs
-            ).fetchone()[0]
-            with connection:
-                connection.execute(
-                    "CREATE TEMP TABLE folded AS"
-                    " SELECT run_id, app, '' AS session_id, pattern_key,"
-                    " SUM(count) AS count, SUM(perceptible) AS perceptible"
-                    f" FROM patterns WHERE {in_old}"
-                    " GROUP BY run_id, app, pattern_key",
-                    old_runs,
-                )
-                connection.execute(
-                    f"DELETE FROM patterns WHERE {in_old}", old_runs
-                )
-                connection.execute(
-                    "INSERT INTO patterns (run_id, app, session_id,"
-                    " pattern_key, count, perceptible)"
-                    " SELECT run_id, app, session_id, pattern_key,"
-                    " count, perceptible FROM folded"
-                )
-                connection.execute("DROP TABLE folded")
-            after = connection.execute(
-                f"SELECT COUNT(*) FROM patterns WHERE {in_old}", old_runs
-            ).fetchone()[0]
-            reclaimed = int(before) - int(after)
-            if reclaimed > 0:
-                connection.execute("VACUUM")
-        return reclaimed
-
     def quarantine_corrupt(self, now: Optional[float] = None) -> int:
         """Sweep structurally corrupt rows into the quarantine table.
 
         A session row whose numeric columns are not numbers (external
         tampering, partial writes through a crash) is moved — payload
         preserved as JSON — so aggregates stay trustworthy and the
-        damage stays inspectable. Returns rows quarantined.
+        damage stays inspectable. The session's pattern and cause rows
+        leave with it through :meth:`_replace_rows`, so no query counts
+        the session any more. A pattern row with non-numeric counts is
+        moved on its own. Returns rows quarantined.
         """
         import json
 
@@ -1088,6 +965,9 @@ class StudyWarehouse:
                         connection.execute(
                             f"DELETE FROM {table} WHERE rowid = ?", (row[0],)
                         )
+                for row in bad:
+                    # run_id, app, session_id lead the sessions columns.
+                    self._replace_rows(connection, tuple(row[1:4]))
         swept = len(bad) + len(bad_patterns)
         if swept:
             obs_runtime.count("warehouse.quarantined_rows", swept)

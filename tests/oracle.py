@@ -26,7 +26,9 @@ the record-stream build that the line kernel behind
 :func:`reference_cause_totals` and :func:`reference_diff` are the
 study warehouse's ``cause_totals`` and ``diff`` as schema v4 answered
 them: a ``GROUP BY`` over every session's ``causes`` rows, ranked by
-sorting the union of both runs' labels.
+sorting the union of both runs' labels. :func:`expected_answers` is the
+same warehouse's queries merged in Python from the session rows a
+history left stored, in the shape of perfbench's ``expected_answers``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.core.store import ColumnarBuilder, ColumnarTrace
 from repro.core.trace import Trace
 from repro.lila.source import TraceSource
 from repro.obs import runtime as obs_runtime
+from repro.warehouse.types import AppAggregate, PatternAggregate
 
 
 def object_trace(trace: Trace) -> Trace:
@@ -266,3 +269,75 @@ def reference_diff(
         total_delta_ns=sum(d.delta_ns for d in deltas),
         deltas=tuple(deltas),
     )
+
+
+def expected_answers(
+    runs: Dict[str, Dict[str, List[dict]]],
+    apps: Optional[Sequence[str]] = None,
+    perceptible_only: bool = False,
+) -> Dict[str, Any]:
+    """Study-warehouse answers merged in Python from per-session rows.
+
+    ``runs`` maps each run id to its applications' stored session rows:
+    ``{"stats": SessionStats, "patterns": {key: (count, perceptible)},
+    "causes": {label: (total_ns, episodes, perceptible_ns,
+    perceptible_episodes)}}``. ``apps`` and ``perceptible_only`` are the
+    queries' arguments. Returns ``aggregate`` and both
+    ``top_patterns.*`` rankings (every pattern) over all of ``runs``,
+    ``cause_totals`` per run, and ``diff`` per ordered pair of runs.
+    """
+    rows = {
+        run_id: {
+            app: sessions for app, sessions in by_app.items()
+            if sessions and (not apps or app in apps)
+        }
+        for run_id, by_app in runs.items()
+    }
+    stats: Dict[str, list] = {}
+    patterns: Dict[Tuple[str, str], List[int]] = {}
+    totals: Dict[str, Dict[str, Tuple[int, int]]] = {}
+    for run_id, by_app in rows.items():
+        tally: Dict[str, Tuple[int, int]] = {}
+        for app, sessions in by_app.items():
+            for row in sessions:
+                stats.setdefault(app, []).append(row["stats"])
+                for key, (count, perceptible) in row["patterns"].items():
+                    entry = patterns.setdefault((app, key), [0, 0, 0])
+                    entry[0] += count
+                    entry[1] += perceptible
+                    entry[2] += 1
+                for label, values in row["causes"].items():
+                    ns, episodes = values[2:] if perceptible_only else values[:2]
+                    prev = tally.get(label, (0, 0))
+                    tally[label] = (prev[0] + ns, prev[1] + episodes)
+        totals[run_id] = dict(sorted(tally.items()))
+    ranks = {
+        "perceptible_lag": lambda item: (-item[1][1], -item[1][0], item[0]),
+        "occurrences": lambda item: (-item[1][0], -item[1][1], item[0]),
+    }
+    answers: Dict[str, Any] = {
+        "aggregate": [
+            AppAggregate(
+                app, len(values),
+                int(sum(value.traced for value in values)),
+                int(sum(value.perceptible for value in values)),
+                float(sum(value.e2e_s for value in values)),
+                sum(value.long_per_min for value in values) / len(values),
+            )
+            for app, values in sorted(stats.items())
+        ],
+        "cause_totals": totals,
+        "diff": {
+            (run_a, run_b): reference_diff(
+                totals[run_a], totals[run_b], run_a, run_b
+            )
+            for run_a in totals for run_b in totals if run_a != run_b
+        },
+    }
+    for metric, rank in ranks.items():
+        answers[f"top_patterns.{metric}"] = [
+            PatternAggregate(app, key, count, perceptible, sessions)
+            for (app, key), (count, perceptible, sessions)
+            in sorted(patterns.items(), key=rank)
+        ]
+    return answers

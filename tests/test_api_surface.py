@@ -5,6 +5,7 @@ resolve (the heavy ones lazily) and be documented in ``docs/api.md``.
 Paths removed at an ``API_VERSION`` bump stay removed.
 """
 
+import inspect
 import pathlib
 
 import pytest
@@ -31,7 +32,7 @@ class TestTopLevelSurface:
 
     def test_api_version_is_int(self):
         assert isinstance(repro.API_VERSION, int)
-        assert repro.API_VERSION == 5
+        assert repro.API_VERSION == 6
 
     def test_version_is_string(self):
         assert isinstance(repro.__version__, str)
@@ -110,3 +111,14 @@ class TestRemovedPaths:
         assert "RecordFeed" not in repro.lila.__all__
         assert not hasattr(repro.lila, "RecordFeed")
         assert not hasattr(repro.lila.source, "RecordFeed")
+
+    def test_study_compact_and_column_file_options_are_gone(self):
+        # Removed in API_VERSION 6: retention is prune, and a spool is
+        # compacted from its text alone.
+        from repro.ingest.server import IngestServer
+        from repro.warehouse import StudyWarehouse
+
+        assert not hasattr(StudyWarehouse, "compact")
+        spool = inspect.signature(StudyWarehouse.ingest_spool).parameters
+        assert "column_file" not in spool
+        assert "column_dir" not in inspect.signature(IngestServer).parameters

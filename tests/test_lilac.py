@@ -7,8 +7,7 @@ byteswap-copy fallback for alien-endian files, intern blocks decoded on
 first read (and damage inside them surfacing there), the ``lila.mmap``
 fault site, the ``convert`` CLI, atomic trace writers, encoding
 autodetection (text, `.lilac`, and the refused binary encoding), and
-the ingest-side column-file plumbing (``ingest_spool(column_file=)``,
-``IngestServer(column_dir=)`` and ``ingest replay`` of a `.lilac`).
+``ingest replay`` of a `.lilac`.
 """
 
 from __future__ import annotations
@@ -496,54 +495,6 @@ class TestConvertCli:
 
 
 class TestIngestPlumbing:
-    def test_ingest_spool_writes_and_uses_a_column_file(
-        self, trace_path, tmp_path
-    ):
-        from repro.warehouse import StudyWarehouse
-
-        column_file = tmp_path / "columns" / "s.lilac"
-        column_file.parent.mkdir()
-        warehouse = StudyWarehouse(tmp_path / "wh.sqlite")
-        warehouse.record_run("run-a", source="test")
-        changed = warehouse.ingest_spool(
-            trace_path, "run-a", AnalysisConfig(),
-            session_id="s", column_file=column_file,
-        )
-        assert changed is True
-        assert detect_format(column_file) == "lilac"
-        # The stored row matches a plain (no column file) ingestion.
-        warehouse_plain = StudyWarehouse(tmp_path / "wh2.sqlite")
-        warehouse_plain.record_run("run-a", source="test")
-        assert warehouse_plain.ingest_spool(
-            trace_path, "run-a", AnalysisConfig(), session_id="s"
-        ) is True
-        assert warehouse.aggregate() == warehouse_plain.aggregate()
-        assert warehouse.top_patterns(5) == warehouse_plain.top_patterns(5)
-
-    def test_server_compaction_fills_the_column_dir(self, tmp_path):
-        from repro.ingest.client import TraceClient
-        from repro.ingest.server import IngestServer
-        from repro.lila.writer import trace_to_lines
-        from repro.apps.sessions import simulate_session
-
-        lines = trace_to_lines(
-            simulate_session("CrosswordSage", scale=0.05)
-        )
-        column_dir = tmp_path / "columns"
-        with IngestServer(
-            spool_dir=tmp_path / "spools",
-            study_warehouse=tmp_path / "wh.sqlite",
-            column_dir=column_dir,
-        ) as server:
-            with TraceClient(
-                server.address, session="sess-1",
-                application="CrosswordSage", batch_records=64,
-            ) as client:
-                client.extend(lines)
-            outcome = server.compact_spools()
-        assert outcome["ingested"] == 1
-        assert detect_format(column_dir / "sess-1.lilac") == "lilac"
-
     def test_replay_sends_a_column_file_as_text_lines(
         self, trace_path, column_path, tmp_path
     ):

@@ -1,7 +1,8 @@
 """The ``repro study query`` CLI: golden output, exit codes, fuzzing.
 
 Exit-code contract under test: 0 on success, 1 when ``regressions``
-finds a regression, 2 when the warehouse file is missing. The fuzz
+finds a regression, 2 when the warehouse file is missing or unusable
+(a newer schema, or the telemetry warehouse's file). The fuzz
 tests drive hostile application / run identifiers through every query
 path to pin the parameterized-SQL guarantee: identifiers are data,
 never syntax.
@@ -20,6 +21,8 @@ from repro.core.analyzer import AnalysisConfig, LagAlyzer
 from repro.core.statistics import SessionStats
 from repro.engine.cache import ResultCache, config_fingerprint
 from repro.engine.engine import AnalysisEngine
+from repro.obs.warehouse import Warehouse
+from repro.warehouse.schema import MIGRATIONS
 from repro.warehouse.store import INGEST_ANALYSES, StudyWarehouse
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -102,6 +105,44 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "no study warehouse at" in err
+
+    @pytest.fixture(params=["future-schema", "telemetry-file"])
+    def unusable_path(self, request, tmp_path: Path) -> str:
+        path = tmp_path / "unusable.sqlite"
+        if request.param == "telemetry-file":
+            Warehouse(path).record_delta(
+                "run", {"counters": {"c": 1}}, ts=60.0
+            )
+        else:
+            connection = sqlite3.connect(str(path))
+            connection.executescript(MIGRATIONS[0])
+            connection.execute(
+                "INSERT INTO meta (key, value)"
+                " VALUES ('study_schema_version', '99')"
+            )
+            connection.commit()
+            connection.close()
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("query", "runs"),
+            ("query", "aggregate"),
+            ("query", "top"),
+            ("query", "series"),
+            ("query", "regressions", "--baseline", "a", "--candidate", "b"),
+            ("diff", "a", "b"),
+        ],
+        ids=["runs", "aggregate", "top", "series", "regressions", "diff"],
+    )
+    def test_unusable_warehouse_exits_2(self, unusable_path, capsys, argv):
+        code = main(["study", *argv, "--warehouse", unusable_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {unusable_path}: ")
 
     def test_success_exits_0(self, seeded_path, capsys):
         for argv in (("runs",), ("aggregate",), ("top",), ("series",)):
