@@ -1,9 +1,10 @@
-"""Shared builders for tests: tiny hand-made traces and episodes, and
-the golden corpus the parity suites run over."""
+"""Shared builders for tests: tiny hand-made traces and episodes, the
+golden corpus the parity suites run over, and a SQLite file's schema."""
 
 from __future__ import annotations
 
 import os
+import sqlite3
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -149,3 +150,17 @@ def simple_episode(
         [listener_iv(symbol, start_ms, start_ms + lag_ms)],
     )
     return episode(root, index=index)
+
+
+def schema_names(path: Path) -> List[str]:
+    """Every table and index name in a SQLite file, sorted."""
+    connection = sqlite3.connect(str(path))
+    try:
+        return [
+            row[0]
+            for row in connection.execute(
+                "SELECT name FROM sqlite_master ORDER BY name"
+            )
+        ]
+    finally:
+        connection.close()
