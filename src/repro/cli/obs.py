@@ -134,6 +134,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
         return EXIT_NO_INPUT
     warehouse = Warehouse(path)
+    try:
+        warehouse.schema_version()
+    except WarehouseError as error:
+        # A file this store cannot use is no input, not a bad query.
+        print(f"error: {path}: {error}", file=sys.stderr)
+        return EXIT_NO_INPUT
     since = None
     if args.since_hours is not None:
         import time as _time

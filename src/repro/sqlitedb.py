@@ -82,10 +82,23 @@ def _statements(script: str) -> List[str]:
 
     Scripts are executed statement by statement inside an explicit
     transaction (``executescript`` would commit around itself and break
-    the write-lock serialization below), so they must not contain
-    string literals with semicolons.
+    the write-lock serialization below). A statement ends at the first
+    semicolon after which :func:`sqlite3.complete_statement` holds, so
+    a trigger body's inner semicolons, and semicolons inside string
+    literals, stay in their statement.
     """
-    return [part.strip() for part in script.split(";") if part.strip()]
+    statements: List[str] = []
+    pending = ""
+    for part in script.split(";"):
+        pending += part + ";"
+        if sqlite3.complete_statement(pending):
+            statements.append(pending.strip())
+            pending = ""
+    # An unterminated tail stays in, so executing it raises.
+    return [
+        statement for statement in statements + [pending.strip()]
+        if statement.strip(";")
+    ]
 
 
 def ensure_schema(

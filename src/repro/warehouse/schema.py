@@ -12,10 +12,12 @@ by the telemetry warehouse, is refused rather than guessed at.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.core.errors import LagAlyzerError
 
 #: Version this code writes; files at lower versions migrate up on open.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # Version 1: the core study tables — runs, per-session summaries, and
 # per-session pattern occurrence rows.
@@ -143,8 +145,111 @@ INSERT INTO cause_rollup (run_id, label, app, total_ns, episodes,
 DROP INDEX IF EXISTS idx_causes_run_label
 """
 
+
+def _rollup_triggers(
+    source: str,
+    rollup: str,
+    key: Tuple[str, ...],
+    values: Tuple[str, ...],
+    counter: str,
+    guard: Tuple[str, ...],
+) -> str:
+    """Three triggers that keep ``rollup`` the guarded sums of ``source``.
+
+    ``rollup`` holds one row per ``key``: each of ``values`` summed over
+    the ``source`` rows of that key whose ``guard`` columns are numbers,
+    and ``counter``, the number of those rows. An insert adds the new
+    row, a delete subtracts the old one, and an update does both; a
+    rollup row goes when its ``counter`` reaches 0. A row failing the
+    guard is never summed, so it is never subtracted either.
+    """
+
+    def passes(row: str) -> str:
+        return " AND ".join(
+            f"typeof({row}.{column}) IN ('integer', 'real')" for column in guard
+        )
+
+    def add(condition: str = "") -> str:
+        new = ", ".join("NEW." + column for column in key + values)
+        rows = f"SELECT {new}, 1 WHERE {condition}" if condition else (
+            f"VALUES ({new}, 1)"
+        )
+        return (
+            f"INSERT INTO {rollup} ({', '.join(key + values)}, {counter})"
+            f" {rows} ON CONFLICT ({', '.join(key)}) DO UPDATE SET "
+            + ", ".join(f"{column} = {column} + excluded.{column}" for column in values)
+            + f", {counter} = {counter} + 1;"
+        )
+
+    def subtract(condition: str = "") -> str:
+        match = " AND ".join(f"{column} = OLD.{column}" for column in key)
+        return (
+            f"UPDATE {rollup} SET "
+            + ", ".join(f"{column} = {column} - OLD.{column}" for column in values)
+            + f", {counter} = {counter} - 1 WHERE {match}"
+            + (f" AND {condition};" if condition else ";")
+            + f" DELETE FROM {rollup} WHERE {match} AND {counter} <= 0;"
+        )
+
+    # Insert and delete fire only for a row that passes the guard; an
+    # update checks the old and the new row each in its own statement.
+    return (
+        f"CREATE TRIGGER {rollup}_insert AFTER INSERT ON {source}"
+        f" WHEN {passes('NEW')} BEGIN {add()} END;\n"
+        f"CREATE TRIGGER {rollup}_delete AFTER DELETE ON {source}"
+        f" WHEN {passes('OLD')} BEGIN {subtract()} END;\n"
+        f"CREATE TRIGGER {rollup}_update AFTER UPDATE ON {source}"
+        f" BEGIN {subtract(passes('OLD'))} {add(passes('NEW'))} END;\n"
+    )
+
+
+# Version 6: a per-(run, app, pattern key) pattern rollup, which
+# `top_patterns` reads alone, and SQLite triggers on `patterns` and
+# `causes` that keep both rollups in step with every write, whichever
+# statement makes it: a raw `UPDATE` that turns a value into text takes
+# the row out of its rollup at once. `sessions` counts the pattern rows
+# summed in. The backfill sums numeric rows only, and `cause_rollup` is
+# rebuilt under the same guard, which repairs a v5 rollup a tampered
+# row had left out of step. The app/key pattern index goes: the
+# per-session `GROUP BY` of `top_patterns` was its only reader.
+_V6 = """
+CREATE TABLE IF NOT EXISTS pattern_rollup (
+    run_id      TEXT NOT NULL,
+    app         TEXT NOT NULL,
+    pattern_key TEXT NOT NULL,
+    count       INTEGER NOT NULL DEFAULT 0,
+    perceptible INTEGER NOT NULL DEFAULT 0,
+    sessions    INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (run_id, app, pattern_key)
+) WITHOUT ROWID;
+INSERT INTO pattern_rollup (run_id, app, pattern_key, count, perceptible,
+    sessions)
+    SELECT run_id, app, pattern_key, SUM(count), SUM(perceptible), COUNT(*)
+    FROM patterns
+    WHERE typeof(count) IN ('integer', 'real')
+    AND typeof(perceptible) IN ('integer', 'real')
+    GROUP BY run_id, app, pattern_key;
+DELETE FROM cause_rollup;
+INSERT INTO cause_rollup (run_id, label, app, total_ns, episodes,
+    perceptible_ns, perceptible_episodes, rows)
+    SELECT run_id, label, app, SUM(total_ns), SUM(episodes),
+    SUM(perceptible_ns), SUM(perceptible_episodes), COUNT(*)
+    FROM causes
+    WHERE typeof(total_ns) IN ('integer', 'real')
+    AND typeof(episodes) IN ('integer', 'real')
+    GROUP BY run_id, label, app;
+DROP INDEX IF EXISTS idx_patterns_app_key;
+""" + _rollup_triggers(
+    "patterns", "pattern_rollup", ("run_id", "app", "pattern_key"),
+    ("count", "perceptible"), "sessions", ("count", "perceptible"),
+) + _rollup_triggers(
+    "causes", "cause_rollup", ("run_id", "label", "app"),
+    ("total_ns", "episodes", "perceptible_ns", "perceptible_episodes"),
+    "rows", ("total_ns", "episodes"),
+)
+
 #: ``MIGRATIONS[n]`` migrates a version-``n`` database to ``n + 1``.
-MIGRATIONS = (_V1, _V2, _V3, _V4, _V5)
+MIGRATIONS = (_V1, _V2, _V3, _V4, _V5, _V6)
 
 
 class StudyWarehouseError(LagAlyzerError):

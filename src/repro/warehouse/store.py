@@ -20,8 +20,13 @@ Design rules (shared with :mod:`repro.obs.warehouse`):
   connection closes.
 - **One session-replace step.** Every write that changes a session's
   rows (``ingest_session``, ``quarantine_corrupt``) goes through
-  :meth:`StudyWarehouse._replace_rows`, which subtracts the old rows
-  from ``cause_rollup`` before it deletes them.
+  :meth:`StudyWarehouse._replace_rows`: delete the old pattern and
+  cause rows, write the new ones.
+- **Rollups kept by the schema.** SQLite triggers on ``patterns`` and
+  ``causes`` keep ``pattern_rollup`` and ``cause_rollup`` in step with
+  every insert, delete and update, whoever makes it; only rows that
+  pass the numeric guard count. ``top_patterns``, ``cause_totals`` and
+  ``diff`` read the rollups alone.
 - **Parameterized SQL everywhere.** Application and session identifiers
   come straight off the ingest wire; they are always bound values,
   never spliced into statements.
@@ -87,13 +92,6 @@ _NUMERIC_GUARD = (
     " AND typeof(perceptible) IN ('integer', 'real')"
     " AND typeof(e2e_s) IN ('integer', 'real')"
     " AND typeof(long_per_min) IN ('integer', 'real')"
-)
-
-#: The same guard for ``causes`` rows: only numeric rows sum into
-#: ``cause_rollup``, and only they come out of it again.
-_CAUSE_GUARD = (
-    "typeof(total_ns) IN ('integer', 'real')"
-    " AND typeof(episodes) IN ('integer', 'real')"
 )
 
 #: ``sessions`` columns filled from :class:`SessionStats` fields.
@@ -213,8 +211,8 @@ class StudyWarehouse(SQLiteStore):
         stored ``trace_digest`` matches is a no-op returning ``False``;
         a *different* digest (the session was re-traced) replaces the
         row and its pattern/cause rows (:meth:`_replace_rows`). Returns
-        ``True`` when rows changed. The ``cause_rollup`` rows of the run
-        and app move with the cause rows, in the same transaction.
+        ``True`` when rows changed. The rollup rows of the run and app
+        move with the pattern and cause rows, in the same transaction.
 
         Raises:
             OSError, sqlite3.Error: the write failed — callers that sit
@@ -292,78 +290,32 @@ class StudyWarehouse(SQLiteStore):
     ) -> None:
         """Replace one (run, app, session)'s pattern and cause rows.
 
-        Runs inside the caller's transaction. The old cause rows come
-        out of ``cause_rollup`` first, read off ``causes`` itself rather
-        than via the session row, so rows an earlier sweep left without
-        a session row come out too; a rollup row whose ``rows`` count
-        reaches 0 goes. Then both tables' old rows are deleted and the
-        new ones written: ``(pattern_key, count, perceptible)`` and
-        ``(label, total_ns, episodes, perceptible_ns,
-        perceptible_episodes)``, the causes summed into the rollup. With
+        Runs inside the caller's transaction: both tables' old rows are
+        deleted and the new ones written, ``(pattern_key, count,
+        perceptible)`` and ``(label, total_ns, episodes,
+        perceptible_ns, perceptible_episodes)``. The schema's triggers
+        move ``pattern_rollup`` and ``cause_rollup`` with each row. With
         no new rows, the session's rows leave every table.
         """
-        run_id, app, _ = key
-        connection.execute(
-            "DELETE FROM patterns WHERE run_id = ? AND app = ?"
-            " AND session_id = ?",
-            key,
-        )
-        stale = connection.execute(
-            "SELECT label, total_ns, episodes, perceptible_ns,"
-            " perceptible_episodes FROM causes"
-            " WHERE run_id = ? AND app = ? AND session_id = ?"
-            f" AND {_CAUSE_GUARD}",
-            key,
-        ).fetchall()
-        if stale:
-            connection.executemany(
-                "UPDATE cause_rollup SET total_ns = total_ns - ?,"
-                " episodes = episodes - ?,"
-                " perceptible_ns = perceptible_ns - ?,"
-                " perceptible_episodes = perceptible_episodes - ?,"
-                " rows = rows - 1"
-                " WHERE run_id = ? AND label = ? AND app = ?",
-                [row[1:] + (run_id, row[0], app) for row in stale],
+        for table in ("patterns", "causes"):
+            connection.execute(
+                f"DELETE FROM {table} WHERE run_id = ? AND app = ?"
+                " AND session_id = ?",
+                key,
             )
-            connection.executemany(
-                "DELETE FROM cause_rollup WHERE run_id = ?"
-                " AND label = ? AND app = ? AND rows <= 0",
-                [(run_id, row[0], app) for row in stale],
-            )
-        connection.execute(
-            "DELETE FROM causes WHERE run_id = ? AND app = ?"
-            " AND session_id = ?",
-            key,
-        )
         connection.executemany(
             "INSERT INTO patterns (run_id, app, session_id,"
             " pattern_key, count, perceptible)"
             " VALUES (?, ?, ?, ?, ?, ?)",
             [key + row for row in pattern_rows],
         )
-        if cause_rows:
-            connection.executemany(
-                "INSERT INTO causes (run_id, app, session_id,"
-                " label, total_ns, episodes, perceptible_ns,"
-                " perceptible_episodes)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                [key + row for row in cause_rows],
-            )
-            connection.executemany(
-                "INSERT INTO cause_rollup (run_id, label, app,"
-                " total_ns, episodes, perceptible_ns,"
-                " perceptible_episodes, rows)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, 1)"
-                " ON CONFLICT(run_id, label, app) DO UPDATE SET"
-                " total_ns = total_ns + excluded.total_ns,"
-                " episodes = episodes + excluded.episodes,"
-                " perceptible_ns ="
-                "   perceptible_ns + excluded.perceptible_ns,"
-                " perceptible_episodes = perceptible_episodes"
-                "   + excluded.perceptible_episodes,"
-                " rows = rows + 1",
-                [(run_id, row[0], app) + row[1:] for row in cause_rows],
-            )
+        connection.executemany(
+            "INSERT INTO causes (run_id, app, session_id,"
+            " label, total_ns, episodes, perceptible_ns,"
+            " perceptible_episodes)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            [key + row for row in cause_rows],
+        )
 
     def ingest_trace(
         self,
@@ -655,8 +607,9 @@ class StudyWarehouse(SQLiteStore):
         (application, pattern key) ascending, so the ordering is fully
         deterministic.
 
-        ``sessions`` is the group's row count: the primary key makes
-        every row of one (app, pattern key) a distinct (run, session).
+        Reads ``pattern_rollup`` alone: one row per (run, app, pattern
+        key), summed over the runs asked for; ``sessions`` counts the
+        sessions whose numeric pattern rows the rollup holds.
         """
         if metric == "perceptible_lag":
             order = "total_perceptible DESC, total_count DESC"
@@ -667,10 +620,7 @@ class StudyWarehouse(SQLiteStore):
                 f"unknown pattern metric {metric!r};"
                 " choose from occurrences, perceptible_lag"
             )
-        clauses: List[str] = [
-            "typeof(count) IN ('integer', 'real')",
-            "typeof(perceptible) IN ('integer', 'real')",
-        ]
+        clauses: List[str] = []
         params: List[Any] = []
         if apps:
             clauses.append(_in("app", apps))
@@ -678,10 +628,11 @@ class StudyWarehouse(SQLiteStore):
         if run_ids:
             clauses.append(_in("run_id", run_ids))
             params.extend(run_ids)
+        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
         rows = self._rows(
             "SELECT app, pattern_key, SUM(count) AS total_count,"
-            " SUM(perceptible) AS total_perceptible, COUNT(*)"
-            f" FROM patterns WHERE {' AND '.join(clauses)}"
+            " SUM(perceptible) AS total_perceptible, SUM(sessions)"
+            f" FROM pattern_rollup{where}"
             " GROUP BY app, pattern_key"
             f" ORDER BY {order}, app, pattern_key"
             " LIMIT ?",
@@ -796,15 +747,16 @@ class StudyWarehouse(SQLiteStore):
             entries=entries,
         )
 
-    @staticmethod
-    def _cause_query(
-        run_id: str, apps: Optional[Sequence[str]], perceptible_only: bool
-    ) -> Tuple[str, List[Any]]:
-        """One run's ``(label, ns, episodes)`` sums off ``cause_rollup``.
+    def _cause_rows(
+        self, run_id: str, apps: Optional[Sequence[str]], perceptible_only: bool
+    ) -> List[Tuple[str, int, int]]:
+        """One run's ``(label, ns, episodes)`` sums, in label order.
 
-        The rows stream in primary-key order, so ``GROUP BY label``
-        needs no temp B-tree and they come back in label order; ``apps``
-        is a filter on the same range.
+        Reads the run's ``cause_rollup`` rows as its primary key holds
+        them, in (label, app) order with no ``GROUP BY``, and folds the
+        rows of one label in Python: summed first, then ``int()``, as
+        ``CAST(SUM(...) AS INTEGER)`` would. ``apps`` is a filter on the
+        same range.
         """
         ns, episodes = (
             ("perceptible_ns", "perceptible_episodes") if perceptible_only
@@ -815,13 +767,25 @@ class StudyWarehouse(SQLiteStore):
         if apps:
             clauses.append(_in("app", apps))
             params.extend(apps)
-        return (
-            f"SELECT label, CAST(SUM({ns}) AS INTEGER),"
-            f" CAST(SUM({episodes}) AS INTEGER)"
-            f" FROM cause_rollup WHERE {' AND '.join(clauses)}"
-            " GROUP BY label ORDER BY label",
+        rows = self._rows(
+            f"SELECT label, {ns}, {episodes} FROM cause_rollup"
+            f" WHERE {' AND '.join(clauses)} ORDER BY label, app",
             params,
         )
+        folded: List[Tuple[str, int, int]] = []
+        label = None
+        total_ns = total_episodes = 0
+        for row_label, row_ns, row_episodes in rows:
+            if row_label == label:
+                total_ns += row_ns
+                total_episodes += row_episodes
+                continue
+            if label is not None:
+                folded.append((label, int(total_ns), int(total_episodes)))
+            label, total_ns, total_episodes = row_label, row_ns, row_episodes
+        if label is not None:
+            folded.append((label, int(total_ns), int(total_episodes)))
+        return folded
 
     def cause_totals(
         self,
@@ -836,8 +800,12 @@ class StudyWarehouse(SQLiteStore):
         Labels come back in label order (deterministic regardless of
         ingest order).
         """
-        rows = self._rows(*self._cause_query(run_id, apps, perceptible_only))
-        return {label: (ns, episodes) for label, ns, episodes in rows}
+        return {
+            label: (ns, episodes)
+            for label, ns, episodes in self._cause_rows(
+                run_id, apps, perceptible_only
+            )
+        }
 
     def diff(
         self,
@@ -859,8 +827,8 @@ class StudyWarehouse(SQLiteStore):
         from repro.core.causegraph import rank_cause_deltas
 
         with self._connection():
-            rows_a = self._rows(*self._cause_query(run_a, apps, perceptible_only))
-            rows_b = self._rows(*self._cause_query(run_b, apps, perceptible_only))
+            rows_a = self._cause_rows(run_a, apps, perceptible_only)
+            rows_b = self._cause_rows(run_b, apps, perceptible_only)
         return rank_cause_deltas(rows_a, rows_b, run_a, run_b)
 
     # ------------------------------------------------------------------
@@ -877,8 +845,9 @@ class StudyWarehouse(SQLiteStore):
 
         ``max_age_s`` drops runs created earlier than ``now -
         max_age_s``; ``keep_runs`` keeps only the newest N runs. Either
-        filter alone or both together; the sessions, pattern, cause and
-        rollup rows of a dropped run go with it. Returns runs removed.
+        filter alone or both together; the sessions, pattern and cause
+        rows of a dropped run go with it, and with them its rollup rows.
+        Returns runs removed.
         """
         if max_age_s is None and keep_runs is None:
             return 0
@@ -910,10 +879,7 @@ class StudyWarehouse(SQLiteStore):
             doomed = sorted(set(doomed))
             if doomed:
                 with connection:
-                    for table in (
-                        "patterns", "causes", "cause_rollup", "sessions",
-                        "runs",
-                    ):
+                    for table in ("patterns", "causes", "sessions", "runs"):
                         connection.execute(
                             f"DELETE FROM {table}"
                             f" WHERE {_in('run_id', doomed)}",

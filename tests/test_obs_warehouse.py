@@ -654,6 +654,50 @@ class TestWarehouseCli:
                      "--series", "nope"]) == 2
         assert "--names" in capsys.readouterr().err
 
+    @pytest.fixture(params=["study-file", "future-version"])
+    def unusable_path(self, request, tmp_path):
+        path = tmp_path / "unusable.db"
+        if request.param == "study-file":
+            from repro.warehouse import StudyWarehouse
+
+            StudyWarehouse(path).record_run("run")
+        else:
+            connection = sqlite3.connect(str(path))
+            connection.executescript(Warehouse.MIGRATIONS[0])
+            connection.execute(
+                "INSERT INTO meta (key, value) VALUES ('schema_version', '99')"
+            )
+            connection.commit()
+            connection.close()
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(), ("--names",), ("--totals",), ("--series", "c")],
+        ids=["runs", "names", "totals", "series"],
+    )
+    def test_unusable_warehouse_is_exit_2(self, unusable_path, capsys, argv):
+        names = schema_names(unusable_path)
+        assert main(["obs", "query", unusable_path, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {unusable_path}: ")
+        assert schema_names(unusable_path) == names
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--series", "c", "--bucket", "fortnight"),
+            ("--percentile", "flush_ms", "--q", "1.5"),
+        ],
+        ids=["unknown-bucket", "q-out-of-range"],
+    )
+    def test_bad_query_stays_exit_1(self, warehouse_path, capsys, argv):
+        assert main(["obs", "query", str(warehouse_path), *argv]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+
     def test_slo_check_stats_file(self, tmp_path, capsys):
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps({"pending_batches": 1}),

@@ -206,7 +206,7 @@ class TestSchema:
         assert ensure_schema(connection, *walk) == SCHEMA_VERSION
         connection.close()
 
-    def test_v2_adds_quarantine_table_and_pattern_index(self, wh):
+    def test_v6_keeps_a_pattern_rollup_by_trigger_not_index(self, wh):
         wh.schema_version()
         connection = sqlite3.connect(str(wh.path))
         try:
@@ -216,10 +216,39 @@ class TestSchema:
                     "SELECT name FROM sqlite_master"
                 )
             }
+            key = [
+                row[1]
+                for row in sorted(
+                    connection.execute("PRAGMA table_info('pattern_rollup')"),
+                    key=lambda row: row[5],
+                )
+                if row[5]
+            ]
+            sql = connection.execute(
+                "SELECT sql FROM sqlite_master WHERE name = 'pattern_rollup'"
+            ).fetchone()[0]
+            triggers = sorted(
+                (row[0], row[1])
+                for row in connection.execute(
+                    "SELECT tbl_name, name FROM sqlite_master"
+                    " WHERE type = 'trigger'"
+                )
+            )
         finally:
             connection.close()
         assert "quarantine" in names
-        assert "idx_patterns_app_key" in names
+        assert key == ["run_id", "app", "pattern_key"]
+        assert sql.rstrip().endswith("WITHOUT ROWID")
+        assert triggers == [
+            ("causes", f"cause_rollup_{event}")
+            for event in ("delete", "insert", "update")
+        ] + [
+            ("patterns", f"pattern_rollup_{event}")
+            for event in ("delete", "insert", "update")
+        ]
+        # The rollup's key serves top_patterns; nothing reads the
+        # v2 app/key index any more.
+        assert "idx_patterns_app_key" not in names
 
     def test_future_version_refused(self, tmp_path):
         path = tmp_path / "future.sqlite"
@@ -680,6 +709,122 @@ class TestQueries:
         assert wh.quarantine_corrupt() == 0
         assert wh.quarantined() == []
         assert not wh.path.exists()  # queries never create the file
+
+
+# ----------------------------------------------------------------------
+# Work budgets: SQLite VM steps, which repeat exactly where wall time
+# does not
+# ----------------------------------------------------------------------
+
+
+class TestWorkBudget:
+    """``top_patterns`` reads ``pattern_rollup``, one row per (run, app,
+    pattern key), instead of summing every session's ``patterns`` rows
+    (:func:`oracle.reference_top_patterns`, the v5 statement). On a file
+    where sessions repeat their application's patterns, as a study's
+    do, that must halve the VM steps at least. The budget is relative:
+    step counts depend on the SQLite build."""
+
+    #: Steps per progress-handler call.
+    GRANULARITY = 100
+
+    @pytest.fixture(scope="class")
+    def study_file(self, tmp_path_factory) -> Path:
+        """2 runs x 3 apps x 12 sessions, each session 20 of its app's
+        30 pattern keys (1,440 pattern rows, 180 rollup rows)."""
+        import random
+
+        rng = random.Random(7)
+        wh = StudyWarehouse(tmp_path_factory.mktemp("budget") / "wh.sqlite")
+        for run_id in ("r0", "r1"):
+            for app in ("AppA", "AppB", "AppC"):
+                for index in range(12):
+                    keys = rng.sample(range(30), 20)
+                    counts = {}
+                    for key in keys:
+                        count = rng.randint(1, 9)
+                        counts[f"d(l{key})"] = (count, rng.randint(0, count))
+                    wh.ingest_session(
+                        run_id, app, f"s{index}", make_stats(app),
+                        pattern_counts=counts,
+                        trace_digest=f"{run_id}/{app}/{index}",
+                    )
+        return wh.path
+
+    @pytest.fixture()
+    def steps(self, monkeypatch):
+        """``steps(call)``: ``call()``'s answer and the VM steps of every
+        connection it opened, to the nearest :attr:`GRANULARITY`."""
+        real_connect = sqlite3.connect
+        ticks = [0]
+
+        def tick() -> int:
+            ticks[0] += 1
+            return 0
+
+        def counting(*args, **kwargs) -> sqlite3.Connection:
+            connection = real_connect(*args, **kwargs)
+            connection.set_progress_handler(tick, self.GRANULARITY)
+            return connection
+
+        monkeypatch.setattr(sqlite3, "connect", counting)
+
+        def measure(call):
+            ticks[0] = 0
+            answer = call()
+            return answer, ticks[0] * self.GRANULARITY
+
+        return measure
+
+    @pytest.mark.parametrize("metric", ("perceptible_lag", "occurrences"))
+    @pytest.mark.parametrize(
+        "run_ids", (None, ("r1",)), ids=("unfiltered", "run-filtered")
+    )
+    def test_top_patterns_takes_under_half_the_reference_steps(
+        self, study_file, steps, metric, run_ids
+    ):
+        from oracle import reference_top_patterns
+
+        wh = StudyWarehouse(study_file)
+        wh.schema_version()
+        answer, used = steps(lambda: wh.top_patterns(10, metric, None, run_ids))
+        expected, budget = steps(
+            lambda: reference_top_patterns(study_file, 10, metric, None, run_ids)
+        )
+        assert answer == expected
+        assert len(answer) == 10
+        assert 2 * used < budget, (used, budget)
+
+    def test_run_filtered_plan_searches_the_rollup_key(self, study_file):
+        wh = StudyWarehouse(study_file)
+        wh.schema_version()
+        statements: list = []
+        real_connect = sqlite3.connect
+
+        def tracing(*args, **kwargs) -> sqlite3.Connection:
+            connection = real_connect(*args, **kwargs)
+            connection.set_trace_callback(statements.append)
+            return connection
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sqlite3, "connect", tracing)
+            assert wh.top_patterns(10, run_ids=["r1"])
+        (sql,) = [s for s in statements if "pattern_rollup" in s]
+        assert "FROM patterns" not in " ".join(statements)
+        # Older Pythons trace the statement with its placeholders.
+        params = ("r1", 10) if "?" in sql else ()
+        connection = real_connect(str(study_file))
+        try:
+            plan = [
+                row[3]
+                for row in connection.execute("EXPLAIN QUERY PLAN " + sql, params)
+            ]
+        finally:
+            connection.close()
+        assert plan == [
+            "SEARCH pattern_rollup USING PRIMARY KEY (run_id=?)",
+            "USE TEMP B-TREE FOR ORDER BY",
+        ]
 
 
 # ----------------------------------------------------------------------
