@@ -36,6 +36,7 @@ from repro.core.occurrence import OccurrenceSummary
 from repro.core.statistics import SessionStats, mean_row
 from repro.core.threadstates import ThreadStateSummary
 from repro.core.triggers import TriggerSummary
+from repro.engine.cache import default_cache_dir
 from repro.engine.engine import AnalysisEngine, QuarantinedTrace
 from repro.engine.scheduler import RetryPolicy, resolve_workers, run_tasks
 from repro.faults import runtime as faults_runtime
@@ -325,8 +326,11 @@ def run_study(
                 task = functools.partial(
                     _analyze_app_task,
                     config=config,
-                    cache_dir=(
-                        str(cache_dir) if cache_dir is not None else None
+                    # Resolved here: a pool worker reads the environment
+                    # as it was when the pool started.
+                    cache_dir=str(
+                        cache_dir if cache_dir is not None
+                        else default_cache_dir()
                     ),
                     use_cache=use_cache,
                     obs_profile=(

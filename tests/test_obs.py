@@ -571,6 +571,20 @@ class TestObsCli:
         assert "slowest spans" in out
         assert "statistics" in out  # profile section
 
+    def test_report_lists_pool_starts(self, tmp_path, capsys):
+        from repro.engine.scheduler import close_pool
+
+        close_pool()
+        obs = Observer()
+        config = StudyConfig(
+            sessions=1, scale=0.03, applications=("Arabeske", "Euclide")
+        )
+        run_study(config, workers=2, cache_dir=str(tmp_path / "cache"), obs=obs)
+        bundle = obs.save(tmp_path / "bundle")
+        assert main(["obs", "report", str(bundle)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  engine.pool.starts           1" in lines
+
     def test_report_missing_bundle(self, tmp_path, capsys):
         # Exit code 2 = "no such input", distinct from 1, no traceback.
         assert main(["obs", "report", str(tmp_path / "none")]) == 2

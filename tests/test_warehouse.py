@@ -1063,6 +1063,41 @@ class TestChaos:
         assert wh.quarantine_corrupt() == 1
         assert wh.quarantined() == [("patterns", "non-numeric counts")]
 
+    def test_corrupt_cause_rows_guarded_then_quarantined(self, wh):
+        for run_id, causes in (
+            ("a", {"gc:young": (5, 1, 5, 1), "io:disk": (3, 1, 0, 0)}),
+            ("b", {"gc:young": (8, 2, 8, 2), "io:disk": (1, 1, 0, 0)}),
+        ):
+            wh.ingest_session(
+                run_id, "App", "s0", make_stats(), trace_digest=run_id,
+                causes=causes,
+            )
+        connection = sqlite3.connect(str(wh.path))
+        with connection:
+            connection.execute(
+                "UPDATE causes SET total_ns = 'x'"
+                " WHERE run_id = 'a' AND label = 'io:disk'"
+            )
+        connection.close()
+        # The rollup's guard already leaves the tampered row out...
+        totals = wh.cause_totals("a")
+        report = wh.diff("a", "b")
+        assert totals == {"gc:young": (5, 1)}
+        # ...and the sweep moves it aside without changing an answer.
+        assert wh.quarantine_corrupt() == 1
+        assert wh.quarantined() == [("causes", "non-numeric totals")]
+        assert wh.cause_totals("a") == totals
+        assert wh.diff("a", "b") == report
+        connection = sqlite3.connect(str(wh.path))
+        try:
+            labels = connection.execute(
+                "SELECT run_id, label FROM causes ORDER BY run_id, label"
+            ).fetchall()
+        finally:
+            connection.close()
+        assert labels == [("a", "gc:young"), ("b", "gc:young"), ("b", "io:disk")]
+        assert wh.quarantine_corrupt() == 0
+
     def test_quarantine_on_clean_warehouse_sweeps_nothing(self, wh):
         wh.ingest_session("r", "App", "s0", make_stats())
         assert wh.quarantine_corrupt() == 0
