@@ -19,6 +19,20 @@ from repro.core.errors import LagAlyzerError
 #: Version this code writes; files at lower versions migrate up on open.
 SCHEMA_VERSION = 6
 
+#: The columns a pattern row and a cause row must hold numbers in to be
+#: summed into their rollups. A row failing its guard counts in no
+#: answer, and :meth:`StudyWarehouse.quarantine_corrupt` sweeps it out.
+PATTERN_GUARD: Tuple[str, ...] = ("count", "perceptible")
+CAUSE_GUARD: Tuple[str, ...] = ("total_ns", "episodes")
+
+
+def numeric(columns: Tuple[str, ...], row: str = "") -> str:
+    """SQL that holds when each of ``columns`` (of ``row``) is a number."""
+    prefix = f"{row}." if row else ""
+    return " AND ".join(
+        f"typeof({prefix}{column}) IN ('integer', 'real')" for column in columns
+    )
+
 # Version 1: the core study tables — runs, per-session summaries, and
 # per-session pattern occurrence rows.
 _V1 = """
@@ -164,11 +178,6 @@ def _rollup_triggers(
     guard is never summed, so it is never subtracted either.
     """
 
-    def passes(row: str) -> str:
-        return " AND ".join(
-            f"typeof({row}.{column}) IN ('integer', 'real')" for column in guard
-        )
-
     def add(condition: str = "") -> str:
         new = ", ".join("NEW." + column for column in key + values)
         rows = f"SELECT {new}, 1 WHERE {condition}" if condition else (
@@ -195,11 +204,12 @@ def _rollup_triggers(
     # update checks the old and the new row each in its own statement.
     return (
         f"CREATE TRIGGER {rollup}_insert AFTER INSERT ON {source}"
-        f" WHEN {passes('NEW')} BEGIN {add()} END;\n"
+        f" WHEN {numeric(guard, 'NEW')} BEGIN {add()} END;\n"
         f"CREATE TRIGGER {rollup}_delete AFTER DELETE ON {source}"
-        f" WHEN {passes('OLD')} BEGIN {subtract()} END;\n"
+        f" WHEN {numeric(guard, 'OLD')} BEGIN {subtract()} END;\n"
         f"CREATE TRIGGER {rollup}_update AFTER UPDATE ON {source}"
-        f" BEGIN {subtract(passes('OLD'))} {add(passes('NEW'))} END;\n"
+        f" BEGIN {subtract(numeric(guard, 'OLD'))} {add(numeric(guard, 'NEW'))}"
+        " END;\n"
     )
 
 
@@ -226,8 +236,7 @@ INSERT INTO pattern_rollup (run_id, app, pattern_key, count, perceptible,
     sessions)
     SELECT run_id, app, pattern_key, SUM(count), SUM(perceptible), COUNT(*)
     FROM patterns
-    WHERE typeof(count) IN ('integer', 'real')
-    AND typeof(perceptible) IN ('integer', 'real')
+    WHERE """ + numeric(PATTERN_GUARD) + """
     GROUP BY run_id, app, pattern_key;
 DELETE FROM cause_rollup;
 INSERT INTO cause_rollup (run_id, label, app, total_ns, episodes,
@@ -235,17 +244,16 @@ INSERT INTO cause_rollup (run_id, label, app, total_ns, episodes,
     SELECT run_id, label, app, SUM(total_ns), SUM(episodes),
     SUM(perceptible_ns), SUM(perceptible_episodes), COUNT(*)
     FROM causes
-    WHERE typeof(total_ns) IN ('integer', 'real')
-    AND typeof(episodes) IN ('integer', 'real')
+    WHERE """ + numeric(CAUSE_GUARD) + """
     GROUP BY run_id, label, app;
 DROP INDEX IF EXISTS idx_patterns_app_key;
 """ + _rollup_triggers(
     "patterns", "pattern_rollup", ("run_id", "app", "pattern_key"),
-    ("count", "perceptible"), "sessions", ("count", "perceptible"),
+    ("count", "perceptible"), "sessions", PATTERN_GUARD,
 ) + _rollup_triggers(
     "causes", "cause_rollup", ("run_id", "label", "app"),
     ("total_ns", "episodes", "perceptible_ns", "perceptible_episodes"),
-    "rows", ("total_ns", "episodes"),
+    "rows", CAUSE_GUARD,
 )
 
 #: ``MIGRATIONS[n]`` migrates a version-``n`` database to ``n + 1``.
