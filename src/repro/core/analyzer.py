@@ -142,7 +142,11 @@ class LagAlyzer:
         a single entry or a sequence. Both the text and the `.lilac`
         encodings are accepted; the format is detected per file. With
         ``workers > 1`` files are parsed in parallel processes via the
-        engine (``0`` means one worker per CPU).
+        engine (``0`` means one worker per CPU), and each worker also
+        maps the trace it parsed with every registered analysis under
+        ``config``: a later ``summaries(engine=...)`` under the same
+        config and registry then stores those partials and ships no
+        trace to a worker.
         """
         from repro.engine.engine import AnalysisEngine
         from repro.lila.autodetect import expand_trace_paths
@@ -156,8 +160,9 @@ class LagAlyzer:
                 entries.append(item)
             else:
                 entries.extend(expand_trace_paths(item))
+        config = config or AnalysisConfig()
         engine = AnalysisEngine(workers=workers, use_cache=False, obs=obs)
-        traces = engine.load_traces(entries)
+        traces = engine.load_traces(entries, config=config)
         return cls(traces, config=config, obs=obs)
 
     # ------------------------------------------------------------------

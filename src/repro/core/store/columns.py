@@ -273,7 +273,9 @@ class ColumnarTrace:
     # File-backed stores pickle as just their `.lilac` path: the worker
     # re-opens the file via mmap (zero copied column bytes, shared page
     # cache) instead of receiving the columns by value. In-memory
-    # stores ship their columns as before, minus derived caches.
+    # stores ship their columns as before, minus derived caches and
+    # the partials a pooled load memoized for its dispatcher
+    # (``_partials_memo``, see AnalysisEngine.load_traces).
 
     def __getstate__(self) -> dict:
         # A store pickled by value carries decoded tables, never a loader.
@@ -282,6 +284,7 @@ class ColumnarTrace:
         state["_episode_rows_cache"] = {}
         state["_key_cache"] = {}
         state["backing"] = None
+        state.pop("_partials_memo", None)
         # The intern table is pure aliasing over ``strings`` /
         # ``_strings_map``; rebuilding it on restore keeps the pickle
         # byte-stable (and smaller) across pickling round-trips.

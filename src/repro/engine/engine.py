@@ -16,7 +16,9 @@ knows three tricks, all behind the uniform
    different traces run in parallel processes, one task per *trace*
    (columns pickled to a worker once, not once per analysis; serial
    fallback when a pool is unavailable; see
-   :mod:`repro.engine.scheduler`).
+   :mod:`repro.engine.scheduler`). A pooled load maps each trace in
+   the task that parsed it, so a later map under the same config and
+   registry ships no trace at all.
 3. **Content-addressed caching** — the fused pass's whole partial
    bundle is stored as one entry keyed by (trace digest, config
    fingerprint, plan fingerprint, code version), for single- and
@@ -27,6 +29,7 @@ knows three tricks, all behind the uniform
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -41,7 +44,13 @@ from repro.engine.cache import (
     bundle_parts,
     config_fingerprint,
 )
-from repro.engine.scheduler import RetryPolicy, resolve_workers, run_tasks
+from repro.engine.scheduler import (
+    RetryPolicy,
+    _registry_state,
+    fans_out,
+    resolve_workers,
+    run_tasks,
+)
 from repro.faults import runtime as faults_runtime
 from repro.lila.digest import trace_digest
 from repro.obs import Observer
@@ -96,6 +105,9 @@ def _obs_map_task(
     process) spans land there directly and no snapshot is returned.
     """
     trace, names, config, profile = task
+    if isinstance(trace, bytes):
+        # Pickled by the dispatcher, which counted its bytes.
+        trace = pickle.loads(trace)
     if obs_runtime.current() is not None:
         return _map_task((trace, names, config)), None
     worker = Observer(profile=profile)
@@ -107,18 +119,29 @@ def _obs_map_task(
     return partials, worker.snapshot()
 
 
-def _load_task(entry: Any) -> Trace:
-    """Worker: load and digest one trace from a file path or a source.
+def _load_task(
+    task: Tuple[Any, Optional[Tuple[Tuple[str, ...], Any]]]
+) -> Tuple[Trace, Optional[List[Any]]]:
+    """Worker: load and digest one trace, then map it if asked to.
 
-    The digest is memoized on the trace's columnar store, which carries
-    it back to the dispatching process, so the cache probe never
-    re-serializes a loaded trace. A trace whose canonical text cannot
-    be produced (a symbol the format forbids) fails here, stamped with
-    its path, instead of at its first cached run.
+    The task is ``(entry, ahead)``: a file path or a source, and
+    ``(names, config)`` or None. The digest is memoized on the trace's
+    columnar store, which carries it back to the dispatching process,
+    so the cache probe never re-serializes a loaded trace. A trace
+    whose canonical text cannot be produced (a symbol the format
+    forbids) fails here, stamped with its path, instead of at its first
+    cached run.
+
+    With ``ahead``, the task also runs the fused pass of ``names`` over
+    the trace it just parsed and returns the partials with the trace.
+    A map failure is not a load failure: the trace then comes back
+    without partials, and its later map raises or quarantines it as it
+    would have.
     """
     from repro.lila.autodetect import load_trace
     from repro.lila.source import TraceSource, build_trace
 
+    entry, ahead = task
     if isinstance(entry, TraceSource):
         trace = build_trace(entry)
         path = entry.path
@@ -131,18 +154,75 @@ def _load_task(entry: Any) -> Trace:
         if error.path is None:
             error.path = path
         raise
-    return trace
+    if ahead is None:
+        return trace, None
+    names, config = ahead
+    try:
+        return trace, _map_task((trace, names, config))
+    except Exception:
+        # Not a load failure: the trace's later map runs the same code
+        # and raises or quarantines there, as after a serial load.
+        return trace, None
 
 
-def _obs_load_task(task: Tuple[Any, bool]) -> Tuple[Trace, Optional[dict]]:
-    """Worker: ``_load_task`` plus the worker's observability snapshot."""
-    entry, profile = task
+def _obs_load_task(
+    task: Tuple[Any, Optional[tuple], bool]
+) -> Tuple[Tuple[Any, Optional[List[Any]]], Optional[dict]]:
+    """Worker: ``_load_task`` plus the worker's observability snapshot.
+
+    In a worker the trace goes back pickled by the task itself, so its
+    bytes are counted without a second pickle.
+    """
+    entry, ahead, profile = task
     if obs_runtime.current() is not None:
-        return _load_task(entry), None
+        return _load_task((entry, ahead)), None
     worker = Observer(profile=profile)
     with obs_runtime.installed(worker):
-        trace = _load_task(entry)
-    return trace, worker.snapshot()
+        trace, partials = _load_task((entry, ahead))
+        payload = _counted_pickle(trace, "engine.trace_bytes_in")
+    return (payload, partials), worker.snapshot()
+
+
+def _counted_pickle(trace: Trace, metric: str) -> bytes:
+    """``trace`` pickled for a pooled task, its size counted as ``metric``.
+
+    The task carries these bytes in place of the trace. A file-backed
+    store pickles as its `.lilac` path; its column bytes reach the
+    other process by mmap and count as ``store.zero_copy_bytes``.
+    """
+    payload = pickle.dumps(trace)
+    obs_runtime.count(metric, len(payload))
+    backing = getattr(getattr(trace, "columnar", None), "backing", None)
+    if backing is not None:
+        obs_runtime.count("store.zero_copy_bytes", backing.nbytes)
+    return payload
+
+
+def _memo_key(config: Any) -> Tuple[Tuple[str, Tuple[Any, ...]], Tuple[Any, ...]]:
+    """``(key, pins)`` of the partials a pooled load maps under ``config``.
+
+    The key pairs the config fingerprint with the registry state a
+    worker forked now runs (see :func:`~repro.engine.scheduler._make_pool`).
+    A memo holds the ``pins``, the registry objects behind the key's
+    identities, so no id in its key is reused while it lives.
+    """
+    fingerprint, pins = _registry_state()
+    return (config_fingerprint(config), fingerprint), pins
+
+
+def _loaded_partials(
+    memo: Tuple[Any, Any, Dict[str, Any]],
+    key: Tuple[Any, ...],
+    names: Sequence[str],
+) -> Optional[Dict[str, Any]]:
+    """The partials of ``names`` in a pooled load's ``memo``, if it was
+    mapped under ``key``; None otherwise."""
+    if memo[0] != key:
+        return None
+    partials = memo[2]
+    if not all(name in partials for name in names):
+        return None
+    return {name: partials[name] for name in names}
 
 
 def _entry_label(entry: Any) -> str:
@@ -216,11 +296,13 @@ class AnalysisEngine:
     ) -> Dict[str, List[Any]]:
         """Partials for every (analysis, trace) pair, in trace order.
 
-        Each trace is probed with one bundle read. Only the traces that
-        miss are mapped, in one fused pass each, and fanned out to
-        worker processes as one task per trace, so each trace is
-        pickled to a worker at most once. Each freshly mapped trace is
-        stored as one bundle.
+        Each trace is probed with one bundle read. A trace that misses
+        is served from the partials its pooled load mapped when they
+        match this config and the current registry (see
+        :meth:`load_traces`); the rest are mapped, in one fused pass
+        each, and fanned out to worker processes as one task per
+        trace, so each trace is pickled to a worker at most once.
+        Every trace that missed is stored as one bundle.
         """
         for name in analysis_names:
             get_analysis(name)
@@ -266,27 +348,45 @@ class AnalysisEngine:
                                 results[name][index] = bundle[name]
                             continue
                     missing.append(index)
-            if missing:
+            # A trace its pooled load mapped under this config and
+            # registry is not shipped: the memo's partials are stored as
+            # a fresh map's would be.
+            shipped: List[int] = []
+            memo_key: Optional[Tuple[Any, ...]] = None
+            for index in missing:
+                trace = traces[index]
+                memo = getattr(
+                    getattr(trace, "columnar", None), "_partials_memo", None
+                )
+                partials = None
+                if memo is not None:
+                    if memo_key is None:
+                        memo_key = _memo_key(config)[0]
+                    partials = _loaded_partials(memo, memo_key, names)
+                if partials is None:
+                    shipped.append(index)
+                    continue
+                obs_runtime.count("engine.loaded_partials")
+                for name in names:
+                    results[name][index] = partials[name]
+                if cache is not None:
+                    self._put_bundle(
+                        trace, digests[index], partials, names, config,
+                        fingerprint, plan_fp,
+                    )
+            if shipped:
                 if obs is not None:
-                    obs.metrics.inc("engine.tasks", len(missing))
-                    for index in missing:
-                        backing = getattr(
-                            getattr(traces[index], "columnar", None),
-                            "backing",
-                            None,
-                        )
-                        if backing is not None:
-                            # File-backed stores pickle as their path:
-                            # these column bytes reach the worker by
-                            # mmap, not through the task pipe.
-                            obs.metrics.inc(
-                                "store.zero_copy_bytes", backing.nbytes
-                            )
+                    obs.metrics.inc("engine.tasks", len(shipped))
+                    pickled = fans_out(self.workers, len(shipped))
                     profile = obs.profiler is not None
-                    tasks: List[Any] = [
-                        (traces[index], names, config, profile)
-                        for index in missing
-                    ]
+                    tasks: List[Any] = []
+                    for index in shipped:
+                        trace = traces[index]
+                        if pickled:
+                            trace = _counted_pickle(
+                                trace, "engine.trace_bytes_out"
+                            )
+                        tasks.append((trace, names, config, profile))
                     task_func: Any = _obs_map_task
                     parent_id = (
                         dispatch_span.span_id
@@ -294,7 +394,7 @@ class AnalysisEngine:
                         else None
                     )
                 else:
-                    tasks = [(traces[index], names, config) for index in missing]
+                    tasks = [(traces[index], names, config) for index in shipped]
                     task_func = _map_task
                 outcomes = run_tasks(
                     task_func,
@@ -304,7 +404,7 @@ class AnalysisEngine:
                     retry=self.retry,
                     quarantine_types=QUARANTINE_ERRORS,
                 )
-                for index, outcome in zip(missing, outcomes):
+                for index, outcome in zip(shipped, outcomes):
                     trace = traces[index]
                     if outcome.quarantined:
                         # A quarantined trace gets no bundle.
@@ -325,31 +425,11 @@ class AnalysisEngine:
                     partials = dict(zip(names, partial_list))
                     for name in names:
                         results[name][index] = partials[name]
-                    if cache is None:
-                        continue
-                    digest = digests[index]
-                    backing = getattr(
-                        getattr(trace, "columnar", None), "backing", None
-                    )
-                    meta = {
-                        "application": trace.application,
-                        "session_id": trace.metadata.session_id,
-                        "trace_digest": digest,
-                        "config_fingerprint": fingerprint,
-                        "plan_fingerprint": plan_fp,
-                        "family": trace.metadata.extra.get("family", "gui"),
-                        "analyses": sorted(names),
-                        "threshold_ms": getattr(
-                            config, "perceptible_threshold_ms", None
-                        ),
-                        "column_file": (
-                            str(backing.path) if backing is not None else None
-                        ),
-                    }
-                    cache.put_bundle(
-                        ResultCache.bundle_key(digest, fingerprint, plan_fp),
-                        bundle_envelope(partials, meta),
-                    )
+                    if cache is not None:
+                        self._put_bundle(
+                            trace, digests[index], partials, names, config,
+                            fingerprint, plan_fp,
+                        )
             if self.quarantined:
                 # A quarantined trace contributes nothing to any result
                 # list.
@@ -361,6 +441,34 @@ class AnalysisEngine:
                         if index not in dead
                     ]
         return results
+
+    def _put_bundle(
+        self,
+        trace: Trace,
+        digest: str,
+        partials: Dict[str, Any],
+        names: Tuple[str, ...],
+        config: Any,
+        fingerprint: str,
+        plan_fp: str,
+    ) -> None:
+        """Store one trace's fused-pass ``partials`` as its bundle."""
+        backing = getattr(getattr(trace, "columnar", None), "backing", None)
+        meta = {
+            "application": trace.application,
+            "session_id": trace.metadata.session_id,
+            "trace_digest": digest,
+            "config_fingerprint": fingerprint,
+            "plan_fingerprint": plan_fp,
+            "family": trace.metadata.extra.get("family", "gui"),
+            "analyses": sorted(names),
+            "threshold_ms": getattr(config, "perceptible_threshold_ms", None),
+            "column_file": str(backing.path) if backing is not None else None,
+        }
+        self.cache.put_bundle(
+            ResultCache.bundle_key(digest, fingerprint, plan_fp),
+            bundle_envelope(partials, meta),
+        )
 
     # ------------------------------------------------------------------
     # Summaries
@@ -410,6 +518,7 @@ class AnalysisEngine:
         self,
         paths: Sequence[Any],
         on_error: str = "raise",
+        config: Any = None,
     ) -> List[Trace]:
         """Load traces, fanning the parsing out across workers.
 
@@ -422,6 +531,14 @@ class AnalysisEngine:
                 failure; ``"quarantine"`` skips unreadable/damaged
                 files, records them on :attr:`quarantined`, and returns
                 the traces that loaded.
+            config: an analysis config. When the load fans out to the
+                pool, each load task also maps its trace with every
+                registered analysis under ``config`` and returns the
+                partials with it. They are memoized on the trace's
+                columnar store, so a later :meth:`map_traces` under the
+                same config and registry stores them as the trace's
+                bundle and ships the trace to no worker. A serial load
+                maps nothing ahead.
         """
         from repro.lila.source import TraceSource
         if on_error not in ("raise", "quarantine"):
@@ -439,13 +556,18 @@ class AnalysisEngine:
                     path if isinstance(path, TraceSource) else str(path)
                     for path in paths
                 ]
+                ahead: Optional[Tuple[Tuple[str, ...], Any]] = None
+                if config is not None and fans_out(self.workers, len(entries)):
+                    names = tuple(REGISTRY)
+                    memo_key, pins = _memo_key(config)
+                    ahead = (names, config)
                 if obs is None:
                     task_func: Any = _load_task
-                    tasks: List[Any] = entries
+                    tasks: List[Any] = [(entry, ahead) for entry in entries]
                 else:
                     profile = obs.profiler is not None
                     task_func = _obs_load_task
-                    tasks = [(entry, profile) for entry in entries]
+                    tasks = [(entry, ahead, profile) for entry in entries]
                 outcomes = run_tasks(
                     task_func,
                     tasks,
@@ -470,11 +592,19 @@ class AnalysisEngine:
                         )
                         continue
                     if obs is None:
-                        traces.append(outcome.value)
+                        trace, partial_list = outcome.value
                     else:
-                        trace, snapshot = outcome.value
+                        (trace, partial_list), snapshot = outcome.value
                         obs.absorb(snapshot, parent_id=parent_id)
-                        traces.append(trace)
+                        if isinstance(trace, bytes):
+                            trace = pickle.loads(trace)
+                    if partial_list is not None:
+                        # Beside the digest memo; never pickled (see
+                        # ColumnarTrace.__getstate__).
+                        trace.columnar._partials_memo = (
+                            memo_key, pins, dict(zip(names, partial_list))
+                        )
+                    traces.append(trace)
                 return traces
 
     # ------------------------------------------------------------------

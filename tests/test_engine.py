@@ -24,6 +24,7 @@ from repro.apps.sessions import simulate_sessions
 from repro.core.analyses import (
     REGISTRY,
     OccurrenceAnalysis,
+    TriggerAnalysis,
     get_analysis,
     register,
 )
@@ -546,6 +547,30 @@ print(*sorted(child.pid for child in multiprocessing.active_children()))
 """
 
 
+_HUNG_WORKER = """
+import sys
+
+from repro.engine.scheduler import run_tasks
+from repro.faults import FaultInjector, FaultPlan, FaultRule
+from repro.faults import runtime as faults_runtime
+
+plan = FaultPlan(
+    seed=3, rules=(FaultRule(kind="worker_hang", at=("0",), seconds=10.0),)
+)
+with faults_runtime.installed(FaultInjector(plan)):
+    outcomes = run_tasks(abs, [-1, -2, -3], workers=2, timeout=0.3)
+print(*[outcome.value for outcome in outcomes])
+"""
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(scheduler.__file__).parents[2]), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
 def _pooled_child(results):
     """A multiprocessing child that starts a pool of its own and returns."""
     outcomes = run_tasks(abs, [-1, -2, -3], workers=2)
@@ -806,13 +831,9 @@ class TestPool:
             str(write_trace(trace, tmp_path / f"s{index}.lila"))
             for index, trace in enumerate(trace_sets[SEEDS[0]])
         ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(scheduler.__file__).parents[2]), env.get("PYTHONPATH", "")]
-        )
         done = subprocess.run(
             [sys.executable, "-c", _POOLED_LOAD, *paths],
-            capture_output=True, text=True, timeout=120, env=env,
+            capture_output=True, text=True, timeout=120, env=_subprocess_env(),
         )
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
@@ -838,6 +859,250 @@ class TestPool:
             if child.is_alive():
                 child.kill()
                 child.join()
+
+    def test_hung_worker_does_not_delay_exit(self):
+        """A timed-out pool's workers are terminated: the process exits
+        long before its hung worker would have returned."""
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", _HUNG_WORKER],
+            capture_output=True, text=True, timeout=120, env=_subprocess_env(),
+        )
+        elapsed = time.monotonic() - start
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "2", "3"]
+        assert elapsed < 5.0, f"exit took {elapsed:.2f} s"
+
+
+def _perceptible_triggers_map(self, ctx):
+    """``triggers``' map with its whole-population half replaced by the
+    perceptible one, so every summary it reduces to differs."""
+    partial = TriggerAnalysis.map_context(self, ctx)
+    return dataclasses.replace(partial, all=partial.perceptible)
+
+
+class _PerceptibleTriggers(TriggerAnalysis):
+    map_context = _perceptible_triggers_map
+
+
+class _FailsOnOneTrace(OccurrenceAnalysis):
+    """An analysis whose map raises ``error`` on ``session-1`` only."""
+
+    name = "test-fails-on-one"
+
+    def __init__(self, error):
+        self.error = error
+
+    def map_context(self, ctx):
+        if ctx.store.metadata.session_id == "session-1":
+            raise self.error
+        return super().map_context(ctx)
+
+
+class TestLoadMapsAhead:
+    """A pooled ``LagAlyzer.load`` maps each trace where it parsed it;
+    ``summaries(engine=...)`` stores those partials and ships no trace,
+    and serves them nowhere else."""
+
+    CONFIG = AnalysisConfig()
+
+    @pytest.fixture
+    def obs(self):
+        scheduler.close_pool()
+        observer = Observer()
+        with obs_runtime.installed(observer):
+            yield observer
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ahead")
+        traces = simulate_sessions("CrosswordSage", count=3, seed=7, scale=0.04)
+        return [
+            write_trace(trace, root / f"s{index}.lila")
+            for index, trace in enumerate(traces)
+        ]
+
+    @staticmethod
+    def _counter(obs, name):
+        return obs.metrics.counter_value(name)
+
+    @staticmethod
+    def _serial(paths, config=None):
+        return pickle.dumps(LagAlyzer.load(paths, config=config).summaries())
+
+    def test_budget_cold_two_application_sequence_ships_no_trace_out(
+        self, obs, tmp_path
+    ):
+        """A cold load + summaries of two applications at workers=2
+        submits no map task, ships no trace to a worker and stores one
+        bundle per trace."""
+        cache_dir = tmp_path / "cache"
+        loaded = 0
+        for app, seed in (("CrosswordSage", 3), ("JFreeChart", 4)):
+            paths = TestPool._app_files(tmp_path, app, seed)
+            analyzer = LagAlyzer.load(paths, workers=2)
+            engine = AnalysisEngine(workers=2, cache_dir=cache_dir)
+            results = analyzer.summaries(engine=engine)
+            assert pickle.dumps(results) == self._serial(paths), app
+            assert engine.cache.stats.stores == len(paths)
+            loaded += len(paths)
+        assert self._counter(obs, "engine.tasks") == 0
+        assert self._counter(obs, "engine.trace_bytes_out") == 0
+        assert self._counter(obs, "engine.trace_bytes_in") > 0
+        assert self._counter(obs, "engine.loaded_partials") == loaded
+        assert len(list(ResultCache(cache_dir).iter_bundles())) == loaded
+
+    @pytest.mark.parametrize("observed", (False, True))
+    def test_pooled_trace_pickles_as_the_serial_one(self, paths, observed):
+        obs = Observer() if observed else None
+        pooled = LagAlyzer.load(paths, workers=2, obs=obs).traces
+        serial = LagAlyzer.load(paths).traces
+        assert all(
+            hasattr(trace.columnar, "_partials_memo") for trace in pooled
+        )
+        assert [pickle.dumps(trace) for trace in pooled] == [
+            pickle.dumps(trace) for trace in serial
+        ]
+
+    def test_bundles_match_the_serial_map(self, paths, tmp_path):
+        pooled = AnalysisEngine(workers=2, cache_dir=tmp_path / "pooled")
+        LagAlyzer.load(paths, workers=2).summaries(engine=pooled)
+        serial = AnalysisEngine(workers=1, cache_dir=tmp_path / "serial")
+        LagAlyzer.load(paths).summaries(engine=serial)
+
+        def decoded(cache):
+            return [
+                (
+                    record.key,
+                    record.meta,
+                    {name: pickle.dumps(part) for name, part in record.partials.items()},
+                )
+                for record in cache.iter_bundles()
+            ]
+
+        assert decoded(pooled.cache) == decoded(serial.cache)
+        assert len(decoded(serial.cache)) == len(paths)
+
+    def test_serial_load_maps_nothing_ahead(self, paths):
+        loaded = LagAlyzer.load(paths, workers=1).traces
+        assert not any(
+            hasattr(trace.columnar, "_partials_memo") for trace in loaded
+        )
+
+    def test_reregistered_analysis_maps_again(self, obs, paths):
+        analyzer = LagAlyzer.load(paths, workers=2)
+        original = get_analysis("triggers")
+        register(_PerceptibleTriggers(), replace=True)
+        try:
+            got = analyzer.summaries(
+                engine=AnalysisEngine(workers=2, use_cache=False)
+            )
+            expected = self._serial(paths)
+        finally:
+            register(original, replace=True)
+        assert pickle.dumps(got) == expected
+        assert expected != self._serial(paths)
+        assert self._counter(obs, "engine.loaded_partials") == 0
+
+    def test_patched_analysis_method_maps_again(self, obs, paths):
+        analyzer = LagAlyzer.load(paths, workers=2)
+        analysis = get_analysis("triggers")
+        analysis.map_context = _perceptible_triggers_map.__get__(analysis)
+        try:
+            got = analyzer.summaries(
+                engine=AnalysisEngine(workers=2, use_cache=False)
+            )
+            expected = self._serial(paths)
+        finally:
+            del analysis.map_context
+        assert pickle.dumps(got) == expected
+        assert expected != self._serial(paths)
+        assert self._counter(obs, "engine.loaded_partials") == 0
+
+    def test_another_config_maps_as_before(self, obs, paths):
+        loaded = LagAlyzer.load(paths, workers=2)
+        config = self.CONFIG.with_threshold(30.0)
+        analyzer = LagAlyzer.from_traces(loaded.traces, config=config)
+        engine = AnalysisEngine(workers=2, use_cache=False)
+        got = analyzer.summaries(engine=engine)
+        assert pickle.dumps(got) == self._serial(paths, config)
+        assert self._serial(paths, config) != self._serial(paths)
+        assert self._counter(obs, "engine.tasks") == len(paths)
+        assert self._counter(obs, "engine.loaded_partials") == 0
+
+    @pytest.mark.parametrize(
+        "error", (TraceFormatError("damaged"), ValueError("bug")),
+        ids=["quarantined", "raised"],
+    )
+    def test_map_error_at_load_surfaces_at_the_map(self, paths, error):
+        register(_FailsOnOneTrace(error))
+        outcomes = []
+        try:
+            for workers in (1, 2):
+                analyzer = LagAlyzer.load(paths, workers=workers)
+                assert len(analyzer.traces) == len(paths)
+                engine = AnalysisEngine(workers=workers, use_cache=False)
+                try:
+                    results = pickle.dumps(analyzer.summaries(engine=engine))
+                except ValueError as raised:
+                    results = repr(raised)
+                outcomes.append(
+                    (results, [entry.describe() for entry in engine.quarantined])
+                )
+        finally:
+            del REGISTRY["test-fails-on-one"]
+        assert outcomes[0] == outcomes[1]
+        if isinstance(error, ValueError):
+            assert outcomes[0] == (repr(error), [])
+        else:
+            assert outcomes[0][1] == [f"CrosswordSage/session-1: {error!r}"]
+
+    def test_trace_map_fault_quarantines_the_same_traces(self, paths):
+        plan = FaultPlan(
+            seed=5,
+            rules=(
+                FaultRule(
+                    kind="trace_truncated",
+                    site="trace.map",
+                    at=("CrosswordSage/session-1",),
+                ),
+            ),
+        )
+        outcomes = []
+        for workers in (1, 2):
+            with faults_runtime.installed(FaultInjector(plan)):
+                analyzer = LagAlyzer.load(paths, workers=workers)
+                engine = AnalysisEngine(workers=workers, use_cache=False)
+                results = analyzer.summaries(engine=engine)
+            outcomes.append(
+                (
+                    pickle.dumps(results),
+                    [entry.session_id for entry in engine.quarantined],
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == ["session-1"]
+
+    def test_file_backed_traces_count_zero_copy_bytes(self, obs, paths, tmp_path):
+        from repro.lila.colfile import open_column_store, write_column_file
+
+        lilac = []
+        for path in paths:
+            store = LagAlyzer.load([path]).traces[0].columnar
+            lilac.append(write_column_file(store, tmp_path / f"{path.stem}.lilac"))
+        loaded = LagAlyzer.load(lilac, workers=2)
+        nbytes = sum(open_column_store(path).backing.nbytes for path in lilac)
+        assert self._counter(obs, "store.zero_copy_bytes") == nbytes
+        # A file-backed store pickles as its path.
+        assert 0 < self._counter(obs, "engine.trace_bytes_in") < 1024 * len(lilac)
+        got = LagAlyzer.from_traces(
+            loaded.traces, config=self.CONFIG.with_threshold(30.0)
+        ).summaries(engine=AnalysisEngine(workers=2, use_cache=False))
+        assert pickle.dumps(got) == self._serial(
+            lilac, self.CONFIG.with_threshold(30.0)
+        )
+        assert self._counter(obs, "store.zero_copy_bytes") == 2 * nbytes
+        assert 0 < self._counter(obs, "engine.trace_bytes_out") < 1024 * len(lilac)
 
 
 class TestStudyParallelism:

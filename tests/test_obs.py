@@ -585,6 +585,37 @@ class TestObsCli:
         lines = capsys.readouterr().out.splitlines()
         assert "  engine.pool.starts           1" in lines
 
+    def test_report_lists_task_payload_counters(self, tmp_path, capsys):
+        from repro import LagAlyzer
+        from repro.lila.writer import write_trace
+
+        paths = [
+            write_trace(trace, tmp_path / f"s{index}.lila")
+            for index, trace in enumerate(
+                simulate_sessions("Euclide", count=2, seed=2, scale=0.03)
+            )
+        ]
+        obs = Observer()
+        loaded = LagAlyzer.load(paths, workers=2, obs=obs)
+        # The loaded partials serve the first config; the second ships.
+        for config in (loaded.config, loaded.config.with_threshold(30.0)):
+            LagAlyzer.from_traces(loaded.traces, config=config, obs=obs).summaries(
+                engine=AnalysisEngine(workers=2, use_cache=False, obs=obs)
+            )
+        bundle = obs.save(tmp_path / "bundle")
+        assert main(["obs", "report", str(bundle)]) == 0
+        counters = {
+            line.split()[0]: int(line.split()[1])
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  engine.")
+            and len(line.split()) == 2
+            and line.split()[1].isdigit()
+        }
+        assert counters["engine.loaded_partials"] == 2
+        assert counters["engine.tasks"] == 2
+        assert counters["engine.trace_bytes_in"] > 0
+        assert counters["engine.trace_bytes_out"] == counters["engine.trace_bytes_in"]
+
     def test_report_missing_bundle(self, tmp_path, capsys):
         # Exit code 2 = "no such input", distinct from 1, no traceback.
         assert main(["obs", "report", str(tmp_path / "none")]) == 2
