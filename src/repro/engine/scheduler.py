@@ -402,7 +402,6 @@ def parallel_map(
     func: Callable[[T], R],
     items: Iterable[T],
     workers: Optional[int] = 1,
-    chunksize: int = 1,
 ) -> List[R]:
     """``[func(x) for x in items]``, fanned out over processes.
 
@@ -411,11 +410,9 @@ def parallel_map(
     matches item order. Exceptions raised by ``func`` propagate; only
     *pool infrastructure* failures (no process support, a worker dying
     without raising, a per-task timeout) trigger serial re-execution of
-    the unfinished work. ``chunksize`` is accepted for backward
-    compatibility and ignored (tasks are submitted individually so
-    partial completion survives a pool break).
+    the unfinished work. Tasks are submitted one by one, so partial
+    completion survives a pool break.
     """
-    del chunksize
     outcomes = run_tasks(func, items, workers=workers, retry=_NO_RETRY)
     return [outcome.value for outcome in outcomes]
 

@@ -33,7 +33,7 @@ Enable by constructing an :class:`Observer` and passing it to
 
 When no observer is installed every instrumentation site reduces to a
 single ``is None`` branch (see :mod:`repro.obs.runtime` and
-``benchmarks/bench_obs_overhead.py``).
+``benchmarks/bench_gates.py``).
 """
 
 from repro.obs.context import TraceContext

@@ -7,7 +7,7 @@ signature. Instead an :class:`~repro.obs.observer.Observer` is
 it through the helpers here. Every helper starts with the same single
 branch — ``if _current is None: return`` — so the disabled mode costs
 one global read and one comparison per site (verified by
-``benchmarks/bench_obs_overhead.py``).
+``benchmarks/bench_gates.py``).
 
 Worker processes never *use* the parent's observer: on fork-start
 platforms a child inherits the module global, but its spans and

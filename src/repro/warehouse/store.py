@@ -897,9 +897,9 @@ class StudyWarehouse(SQLiteStore):
         damage stays inspectable. The session's pattern and cause rows
         leave with it through :meth:`_replace_rows`, so no query counts
         the session any more. A pattern row with non-numeric counts, or
-        a cause row whose ``total_ns`` or ``episodes`` is not a number,
-        is moved on its own; neither counted in a rollup, so no answer
-        changes. Returns rows quarantined.
+        a cause row with a non-numeric total, episode count or
+        perceptible column, is moved on its own; neither counted in a
+        rollup, so no answer changes. Returns rows quarantined.
         """
         import json
 

@@ -26,7 +26,7 @@ from repro.cli import main
 from repro.core.analyzer import AnalysisConfig, LagAlyzer
 from repro.core.errors import TraceFormatError
 from repro.core.samples import StackFrame
-from repro.core.store import ColumnarTrace
+from repro.core.store import ColumnarTrace, FacadeTrace
 from repro.engine.engine import AnalysisEngine
 from repro.lila import colfile
 from repro.lila.autodetect import detect_format, load_trace
@@ -394,12 +394,17 @@ class TestAtomicWriters:
 
 
 class TestPickling:
-    def test_file_backed_store_pickles_as_its_path(self, column_path):
+    def test_file_backed_store_pickles_as_its_path(
+        self, trace_path, column_path
+    ):
         trace = open_column_trace(column_path)
         shipped = pickle.dumps(trace)
         # The columns never travel: a file-backed facade pickles to a
-        # couple hundred bytes regardless of trace size.
+        # couple hundred bytes regardless of trace size, at least 2x
+        # fewer than the same trace held in memory.
         assert len(shipped) < 4 * column_path.stat().st_size
+        in_memory = pickle.dumps(FacadeTrace(build_store(TextTraceSource(trace_path))))
+        assert 2 * len(shipped) <= len(in_memory)
         assert str(column_path.name).encode() in shipped
         revived = pickle.loads(shipped)
         assert trace_digest(revived) == trace_digest(trace)

@@ -1063,39 +1063,51 @@ class TestChaos:
         assert wh.quarantine_corrupt() == 1
         assert wh.quarantined() == [("patterns", "non-numeric counts")]
 
-    def test_corrupt_cause_rows_guarded_then_quarantined(self, wh):
-        for run_id, causes in (
-            ("a", {"gc:young": (5, 1, 5, 1), "io:disk": (3, 1, 0, 0)}),
-            ("b", {"gc:young": (8, 2, 8, 2), "io:disk": (1, 1, 0, 0)}),
+    @pytest.mark.parametrize(
+        "column", ("total_ns", "episodes", "perceptible_ns", "perceptible_episodes")
+    )
+    def test_corrupt_cause_rows_guarded_then_quarantined(self, wh, column):
+        for run_id, session, causes in (
+            ("a", "s0", {"gc:young": (5, 1, 5, 1), "io:disk": (3, 1, 0, 0)}),
+            ("a", "s1", {"gc:young": (3, 1, 3, 1)}),
+            ("b", "s0", {"gc:young": (8, 2, 8, 2), "io:disk": (1, 1, 0, 0)}),
         ):
             wh.ingest_session(
-                run_id, "App", "s0", make_stats(), trace_digest=run_id,
-                causes=causes,
+                run_id, "App", session, make_stats(),
+                trace_digest=run_id + session, causes=causes,
             )
         connection = sqlite3.connect(str(wh.path))
         with connection:
             connection.execute(
-                "UPDATE causes SET total_ns = 'x'"
-                " WHERE run_id = 'a' AND label = 'io:disk'"
+                f"UPDATE causes SET {column} = 'x'"
+                " WHERE run_id = 'a' AND session_id = 's0' AND label = 'gc:young'"
             )
         connection.close()
-        # The rollup's guard already leaves the tampered row out...
+        # The rollup's guard already leaves the tampered row out of
+        # both tallies...
         totals = wh.cause_totals("a")
+        perceptible = wh.cause_totals("a", perceptible_only=True)
         report = wh.diff("a", "b")
-        assert totals == {"gc:young": (5, 1)}
+        assert totals == {"gc:young": (3, 1), "io:disk": (3, 1)}
+        assert perceptible == {"gc:young": (3, 1), "io:disk": (0, 0)}
         # ...and the sweep moves it aside without changing an answer.
         assert wh.quarantine_corrupt() == 1
         assert wh.quarantined() == [("causes", "non-numeric totals")]
         assert wh.cause_totals("a") == totals
+        assert wh.cause_totals("a", perceptible_only=True) == perceptible
         assert wh.diff("a", "b") == report
         connection = sqlite3.connect(str(wh.path))
         try:
             labels = connection.execute(
-                "SELECT run_id, label FROM causes ORDER BY run_id, label"
+                "SELECT run_id, session_id, label FROM causes"
+                " ORDER BY run_id, session_id, label"
             ).fetchall()
         finally:
             connection.close()
-        assert labels == [("a", "gc:young"), ("b", "gc:young"), ("b", "io:disk")]
+        assert labels == [
+            ("a", "s0", "io:disk"), ("a", "s1", "gc:young"),
+            ("b", "s0", "gc:young"), ("b", "s0", "io:disk"),
+        ]
         assert wh.quarantine_corrupt() == 0
 
     def test_quarantine_on_clean_warehouse_sweeps_nothing(self, wh):
