@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures. The
-session-scoped fixtures simulate the study once (at a reduced scale so
+Every paper benchmark regenerates one of the paper's tables or figures
+(``bench_gates.py`` holds the performance gates and uses none of these
+fixtures). The session-scoped fixtures simulate the study once (at a reduced scale so
 the whole harness runs in seconds — set ``LAGALYZER_BENCH_SCALE=1.0``
 and ``LAGALYZER_BENCH_SESSIONS=4`` for the paper's full setup) and every
 bench then measures the *analysis* cost over the shared traces, which is
