@@ -223,7 +223,8 @@ def reference_cause_totals(
     perceptible_only: bool = False,
 ) -> Dict[str, Tuple[int, int]]:
     """One run's cause tally summed off every ``causes`` row of a
-    warehouse file, with the v4 statement and its ``typeof`` guard."""
+    warehouse file, with the v4 statement and a ``typeof`` guard on
+    every summed column."""
     if perceptible_only:
         value_cols = "SUM(perceptible_ns), SUM(perceptible_episodes)"
     else:
@@ -232,6 +233,8 @@ def reference_cause_totals(
         "run_id = ?",
         "typeof(total_ns) IN ('integer', 'real')",
         "typeof(episodes) IN ('integer', 'real')",
+        "typeof(perceptible_ns) IN ('integer', 'real')",
+        "typeof(perceptible_episodes) IN ('integer', 'real')",
     ]
     params: List[Any] = [run_id]
     if apps:

@@ -75,6 +75,8 @@ TAMPERABLE = {
     "perceptible": ("patterns", "pattern_key"),
     "total_ns": ("causes", "label"),
     "episodes": ("causes", "label"),
+    "perceptible_ns": ("causes", "label"),
+    "perceptible_episodes": ("causes", "label"),
 }
 
 #: Small values on purpose: equal deltas test the tie order, zero
@@ -353,6 +355,14 @@ def run_history(path: Path, history: list) -> None:
     ("tamper", 0, "total_ns", 0),
     ("reingest", 0, "d1", {"gc:young": (5, 1, 5, 1)}, {}),
 ])
+# A cause row whose perceptible column is tampered to text leaves every
+# tally, totals included. A guard on the total and the episode count
+# alone kept it in, at (8, 2) total and (3, 2) perceptible.
+@example(history=[
+    ("ingest", ("r0", "AppA", "s0"), "d0", {"gc:young": (5, 1, 5, 1)}, {}),
+    ("ingest", ("r0", "AppB", "s1"), "d0", {"gc:young": (3, 1, 3, 1)}, {}),
+    ("tamper", 0, "perceptible_ns", 0),
+])
 # A pattern row tampered to text stops counting before any sweep; the
 # sweep then moves it aside without touching the rollup again.
 @example(history=[
@@ -368,8 +378,9 @@ def test_rollup_answers_equal_the_v4_query(history):
 
 def v5_file(path: Path) -> Path:
     """A v5 file as the v5 write path left it: cause rows summed into
-    ``cause_rollup`` on write, then one ``causes`` and one ``patterns``
-    value tampered to text, which that rollup never saw."""
+    ``cause_rollup`` on write, then two ``causes`` values (a total and a
+    perceptible one) and one ``patterns`` value tampered to text, which
+    that rollup never saw."""
     connection = sqlite3.connect(str(path))
     for script in MIGRATIONS[:5]:
         connection.executescript(script)
@@ -385,6 +396,7 @@ def v5_file(path: Path) -> Path:
             ("r0", "AppB", "s1", "gc:young", 3, 1, 3, 1),
             ("r0", "AppB", "s1", "iowait:db", 4, 2, 0, 0),
             ("r1", "AppA", "s0", "gc:young", 2, 1, 2, 1),
+            ("r1", "AppB", "s1", "gc:young", 7, 1, 7, 1),
         ],
     )
     connection.executemany(
@@ -410,6 +422,10 @@ def v5_file(path: Path) -> Path:
         " WHERE run_id = 'r0' AND session_id = 's0'"
     )
     connection.execute(
+        "UPDATE causes SET perceptible_ns = 'tampered'"
+        " WHERE run_id = 'r1' AND session_id = 's1'"
+    )
+    connection.execute(
         "UPDATE patterns SET count = 'tampered'"
         " WHERE run_id = 'r0' AND session_id = 's1' AND app = 'AppA'"
     )
@@ -419,7 +435,8 @@ def v5_file(path: Path) -> Path:
 
 
 def test_v5_drift_is_repaired_on_open(tmp_path):
-    """Opening a v5 file at v6 rebuilds ``cause_rollup`` and backfills
+    """Opening a v5 file rebuilds ``cause_rollup`` (at v6, then at v7
+    under the guard on every cause column) and backfills
     ``pattern_rollup`` under the numeric guard: the drifted rollup reads
     as the v4 reference, and ``top_patterns`` as the v5 statement."""
     path = v5_file(tmp_path / "v5.sqlite")
@@ -441,6 +458,7 @@ def test_v5_drift_is_repaired_on_open(tmp_path):
     assert causes[("r0", None, False)] == {
         "gc:young": (3, 1), "iowait:db": (4, 2),
     }
+    assert causes[("r1", None, False)] == {"gc:young": (2, 1)}
     wh = StudyWarehouse(path)
     assert wh.schema_version() == SCHEMA_VERSION
     for combo, expected in causes.items():
