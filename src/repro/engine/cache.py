@@ -45,7 +45,7 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 import repro
 from repro.faults import runtime as faults_runtime
@@ -374,7 +374,9 @@ class ResultCache:
                 if entry.suffix == _ENTRY_SUFFIX and not entry.name.startswith("."):
                     yield entry
 
-    def iter_bundles(self) -> Iterator[BundleRecord]:
+    def iter_bundles(
+        self, skip: Optional[Callable[[str], bool]] = None
+    ) -> Iterator[BundleRecord]:
         """Every stored fused bundle, in deterministic key order.
 
         This is the supported iteration surface for consumers like the
@@ -383,12 +385,18 @@ class ResultCache:
         (ascending hex, which matches the sorted shard/file walk), so
         two sweeps of the same cache always see the same sequence.
 
+        ``skip(key)``, when given, is asked as the sweep reaches each
+        entry, after the consumer has handled every earlier one; an
+        entry it accepts is neither opened nor checked nor yielded.
+
         Robustness matches :meth:`get_bundle`: unreadable, corrupt, or
         non-bundle entries are discarded (counted, unlinked where
         possible) and skipped, never fatal. A sweep counts no hits or
         misses.
         """
         for path in self._entries():
+            if skip is not None and skip(path.stem):
+                continue
             value = self._read(path, path.stem)
             if value is MISS:
                 continue

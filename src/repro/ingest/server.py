@@ -48,7 +48,7 @@ from repro.ingest.incremental import IncrementalSessionAnalyzer
 from repro.ingest.spool import SessionSpool
 from repro.obs import runtime as obs_runtime
 from repro.obs.context import TraceContext, adopted_span
-from repro.obs.http import HealthServer
+from repro.obs.http import HealthServer, WakeableServer
 from repro.obs.publisher import TelemetryPublisher
 from repro.obs.slo import SloPolicy, ingest_stats_for_slo
 from repro.obs.warehouse import Warehouse
@@ -335,7 +335,7 @@ class _IngestHandler(socketserver.StreamRequestHandler):
             pass  # client is already gone
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class _ThreadingServer(WakeableServer, socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
     ingest: "IngestServer"

@@ -17,11 +17,17 @@ go stale):
 The server thread is a daemon and every handler is wrapped: an
 exception in a probe endpoint returns a 500 to the prober and touches
 nothing in the ingest path.
+
+Its server, like the ingest daemon's, serves through
+:class:`WakeableServer`, whose ``shutdown()`` returns without waiting
+out a poll interval.
 """
 
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -31,6 +37,63 @@ from repro.obs.slo import DEFAULT_INGEST_SLO, SloPolicy
 StatsFn = Callable[[], Mapping[str, Any]]
 MetricsFn = Callable[[], str]
 SessionsFn = Callable[[], Any]
+
+
+class WakeableServer:
+    """A ``socketserver`` mixin whose ``shutdown()`` wakes its serve loop.
+
+    ``socketserver.BaseServer.serve_forever`` sees a shutdown request
+    only when its ``select`` next times out, so each ``shutdown()``
+    waits up to one poll interval. This loop also selects on a socket
+    pair that ``shutdown()`` writes to, and returns as soon as it reads
+    the byte; the poll interval only paces ``service_actions``. List it
+    before the server class it mixes into.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        # Made first: a failed bind calls server_close() from within
+        # the server class's __init__.
+        self._wake_read, self._wake_write = socket.socketpair()
+        self._wake_read.setblocking(False)
+        self._stop_requested = False
+        self._stopped = threading.Event()
+        super().__init__(*args, **kwargs)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_read, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    ready = {key.fileobj for key, _ in selector.select(poll_interval)}
+                    if self._wake_read in ready:
+                        try:
+                            self._wake_read.recv(64)
+                        except BlockingIOError:
+                            pass
+                    if self._stop_requested:
+                        break
+                    if self in ready:
+                        self._handle_request_noblock()
+                    self.service_actions()
+        finally:
+            self._stop_requested = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stop_requested = True
+        try:
+            self._wake_write.send(b"\0")
+        except OSError:
+            pass  # closed already: the loop has returned
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_read.close()
+        self._wake_write.close()
 
 
 class _HealthHandler(BaseHTTPRequestHandler):
@@ -79,7 +142,7 @@ class _HealthHandler(BaseHTTPRequestHandler):
         )
 
 
-class _HealthHTTPServer(ThreadingHTTPServer):
+class _HealthHTTPServer(WakeableServer, ThreadingHTTPServer):
     allow_reuse_address = True
     daemon_threads = True
     health: "HealthServer"

@@ -17,18 +17,19 @@ from typing import Tuple
 from repro.core.errors import LagAlyzerError
 
 #: Version this code writes; files at lower versions migrate up on open.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
-#: The cause guard each migration step built its triggers and rollup
-#: under, frozen: a shipped step's SQL never changes, so widening the
-#: guard again takes a new step and a new tuple here.
+#: The guards each migration step built its triggers and rollups under,
+#: frozen: a shipped step's SQL never changes, so widening a guard again
+#: takes a new step and a new tuple here.
+_V6_PATTERN_GUARD = ("count", "perceptible")
 _V6_CAUSE_GUARD = ("total_ns", "episodes")
 _V7_CAUSE_GUARD = ("total_ns", "episodes", "perceptible_ns", "perceptible_episodes")
 
 #: The columns a pattern row and a cause row must hold numbers in to be
 #: summed into their rollups. A row failing its guard counts in no
 #: answer, and :meth:`StudyWarehouse.quarantine_corrupt` sweeps it out.
-PATTERN_GUARD: Tuple[str, ...] = ("count", "perceptible")
+PATTERN_GUARD: Tuple[str, ...] = _V6_PATTERN_GUARD
 CAUSE_GUARD: Tuple[str, ...] = _V7_CAUSE_GUARD
 
 
@@ -242,7 +243,7 @@ INSERT INTO pattern_rollup (run_id, app, pattern_key, count, perceptible,
     sessions)
     SELECT run_id, app, pattern_key, SUM(count), SUM(perceptible), COUNT(*)
     FROM patterns
-    WHERE """ + numeric(PATTERN_GUARD) + """
+    WHERE """ + numeric(_V6_PATTERN_GUARD) + """
     GROUP BY run_id, app, pattern_key;
 DELETE FROM cause_rollup;
 INSERT INTO cause_rollup (run_id, label, app, total_ns, episodes,
@@ -255,7 +256,7 @@ INSERT INTO cause_rollup (run_id, label, app, total_ns, episodes,
 DROP INDEX IF EXISTS idx_patterns_app_key;
 """ + _rollup_triggers(
     "patterns", "pattern_rollup", ("run_id", "app", "pattern_key"),
-    ("count", "perceptible"), "sessions", PATTERN_GUARD,
+    ("count", "perceptible"), "sessions", _V6_PATTERN_GUARD,
 ) + _rollup_triggers(
     "causes", "cause_rollup", ("run_id", "label", "app"),
     ("total_ns", "episodes", "perceptible_ns", "perceptible_episodes"),
@@ -285,8 +286,17 @@ INSERT INTO cause_rollup (run_id, label, app, total_ns, episodes,
     "rows", _V7_CAUSE_GUARD,
 )
 
+# Version 8: each session row records the result-cache key of the
+# bundle it was compacted from, or '' when a spool, a trace or a direct
+# write stored it. A re-compaction into the run then leaves the bundles
+# its rows already hold unopened. Existing rows read '' until their next
+# dedup against a bundle records its key.
+_V8 = """
+ALTER TABLE sessions ADD COLUMN bundle_key TEXT NOT NULL DEFAULT '';
+"""
+
 #: ``MIGRATIONS[n]`` migrates a version-``n`` database to ``n + 1``.
-MIGRATIONS = (_V1, _V2, _V3, _V4, _V5, _V6, _V7)
+MIGRATIONS = (_V1, _V2, _V3, _V4, _V5, _V6, _V7, _V8)
 
 
 class StudyWarehouseError(LagAlyzerError):

@@ -198,6 +198,7 @@ class StudyWarehouse(SQLiteStore):
         ts: Optional[float] = None,
         family: str = "gui",
         causes: Any = None,
+        bundle_key: str = "",
     ) -> bool:
         """Store one session's summary + pattern + cause rows.
 
@@ -207,6 +208,9 @@ class StudyWarehouse(SQLiteStore):
         self-time attribution, the substrate of :meth:`diff`. It may
         also be the ``causes`` analysis partial those rows flatten
         from, which is flattened only when the session is written.
+        ``bundle_key`` is the result-cache key of the bundle these
+        values came from (:meth:`ingest_bundles` passes it; ``''`` for
+        any other source).
 
         Dedup contract: re-ingesting a ``(run, app, session)`` whose
         stored ``trace_digest`` matches is a no-op returning ``False``;
@@ -214,6 +218,9 @@ class StudyWarehouse(SQLiteStore):
         row and its pattern/cause rows (:meth:`_replace_rows`). Returns
         ``True`` when rows changed. The rollup rows of the run and app
         move with the pattern and cause rows, in the same transaction.
+        A dedup that brings a ``bundle_key`` to a row that records none
+        under the same ``config_fingerprint`` records the key and
+        changes nothing else.
 
         Raises:
             OSError, sqlite3.Error: the write failed — callers that sit
@@ -225,11 +232,18 @@ class StudyWarehouse(SQLiteStore):
         with self._connection() as connect:
             connection = connect()
             existing = connection.execute(
-                "SELECT trace_digest FROM sessions"
-                " WHERE run_id = ? AND app = ? AND session_id = ?",
+                "SELECT trace_digest, bundle_key, config_fingerprint"
+                " FROM sessions WHERE run_id = ? AND app = ? AND session_id = ?",
                 (run_id, app, session_id),
             ).fetchone()
             if existing is not None and existing[0] == trace_digest:
+                if bundle_key and existing[1:] == ("", config_fingerprint):
+                    with connection:
+                        connection.execute(
+                            "UPDATE sessions SET bundle_key = ?"
+                            " WHERE run_id = ? AND app = ? AND session_id = ?",
+                            (bundle_key, run_id, app, session_id),
+                        )
                 return False
             if causes is not None and not isinstance(causes, dict):
                 causes = _cause_rows(causes)
@@ -243,9 +257,9 @@ class StudyWarehouse(SQLiteStore):
                 connection.execute(
                     "INSERT INTO sessions (run_id, app, session_id,"
                     " trace_digest, config_fingerprint, ingested_ts,"
-                    " records, excluded_episodes, family, "
+                    " records, excluded_episodes, family, bundle_key, "
                     + ", ".join(_STAT_COLUMNS)
-                    + ") VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, "
+                    + ") VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
                     + ", ".join("?" for _ in _STAT_COLUMNS)
                     + ") ON CONFLICT(run_id, app, session_id) DO UPDATE SET"
                     " trace_digest = excluded.trace_digest,"
@@ -253,14 +267,15 @@ class StudyWarehouse(SQLiteStore):
                     " ingested_ts = excluded.ingested_ts,"
                     " records = excluded.records,"
                     " excluded_episodes = excluded.excluded_episodes,"
-                    " family = excluded.family, "
+                    " family = excluded.family,"
+                    " bundle_key = excluded.bundle_key, "
                     + ", ".join(
                         f"{name} = excluded.{name}" for name in _STAT_COLUMNS
                     ),
                     [
                         run_id, app, session_id, trace_digest,
                         config_fingerprint, now, int(records), int(excluded),
-                        str(family),
+                        str(family), str(bundle_key),
                     ]
                     + stat_values,
                 )
@@ -461,15 +476,50 @@ class StudyWarehouse(SQLiteStore):
         ingest analyses are eligible; ``config_fingerprint`` /
         ``applications`` narrow the sweep to one study's bundles.
 
+        A bundle whose key a session row of ``run_id`` records
+        (``bundle_key``) is not opened. That row was written from the
+        bundle, so it holds the bundle's application, digest and config
+        fingerprint, and the bundle counts as reading it would count:
+        ``ineligible`` when the filters exclude the row, else
+        ``skipped``. Keys are looked up as the sweep reaches each
+        bundle, so a row an earlier bundle of this sweep replaced no
+        longer vouches for its old key.
+
         Returns counters: ``{"ingested", "skipped", "ineligible"}`` —
         ``skipped`` are eligible bundles already present (dedup),
         ``ineligible`` lack meta, lack the ingest analyses, or fail the
         filters.
         """
         wanted = set(applications) if applications is not None else None
-        ingested = skipped = ineligible = 0
+        counts = {"ingested": 0, "skipped": 0, "ineligible": 0}
         with self._connection():
-            for record in cache.iter_bundles():
+            # (app, session) -> (bundle_key, config_fingerprint) of each
+            # of the run's rows, and the rows by recorded key, both kept
+            # in step with this sweep's writes.
+            rows = {
+                (app, session_id): (key, fingerprint)
+                for app, session_id, key, fingerprint in self._rows(
+                    "SELECT app, session_id, bundle_key, config_fingerprint"
+                    " FROM sessions WHERE run_id = ?",
+                    (run_id,),
+                )
+            }
+            held = {key: row for row, (key, _) in rows.items() if key}
+
+            def filtered_out(app: Any, fingerprint: Any) -> bool:
+                return bool(
+                    config_fingerprint and fingerprint != config_fingerprint
+                ) or (wanted is not None and app not in wanted)
+
+            def already_held(key: str) -> bool:
+                row = held.get(key)
+                if row is None:
+                    return False
+                excluded = filtered_out(row[0], rows[row][1])
+                counts["ineligible" if excluded else "skipped"] += 1
+                return True
+
+            for record in cache.iter_bundles(skip=already_held):
                 meta = record.meta or {}
                 app = meta.get("application")
                 session_id = meta.get("session_id")
@@ -481,40 +531,39 @@ class StudyWarehouse(SQLiteStore):
                     or not isinstance(stats, SessionStats)
                     or occurrence is None
                     or not hasattr(occurrence, "counts")
+                    or filtered_out(app, meta.get("config_fingerprint"))
                 ):
-                    ineligible += 1
+                    counts["ineligible"] += 1
                     continue
-                if config_fingerprint and (
-                    meta.get("config_fingerprint") != config_fingerprint
-                ):
-                    ineligible += 1
-                    continue
-                if wanted is not None and app not in wanted:
-                    ineligible += 1
-                    continue
+                row = (str(app), str(session_id))
+                fingerprint = str(meta.get("config_fingerprint", ""))
                 changed = self.ingest_session(
                     run_id=run_id,
-                    app=str(app),
-                    session_id=str(session_id),
+                    app=row[0],
+                    session_id=row[1],
                     stats=stats,
                     pattern_counts=occurrence.counts,
                     excluded=int(getattr(occurrence, "excluded", 0)),
                     trace_digest=str(meta.get("trace_digest", "")),
-                    config_fingerprint=str(meta.get("config_fingerprint", "")),
+                    config_fingerprint=fingerprint,
                     ts=ts,
                     family=str(meta.get("family", "gui")),
                     causes=record.partials.get("causes"),
+                    bundle_key=record.key,
                 )
                 if changed:
-                    ingested += 1
+                    counts["ingested"] += 1
                     obs_runtime.count("warehouse.bundles_compacted")
                 else:
-                    skipped += 1
-        return {
-            "ingested": ingested,
-            "skipped": skipped,
-            "ineligible": ineligible,
-        }
+                    counts["skipped"] += 1
+                # The row now records this key if it was rewritten, or if
+                # the dedup found it recording none under this config.
+                old_key, old_fingerprint = rows.get(row, ("", None))
+                if changed or (not old_key and old_fingerprint == fingerprint):
+                    held.pop(old_key, None)
+                    held[record.key] = row
+                    rows[row] = (record.key, fingerprint)
+        return counts
 
     # ------------------------------------------------------------------
     # Queries

@@ -33,6 +33,7 @@ from repro.ingest import (
 from repro.ingest import protocol
 from repro.lila.source import build_store, open_source
 from repro.lila.writer import trace_to_lines
+from repro.obs.http import HealthServer
 
 
 def sample_lines(offset_ms: float = 0.0, session: str = "s0"):
@@ -170,6 +171,38 @@ class TestProtocol:
 
 
 class TestServerWire:
+    @pytest.mark.parametrize("kind", ("ingest", "health"))
+    def test_idle_stop_wakes_the_serve_loop(self, tmp_path, kind):
+        """``stop()`` returns without waiting for the accept loop's
+        ``select`` to time out (a 50 ms poll for the daemon, 100 ms for
+        its health surface)."""
+        took = []
+        for _ in range(3):
+            if kind == "ingest":
+                srv = IngestServer(spool_dir=tmp_path / "spools").start()
+            else:
+                srv = HealthServer(stats_fn=dict).start()
+            time.sleep(0.02)  # let the loop block in its select
+            start = time.perf_counter()
+            srv.stop()
+            took.append(time.perf_counter() - start)
+        assert min(took) < 0.010, took
+
+    @pytest.mark.parametrize("kind", ("ingest", "health"))
+    def test_a_port_in_use_fails_with_os_error(self, tmp_path, kind):
+        taken = socket.socket()
+        try:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError):
+                if kind == "ingest":
+                    IngestServer(spool_dir=tmp_path / "spools", port=port)
+                else:
+                    HealthServer(stats_fn=dict, port=port)
+        finally:
+            taken.close()
+
     def test_bad_version_byte_answered_with_error(self, server):
         conn = RawConnection(server.address)
         try:

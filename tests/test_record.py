@@ -92,13 +92,22 @@ class TestSummary:
 
 
 FAKE_RUN = textwrap.dedent('''\
-    """A stand-in perfbench: logs its call, prints a fixed report."""
+    """A stand-in perfbench: logs its call, prints a fixed report.
+
+    Its first call also notes the bytecode caches its checkout's
+    ``src/`` holds, in ``<label>.cached`` beside the log.
+    """
     import json, sys
     from pathlib import Path
 
     LABEL, LOG, MIX = {label!r}, Path({log!r}), {mix!r}
     calls = LOG.read_text().splitlines() if LOG.exists() else []
     LOG.write_text("".join(line + "\\n" for line in calls + [LABEL]))
+    CACHED = LOG.with_name(LABEL + ".cached")
+    if not CACHED.exists():
+        src = Path(__file__).resolve().parent.parent / "src"
+        CACHED.write_text(json.dumps(
+            sorted(path.name for path in src.glob("**/*.pyc"))))
     args = sys.argv[1:]
     print("perfbench says hello")
     print("entry: " + json.dumps({{
@@ -122,6 +131,8 @@ def checkout(root: Path, label: str, log: Path, mix: float) -> Path:
     (root / "perfbench" / "run.py").write_text(
         FAKE_RUN.format(label=label, log=str(log), mix=mix), encoding="utf-8"
     )
+    (root / "src").mkdir()
+    (root / "src" / "stand_in.py").write_text("VALUE = 1\n", encoding="utf-8")
     return root
 
 
@@ -154,6 +165,24 @@ class TestPairs:
         assert "query_mix_ms" in printed
         assert "change better in 3 of 3" in printed
         assert "change better in 0 of 3" in printed  # records_per_s ties
+
+    def test_both_sides_start_from_bytecode_caches(
+        self, record, tmp_path, capsys
+    ):
+        log = tmp_path / "calls.log"
+        parent = checkout(tmp_path / "parent", "parent", log, 50.0)
+        change = checkout(tmp_path / "change", "change", log, 40.0)
+        assert record.main([
+            "--workload", "study_warm", "--pairs", "1", "--parent",
+            str(parent), "--root", str(change),
+            "--out", str(tmp_path / "trajectory.json"),
+        ]) == 0
+        for label in ("parent", "change"):
+            cached = json.loads((tmp_path / f"{label}.cached").read_text())
+            assert [name.split(".")[0] for name in cached] == ["stand_in"]
+        # Nothing in either checkout was deleted.
+        for side in (parent, change):
+            assert (side / "src" / "stand_in.py").exists()
 
     def test_missing_result_records_nothing(self, record, tmp_path, capsys):
         log = tmp_path / "calls.log"

@@ -15,6 +15,7 @@ and 2.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import sqlite3
@@ -156,6 +157,25 @@ class TestSchema:
 
     def test_migration_chain_covers_every_version(self):
         assert len(MIGRATIONS) == SCHEMA_VERSION
+
+    #: sha256 of each shipped step's SQL. A shipped step never changes:
+    #: files already migrated past it would not run it again.
+    SHIPPED_STEPS = (
+        "9aa57a144ad7693ab0c16323424202042ac723002c471a4276199a95eba2d18b",
+        "4c040d02513c99aa89f074af1214d7fa2a49dedea4ea1f151539e1797ae17b2f",
+        "f71f829baf0ecc4e8ebaeece0c49a6909d074fbd2c1ae7d5dbf343abf7e22c8b",
+        "e9b97eb1baab9450b226129c1603b19b80987ba30b79f89aa5e41e66208d03be",
+        "af55ce332f8e29e54f378de6f4ee84065ff4cc408379022421c6ff21c9f62fa3",
+        "f0764bfa3c0ae36a8d34f7dd259033a78c6022fba87d4007a48f52d60a14ffdd",
+        "371072e0541e4ba5be55dbd55c4cfec3994432c1c838bb5374c26b42f41a9944",
+        "6a95b4f6c869a108c54452108f9e30a9b61b90041bc5923947793cf1a6f9c494",
+    )
+
+    def test_shipped_steps_are_frozen(self):
+        assert tuple(
+            hashlib.sha256(step.encode("utf-8")).hexdigest()
+            for step in MIGRATIONS
+        ) == self.SHIPPED_STEPS
 
     def test_v1_file_migrates_preserving_rows(self, tmp_path):
         path = tmp_path / "old.sqlite"
@@ -308,6 +328,43 @@ class TestIngest:
         assert wh.ingest_session("r1", "A", "s0", stats, trace_digest="d")
         assert not wh.ingest_session("r1", "A", "s0", stats, trace_digest="d")
         assert len(session_rows(wh)) == 1
+
+    def test_dedup_records_a_bundle_key_only_where_none_is(self, wh):
+        def keys() -> list:
+            return [row[0] for row in wh._rows(
+                "SELECT bundle_key FROM sessions ORDER BY app"
+            )]
+
+        for app in ("A", "B"):
+            wh.ingest_session(
+                "r1", app, "s0", make_stats(), pattern_counts={"k": (2, 1)},
+                trace_digest="d", config_fingerprint="c",
+            )
+        assert keys() == ["", ""]
+        before = wh._rows("SELECT * FROM patterns ORDER BY app")
+        # A dedup records its key on a row that has none under its config,
+        # and never replaces a recorded key.
+        assert not wh.ingest_session(
+            "r1", "A", "s0", make_stats(traced=99.0), trace_digest="d",
+            config_fingerprint="c", bundle_key="k1",
+        )
+        assert not wh.ingest_session(
+            "r1", "A", "s0", make_stats(), trace_digest="d",
+            config_fingerprint="c", bundle_key="k2",
+        )
+        assert not wh.ingest_session(
+            "r1", "B", "s0", make_stats(), trace_digest="d",
+            config_fingerprint="other", bundle_key="k3",
+        )
+        assert keys() == ["k1", ""]
+        assert wh._rows("SELECT * FROM patterns ORDER BY app") == before
+        assert [row["traced"] for row in session_rows(wh)] == [10.0, 10.0]
+        # A write from any other source stores no key.
+        assert wh.ingest_session(
+            "r1", "A", "s0", make_stats(), trace_digest="d2",
+            config_fingerprint="c",
+        )
+        assert keys() == ["", ""]
 
     def test_new_digest_replaces_session_and_patterns(self, wh):
         wh.ingest_session(
@@ -552,6 +609,217 @@ class TestIterBundles:
         assert meta == {"application": "A"}
         assert partials == {"statistics": 1}
         assert bundle_parts("garbage") == (None, None)
+
+
+# ----------------------------------------------------------------------
+# Warm re-compaction: bundles a run already holds stay unopened
+# ----------------------------------------------------------------------
+
+#: Two applications, so an application filter can exclude a stored row.
+MIXED_PATHS = (TRACE_PATHS[:2], [GOLDEN_DIR / "IndexBuilder-session-0.lila"])
+
+
+class ReadEveryBundle:
+    """The cache, swept as before rows recorded bundle keys: every entry
+    is opened, whatever ``skip`` would accept. The counters and rows of
+    a sweep that skips must equal this sweep's."""
+
+    def __init__(self, cache: ResultCache) -> None:
+        self.cache = cache
+
+    def iter_bundles(self, skip=None):
+        return self.cache.iter_bundles()
+
+
+def warehouse_state(wh: StudyWarehouse) -> list:
+    return [
+        wh._rows(f"SELECT * FROM {table} ORDER BY {order}")
+        for table, order in (
+            ("sessions", "run_id, app, session_id"),
+            ("patterns", "run_id, app, session_id, pattern_key"),
+            ("causes", "run_id, app, session_id, label"),
+            ("pattern_rollup", "run_id, app, pattern_key"),
+            ("cause_rollup", "run_id, label, app"),
+        )
+    ]
+
+
+class TestWarmRecompaction:
+    @pytest.fixture()
+    def mixed(self, tmp_path) -> ResultCache:
+        """A cache holding one ingest bundle of each of three traces of
+        two applications."""
+        engine = AnalysisEngine(workers=1, cache_dir=tmp_path / "cache")
+        for paths in MIXED_PATHS:
+            analyzer = LagAlyzer.load(
+                paths,
+                config=AnalysisConfig(perceptible_threshold_ms=THRESHOLD_MS),
+            )
+            engine.map_traces(INGEST_ANALYSES, analyzer.traces, analyzer.config)
+        return ResultCache(tmp_path / "cache")
+
+    @pytest.fixture()
+    def opened(self, monkeypatch) -> list:
+        """The key of every cache entry read, in reading order."""
+        keys: list = []
+        real_read = ResultCache._read
+
+        def counting(cache, path, key):
+            keys.append(key)
+            return real_read(cache, path, key)
+
+        monkeypatch.setattr(ResultCache, "_read", counting)
+        return keys
+
+    @staticmethod
+    def compacted(tmp_path, cache) -> StudyWarehouse:
+        wh = StudyWarehouse(tmp_path / "study.sqlite")
+        assert wh.ingest_bundles(cache, "r", ts=1000.0)["ingested"] == 3
+        return wh
+
+    @staticmethod
+    def sweep(tmp_path, wh, cache, opened, **filters) -> tuple:
+        """``(counters, keys opened)`` of one sweep of ``cache`` into
+        ``wh``, after checking its counters and resulting rows against
+        the same sweep, every bundle read, into a copy of ``wh``."""
+        index = len(list(tmp_path.glob("reference-*.sqlite")))
+        reference = StudyWarehouse(tmp_path / f"reference-{index}.sqlite")
+        source = sqlite3.connect(str(wh.path))
+        target = sqlite3.connect(str(reference.path))
+        try:
+            source.backup(target)
+        finally:
+            source.close()
+            target.close()
+        want = reference.ingest_bundles(
+            ReadEveryBundle(cache), "r", ts=1000.0, **filters
+        )
+        opened.clear()
+        got = wh.ingest_bundles(cache, "r", ts=1000.0, **filters)
+        assert got == want
+        assert warehouse_state(wh) == warehouse_state(reference)
+        return got, list(opened)
+
+    def test_second_sweep_opens_no_bundle(self, tmp_path, mixed, opened):
+        wh = self.compacted(tmp_path, mixed)
+        assert len(opened) == 3
+        assert self.sweep(tmp_path, wh, mixed, opened) == (
+            {"ingested": 0, "skipped": 3, "ineligible": 0}, [],
+        )
+
+    @pytest.mark.parametrize(
+        "filters, counters",
+        (
+            ({"applications": ["CrosswordSage"]},
+             {"ingested": 0, "skipped": 2, "ineligible": 1}),
+            ({"config_fingerprint": "not-a-real-fingerprint"},
+             {"ingested": 0, "skipped": 0, "ineligible": 3}),
+            ({"config_fingerprint": config_fingerprint(
+                AnalysisConfig(perceptible_threshold_ms=THRESHOLD_MS))},
+             {"ingested": 0, "skipped": 3, "ineligible": 0}),
+        ),
+        ids=("application-excluded", "fingerprint-mismatch", "fingerprint-match"),
+    )
+    def test_filters_count_a_held_bundle_as_reading_it_would(
+        self, tmp_path, mixed, opened, filters, counters
+    ):
+        wh = self.compacted(tmp_path, mixed)
+        assert self.sweep(tmp_path, wh, mixed, opened, **filters) == (
+            counters, [],
+        )
+
+    def test_a_deleted_bundle_counts_nothing(self, tmp_path, mixed, opened):
+        wh = self.compacted(tmp_path, mixed)
+        sorted((mixed.root / "bundles").rglob("*.pkl"))[0].unlink()
+        assert self.sweep(tmp_path, wh, mixed, opened) == (
+            {"ingested": 0, "skipped": 2, "ineligible": 0}, [],
+        )
+
+    @pytest.mark.parametrize("source", ("trace", "spool"))
+    def test_a_row_replaced_from_another_source_is_read_again(
+        self, tmp_path, mixed, opened, source
+    ):
+        wh = self.compacted(tmp_path, mixed)
+        ((session_id, key),) = wh._rows(
+            "SELECT session_id, bundle_key FROM sessions"
+            " WHERE app = 'CrosswordSage' ORDER BY session_id LIMIT 1"
+        )
+        config = AnalysisConfig(perceptible_threshold_ms=THRESHOLD_MS)
+        other = TRACE_PATHS[2]
+        if source == "trace":
+            replaced = wh.ingest_trace(
+                LagAlyzer.load([other], config=config).traces[0], "r", config,
+                session_id=session_id,
+            )
+        else:
+            replaced = wh.ingest_spool(other, "r", config, session_id=session_id)
+        assert replaced
+        assert wh._rows(
+            "SELECT bundle_key FROM sessions"
+            " WHERE app = 'CrosswordSage' AND session_id = ?", (session_id,)
+        ) == [("",)]
+        assert self.sweep(tmp_path, wh, mixed, opened) == (
+            {"ingested": 1, "skipped": 2, "ineligible": 0}, [key],
+        )
+        assert self.sweep(tmp_path, wh, mixed, opened)[1] == []
+
+    @pytest.mark.parametrize("extra_key", ("0" * 64, "f" * 64))
+    def test_two_bundles_of_one_session_replace_it_in_key_order(
+        self, tmp_path, mixed, opened, extra_key
+    ):
+        """A second bundle of a session, of another digest, replaces its
+        row and the first replaces it back on every sweep: a key the
+        sweep has since written over no longer vouches for the row."""
+        first = next(mixed.iter_bundles())
+        meta = dict(first.meta, trace_digest="another-digest")
+        mixed.put_bundle(extra_key, bundle_envelope(first.partials, meta))
+        wh = StudyWarehouse(tmp_path / "study.sqlite")
+        assert wh.ingest_bundles(mixed, "r", ts=1000.0)["ingested"] == 4
+        counters, keys = self.sweep(tmp_path, wh, mixed, opened)
+        assert counters == {"ingested": 2, "skipped": 2, "ineligible": 0}
+        assert sorted(keys) == sorted((first.key, extra_key))
+
+    def test_a_v7_file_learns_its_keys_on_its_first_sweep(
+        self, tmp_path, mixed, opened
+    ):
+        current = self.compacted(tmp_path, mixed)
+        path = tmp_path / "v7.sqlite"
+        connection = sqlite3.connect(str(path))
+        try:
+            for script in MIGRATIONS[:7]:
+                connection.executescript(script)
+            connection.execute(
+                "INSERT INTO meta (key, value)"
+                " VALUES ('study_schema_version', '7')"
+            )
+            # The rows as the v7 write path left them: no bundle key.
+            connection.execute("ATTACH DATABASE ? AS v8", (str(current.path),))
+            columns = [
+                row[1] for row in connection.execute(
+                    "PRAGMA v8.table_info(sessions)"
+                ) if row[1] != "bundle_key"
+            ]
+            for table, names in (
+                ("runs", "*"), ("sessions", ", ".join(columns)),
+                ("patterns", "*"), ("causes", "*"),
+            ):
+                into = "" if names == "*" else f" ({names})"
+                connection.execute(
+                    f"INSERT INTO main.{table}{into} SELECT {names}"
+                    f" FROM v8.{table}"
+                )
+            connection.commit()
+        finally:
+            connection.close()
+        v7 = StudyWarehouse(path)
+        assert v7.schema_version() == SCHEMA_VERSION
+        held = "SELECT app, session_id, bundle_key FROM sessions ORDER BY app, session_id"
+        assert {key for _, _, key in v7._rows(held)} == {""}
+        counters, keys = self.sweep(tmp_path, v7, mixed, opened)
+        assert counters == {"ingested": 0, "skipped": 3, "ineligible": 0}
+        assert len(keys) == 3
+        assert v7._rows(held) == current._rows(held)
+        assert self.sweep(tmp_path, v7, mixed, opened)[1] == []
 
 
 # ----------------------------------------------------------------------
