@@ -1,6 +1,6 @@
 """The ``ingest`` command group: serve, replay, tail.
 
-- ``ingest serve``  — run the collector daemon until interrupted;
+- ``ingest serve``  — run the collector daemon until SIGINT or SIGTERM;
 - ``ingest replay`` — replay existing trace files through the framed
   protocol as concurrent client sessions (load generator and the
   easiest way to exercise a daemon end to end);
@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from repro.cli._shared import add_faults, add_obs, add_threshold, add_workers
 
@@ -67,6 +71,24 @@ def _analysis_config(args: argparse.Namespace):
 # ----------------------------------------------------------------------
 
 
+@contextmanager
+def _sigterm_interrupts() -> Iterator[None]:
+    """Within the ``with``, SIGTERM raises ``KeyboardInterrupt`` as SIGINT does.
+
+    Service managers stop a daemon with SIGTERM, and a daemon started
+    with ``&`` from a non-interactive shell ignores SIGINT. Only the
+    main thread can set a handler; elsewhere this changes nothing.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.errors import LagAlyzerError
     from repro.faults import runtime as faults_runtime
@@ -109,25 +131,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             study_warehouse=args.study_warehouse,
         )
         server.start()
-        host, port = server.address
-        print(f"ingest daemon listening on {host}:{port} "
-              f"(spools -> {args.spool_dir}/)")
-        if server.health is not None:
-            h_host, h_port = server.health.address
-            print(f"health endpoints on http://{h_host}:{h_port} "
-                  f"(/healthz /metrics /sessions)")
-        if server.warehouse is not None:
-            print(f"telemetry warehouse -> {server.warehouse.path} "
-                  f"(run {server.run_id})")
-        if server.study_warehouse is not None:
-            print(f"study warehouse -> {server.study_warehouse.path} "
-                  f"(run {server.run_id}, compacted on shutdown)")
         try:
-            while True:
-                time.sleep(args.summary_interval)
-                if args.incremental:
-                    for summary in server.rolling_summaries().values():
-                        print(json.dumps(summary, sort_keys=True))
+            # Either signal ends the loop; stop() then flushes every
+            # session and compacts the spools. The handler is in place
+            # before the address is printed.
+            with _sigterm_interrupts():
+                host, port = server.address
+                print(f"ingest daemon listening on {host}:{port} "
+                      f"(spools -> {args.spool_dir}/)")
+                if server.health is not None:
+                    h_host, h_port = server.health.address
+                    print(f"health endpoints on http://{h_host}:{h_port} "
+                          f"(/healthz /metrics /sessions)")
+                if server.warehouse is not None:
+                    print(f"telemetry warehouse -> {server.warehouse.path} "
+                          f"(run {server.run_id})")
+                if server.study_warehouse is not None:
+                    print(f"study warehouse -> {server.study_warehouse.path} "
+                          f"(run {server.run_id}, compacted on shutdown)")
+                while True:
+                    time.sleep(args.summary_interval)
+                    if args.incremental:
+                        for summary in server.rolling_summaries().values():
+                            print(json.dumps(summary, sort_keys=True))
         except KeyboardInterrupt:
             pass
         finally:
@@ -149,9 +175,14 @@ def _replay_one(args, address, index: int, path: Path) -> dict:
     from repro.lila.writer import trace_to_lines
 
     # The wire carries text lines: a text trace goes out verbatim, any
-    # other encoding as the lines of the trace it loads to.
+    # other encoding as the lines of the trace it loads to. Lines end
+    # only where the trace reader ends them: reading turns "\r\n" and
+    # "\r" into "\n", and a symbol may hold any other character that
+    # ``str.splitlines`` breaks at.
     if detect_format(path) == "text":
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").split("\n")
+        if not lines[-1]:
+            lines.pop()  # the empty tail after a final newline
     else:
         lines = trace_to_lines(load_trace(path))
     session = f"{args.session_prefix}{index}"
@@ -264,14 +295,12 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     consumed = 0
     try:
         while True:
+            # Split where the trace reader splits (see _replay_one). A
+            # spool flush is line-atomic, but guard against reading
+            # mid-write: the unterminated final piece (empty after a
+            # final newline) waits for the next poll.
             text = path.read_text(encoding="utf-8")
-            lines = text.splitlines()
-            fresh = lines[consumed:]
-            # A spool flush is line-atomic, but guard against reading
-            # mid-write: an unterminated final line waits for the next
-            # poll.
-            if fresh and not text.endswith("\n"):
-                fresh = fresh[:-1]
+            fresh = text.split("\n")[:-1][consumed:]
             if fresh:
                 try:
                     analyzer.push_lines(fresh)

@@ -15,10 +15,14 @@ pending batch is discarded and counted in :attr:`dropped_batches` /
 :attr:`dropped_records`).
 
 Backpressure: a ``backpressure:`` nack from the daemon makes the sender
-sleep ``max(server hint, RetryPolicy backoff)`` and redeliver the same
-seq — the backoff curve (and its deterministic jitter) is exactly the
-engine scheduler's :class:`~repro.engine.scheduler.RetryPolicy`, keyed
-by ``(session, seq)``. Redelivery is idempotent: the daemon acks
+sleep and redeliver the same seq. A nack of a batch's first delivery
+sleeps the server's retry-after hint alone (about the time a full queue
+takes to free a slot); a nack of a later delivery of the same batch
+sleeps ``max(server hint, RetryPolicy backoff)``, so a daemon that stays
+full gets a growing backoff — the curve (and its deterministic jitter) is
+exactly the engine scheduler's
+:class:`~repro.engine.scheduler.RetryPolicy`, keyed by
+``(session, seq)``. Redelivery is idempotent: the daemon acks
 duplicates without re-spooling. With ``max_retries`` set, a batch that
 keeps getting nacked is eventually dropped with its counter bumped;
 unset (default) the sender blocks for as long as the daemon pushes
@@ -426,12 +430,17 @@ class TraceClient:
                 if not reason.startswith("backpressure"):
                     self._drop(batch)  # permanent refusal
                     return
-                time.sleep(max(
+                # The first nack waits out the hint alone; the backoff
+                # grows from the second (``delay_for(0)`` is 0).
+                delay = max(
                     retry_after_ms / 1000.0,
                     self.retry.delay_for(
-                        batch.attempts, token=f"{self.session}/{batch.seq}"
+                        batch.attempts - 1,
+                        token=f"{self.session}/{batch.seq}",
                     ),
-                ))
+                )
+                obs_runtime.observe("ingest.client.backoff_ms", delay * 1000.0)
+                time.sleep(delay)
                 continue
             if reply.type == protocol.T_ERROR:
                 raise IngestClientError(

@@ -2,7 +2,7 @@
 
 A spool is an ordinary LiLa *text* trace file grown by appends. The
 daemon writes exactly the record lines a client shipped (header
-included), one line at a time, flushing after every batch — so at any
+included), one write and one flush per batch — so at any
 moment the spool is a plain ``.lila`` file that
 :func:`repro.lila.source.open_source` reads like any other trace. A
 client that disconnected mid-stream leaves everything it got acked
@@ -71,9 +71,7 @@ class SessionSpool:
             return 0
         with self._lock:
             handle = self._handle()
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
+            handle.write("\n".join(lines) + "\n")
             handle.flush()
             self.lines_written += len(lines)
         return len(lines)

@@ -32,7 +32,9 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import ContextManager, Dict, Iterable, Iterator, List, Optional, Union
+from typing import (
+    ContextManager, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.core.errors import LagAlyzerError, TraceFormatError
 from repro.core.intervals import IntervalKind
@@ -306,14 +308,19 @@ class TextParser:
     token (stack token to stack id, state token to state code, kind
     token to kind code, symbol token to string id), and the builder's
     own interval and tick methods apply it, so nesting keeps one
-    implementation. Every other line — ``T``, ``M`` and ``F`` records,
-    blank and comment lines, unknown tags, and any line the fast path
-    rejects (a wrong field count, a bad integer, a timestamp outside the
-    signed 64 bits a column holds, a token not seen yet, a ``t`` outside
-    a tick) — goes through :func:`_parse_body_line` and
-    :meth:`ColumnarBuilder.feed`, the reference stream's own code, which
-    then teaches the caches the tokens it resolved. A line is tokenized
-    in full before the builder sees it, so no record is applied twice.
+    implementation. A trace repeats few distinct ``t`` lines, so the
+    fast path also keeps each ``t`` line's resolved entry keyed by the
+    raw line; inside a tick, a line found there is appended as that
+    entry, unsplit. Outside a tick the map is not consulted, so a
+    stray ``t`` line still fails as below. Every other line — ``T``,
+    ``M`` and ``F`` records, blank and comment lines, unknown tags, and
+    any line the fast path rejects (a wrong field count, a bad integer,
+    a timestamp outside the signed 64 bits a column holds, a token not
+    seen yet, a ``t`` outside a tick) — goes through
+    :func:`_parse_body_line` and :meth:`ColumnarBuilder.feed`, the
+    reference stream's own code, which then teaches the caches the
+    tokens it resolved. A line is tokenized in full before the builder
+    sees it, so no record is applied twice.
     """
 
     def __init__(self, builder: ColumnarBuilder, source: TraceSource) -> None:
@@ -326,6 +333,8 @@ class TextParser:
         self._state_codes: Dict[str, int] = {}
         self._kind_codes: Dict[str, int] = {}
         self._symbol_ids: Dict[str, int] = {}
+        #: Resolved sample entries by raw ``t`` line, filled by the fast path.
+        self._t_entries: Dict[str, Tuple[int, int, int]] = {}
 
     def feed_lines(self, lines: Iterable[str]) -> None:
         """Parse ``lines`` into the builder, continuing the trace so far.
@@ -358,6 +367,7 @@ class TextParser:
         state_codes = self._state_codes
         kind_codes = self._kind_codes
         symbol_ids = self._symbol_ids
+        t_entries = self._t_entries
         entries = builder._pending_entries
         ns_min, ns_max = _NS_MIN, _NS_MAX
         in_tick = state.in_tick
@@ -366,6 +376,12 @@ class TextParser:
         try:
             for raw in iterator:
                 line_no += 1
+                if in_tick:
+                    entry = t_entries.get(raw)
+                    if entry is not None:
+                        records += 1
+                        entries.append(entry)
+                        continue
                 # The last field keeps the line's newline: caches are
                 # keyed by the raw token, and ``int`` ignores it.
                 parts = raw.split(" ")
@@ -379,8 +395,9 @@ class TextParser:
                                 thread = string_ids.get(parts[1])
                                 if thread is None:
                                     thread = intern(parts[1])
+                                entry = t_entries[raw] = (thread, code, stack)
                                 records += 1
-                                entries.append((thread, code, stack))
+                                entries.append(entry)
                                 continue
                     elif tag == "O":
                         if len(parts) == 4:

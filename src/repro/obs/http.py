@@ -46,8 +46,10 @@ class WakeableServer:
     only when its ``select`` next times out, so each ``shutdown()``
     waits up to one poll interval. This loop also selects on a socket
     pair that ``shutdown()`` writes to, and returns as soon as it reads
-    the byte; the poll interval only paces ``service_actions``. List it
-    before the server class it mixes into.
+    the byte; the poll interval only paces ``service_actions``. Start
+    the loop with :meth:`serve_in_thread`: ``shutdown()`` then waits
+    only for a loop that was started, so a server that never served
+    stops at once. List it before the server class it mixes into.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -57,7 +59,27 @@ class WakeableServer:
         self._wake_read.setblocking(False)
         self._stop_requested = False
         self._stopped = threading.Event()
+        self._stopped.set()  # no serve loop to wait for yet
         super().__init__(*args, **kwargs)
+
+    def serve_in_thread(
+        self, name: str, poll_interval: float
+    ) -> threading.Thread:
+        """Run :meth:`serve_forever` on a new daemon thread.
+
+        The loop counts as running from this call on, so a
+        ``shutdown()`` that comes before the thread reaches its loop
+        still waits for it.
+        """
+        self._stopped.clear()
+        thread = threading.Thread(
+            target=self.serve_forever,
+            kwargs={"poll_interval": poll_interval},
+            name=name,
+            daemon=True,
+        )
+        thread.start()
+        return thread
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._stopped.clear()
@@ -82,7 +104,10 @@ class WakeableServer:
             self._stopped.set()
 
     def shutdown(self) -> None:
-        """Stop :meth:`serve_forever` and wait until it has returned."""
+        """Stop :meth:`serve_forever` and wait until it has returned.
+
+        Returns at once when no loop was started.
+        """
         self._stop_requested = True
         try:
             self._wake_write.send(b"\0")
@@ -189,13 +214,7 @@ class HealthServer:
         return self._server.server_address[:2]
 
     def start(self) -> "HealthServer":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="obs-health",
-            daemon=True,
-        )
-        self._thread.start()
+        self._thread = self._server.serve_in_thread("obs-health", 0.1)
         return self
 
     def stop(self) -> None:

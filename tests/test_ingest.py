@@ -12,14 +12,22 @@ records.
 from __future__ import annotations
 
 import io
+import json
+import os
 import pickle
+import signal
 import socket
 import struct
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from helpers import dispatch, gui_sample, listener_iv, make_trace
+from helpers import GOLDEN_DIR, dispatch, gui_sample, listener_iv, make_trace
+from repro.cli import main
 from repro.core.analyzer import AnalysisConfig, LagAlyzer
 from repro.core.store.facade import FacadeTrace
 from repro.faults import FaultInjector, FaultPlan, FaultRule
@@ -31,9 +39,13 @@ from repro.ingest import (
     TraceClient,
 )
 from repro.ingest import protocol
+from repro.ingest.client import DEFAULT_RETRY
 from repro.lila.source import build_store, open_source
 from repro.lila.writer import trace_to_lines
+from repro.obs import runtime as obs_runtime
 from repro.obs.http import HealthServer
+from repro.obs.observer import Observer
+from repro.warehouse import StudyWarehouse
 
 
 def sample_lines(offset_ms: float = 0.0, session: str = "s0"):
@@ -188,6 +200,42 @@ class TestServerWire:
             took.append(time.perf_counter() - start)
         assert min(took) < 0.010, took
 
+    @staticmethod
+    def _stop_in_thread(srv) -> threading.Thread:
+        stopper = threading.Thread(target=srv.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=1.0)
+        return stopper
+
+    @pytest.mark.parametrize("kind", ("ingest", "health"))
+    def test_stop_of_a_server_never_started_returns(self, tmp_path, kind):
+        if kind == "ingest":
+            srv = IngestServer(spool_dir=tmp_path / "spools")
+        else:
+            srv = HealthServer(stats_fn=dict)
+        listener = srv._server.socket
+        assert listener.fileno() != -1
+        assert not self._stop_in_thread(srv).is_alive()
+        assert listener.fileno() == -1
+        assert srv._server._wake_read.fileno() == -1
+        assert srv._server._wake_write.fileno() == -1
+
+    @pytest.mark.parametrize("kind", ("ingest", "health"))
+    def test_stop_right_after_start_leaves_no_serve_thread(
+        self, tmp_path, kind
+    ):
+        for _ in range(5):
+            if kind == "ingest":
+                srv = IngestServer(spool_dir=tmp_path / "spools").start()
+                serving = srv._serve_thread
+            else:
+                srv = HealthServer(stats_fn=dict).start()
+                serving = srv._thread
+            assert not self._stop_in_thread(srv).is_alive()
+            serving.join(timeout=1.0)
+            assert not serving.is_alive()
+            assert srv._server.socket.fileno() == -1
+
     @pytest.mark.parametrize("kind", ("ingest", "health"))
     def test_a_port_in_use_fails_with_os_error(self, tmp_path, kind):
         taken = socket.socket()
@@ -290,6 +338,73 @@ class TestServerWire:
 # ----------------------------------------------------------------------
 # Durability and flow control
 # ----------------------------------------------------------------------
+
+
+class TestBackpressureSleep:
+    """A nacked batch waits out the server's hint once, then backs off."""
+
+    @staticmethod
+    def sleeps_when_nacked(tmp_path, monkeypatch, hint_ms, nacks=2):
+        """Replay a session whose first batch is nacked ``nacks`` times;
+        return the sleeps of its sender thread."""
+        sleeps = []
+        real_sleep = time.sleep
+
+        def recording_sleep(seconds):
+            if threading.current_thread().name == "ingest-client-bp":
+                sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", recording_sleep)
+        plan = FaultPlan(seed=3, rules=(
+            FaultRule(kind="task_error", site="ingest.frame",
+                      at=("bp/1",), times=nacks),
+        ))
+        lines = sample_lines(session="bp")
+        with faults_runtime.installed(FaultInjector(plan)):
+            with IngestServer(
+                spool_dir=tmp_path / "spools", retry_after_ms=hint_ms
+            ) as srv:
+                with TraceClient(
+                    srv.address, session="bp", batch_records=len(lines)
+                ) as client:
+                    client.extend(lines)
+                assert srv.sessions()[0].spool.path.read_text(
+                ).splitlines() == lines
+        assert client.nacks_received == nacks
+        assert client.dropped_records == 0
+        return sleeps
+
+    @pytest.mark.parametrize("hint_ms", (7, 40))
+    def test_first_nack_sleeps_the_hint_then_the_backoff_applies(
+        self, tmp_path, monkeypatch, hint_ms
+    ):
+        sleeps = self.sleeps_when_nacked(tmp_path, monkeypatch, hint_ms)
+        backoff = DEFAULT_RETRY.delay_for(1, token="bp/1")
+        assert 0.007 < backoff < 0.040  # one hint below it, one above
+        assert sleeps == [hint_ms / 1000.0, max(hint_ms / 1000.0, backoff)]
+
+    def test_each_backpressure_sleep_is_observed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        observer = Observer()
+        with obs_runtime.installed(observer):
+            sleeps = self.sleeps_when_nacked(
+                tmp_path, monkeypatch, hint_ms=7, nacks=1
+            )
+        assert sleeps == [0.007]
+        hist = observer.metrics.histogram("ingest.client.backoff_ms")
+        assert hist.count == 1
+        assert hist.total == pytest.approx(7.0)
+        # `obs report` lists it next to the send-to-ack latency.
+        bundle = observer.save(tmp_path / "obs")
+        capsys.readouterr()
+        assert main(["obs", "report", str(bundle)]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out
+                 .splitlines() if line.startswith("  ingest.client.")]
+        assert "ingest.client.backoff_ms" in names
+        at = names.index("ingest.client.backoff_ms")
+        assert names[at + 1] == "ingest.client.flush_ms"
 
 
 class TestDurability:
@@ -530,3 +645,89 @@ class TestSpool:
             assert spool.append([]) == 0
         assert spool.lines_written == 2
         assert spool.path.read_text() == "#%lila\nM application App\n"
+
+
+# ----------------------------------------------------------------------
+# The ingest command line
+# ----------------------------------------------------------------------
+
+
+#: Characters ``str.splitlines`` breaks at that a symbol may hold and
+#: the trace reader keeps inside a line.
+NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestIngestCli:
+    @pytest.fixture(params=NOT_LINE_ENDS, ids=lambda char: f"U+{ord(char):04X}")
+    def odd_symbol_trace(self, request, tmp_path):
+        """The CrosswordSage golden trace with ``<char>x`` appended to its
+        first listener symbol; it still parses."""
+        lines = (GOLDEN_DIR / "CrosswordSage-session-0.lila").read_text(
+            encoding="utf-8"
+        ).split("\n")
+        first = next(
+            index for index, line in enumerate(lines)
+            if line.startswith("O ") and line.split(" ")[2] == "listener"
+        )
+        lines[first] += request.param + "x"
+        path = tmp_path / "CrosswordSage-odd.lila"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        build_store(open_source(path))
+        return path
+
+    def test_replay_and_tail_split_lines_as_the_reader_does(
+        self, odd_symbol_trace, tmp_path, capsys
+    ):
+        warehouse = tmp_path / "study.sqlite"
+        with IngestServer(
+            spool_dir=tmp_path / "spools", study_warehouse=warehouse,
+            run_id="odd",
+        ) as server:
+            host, port = server.address
+            assert main([
+                "ingest", "replay", str(odd_symbol_trace),
+                "--address", f"{host}:{port}",
+            ]) == 0
+            spool = server.sessions()[0].spool.path
+        assert spool.read_bytes() == odd_symbol_trace.read_bytes()
+        [row] = StudyWarehouse(warehouse).aggregate(run_ids=["odd"])
+        assert (row.application, row.sessions) == ("CrosswordSage", 1)
+        capsys.readouterr()
+        assert main(["ingest", "tail", str(spool)]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["lines"] == spool.read_text(encoding="utf-8").count("\n")
+
+    def test_serve_stops_gracefully_on_sigterm(self, tmp_path):
+        trace = GOLDEN_DIR / "OrderApi-session-0.lila"
+        records = len(trace.read_text(encoding="utf-8").splitlines())
+        warehouse = tmp_path / "fleet.sqlite"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(protocol.__file__).parents[2]), env.get("PYTHONPATH", "")]
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "ingest", "serve",
+             "--port", "0", "--spool-dir", str(tmp_path / "spools"),
+             "--study-warehouse", str(warehouse), "--run-id", "term"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            banner = daemon.stdout.readline()
+            assert "listening on" in banner, banner + daemon.stderr.read()
+            address = banner.split("listening on ")[1].split(" ")[0]
+            assert main([
+                "ingest", "replay", str(trace), "--address", address,
+            ]) == 0
+            daemon.send_signal(signal.SIGTERM)
+            out, err = daemon.communicate(timeout=60)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate()
+        assert daemon.returncode == 0, err
+        stats = json.loads(out.strip().splitlines()[-1])
+        assert stats["records_flushed"] == records
+        assert stats["ended_sessions"] == 1
+        [row] = StudyWarehouse(warehouse).aggregate(run_ids=["term"])
+        assert (row.application, row.sessions) == ("OrderApi", 1)

@@ -520,7 +520,10 @@ class TestHealthServer:
 
     def test_healthz_callable_directly(self):
         server = HealthServer(stats_fn=lambda: {"pending_batches": 1})
-        status, report = server.healthz()
+        try:
+            status, report = server.healthz()
+        finally:
+            server.stop()  # never started: closes its sockets at once
         assert status == 200 and report["healthy"] is True
 
 

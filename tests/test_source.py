@@ -44,9 +44,12 @@ from repro.lila.source import (
     build_trace,
     open_source,
 )
+from repro.ingest.incremental import IncrementalSessionAnalyzer
 from repro.lila.writer import trace_to_lines
 from repro.obs import runtime as obs_runtime
 from repro.obs.observer import Observer
+
+from oracle import reference_build_store
 
 
 TINY = """\
@@ -200,6 +203,46 @@ class TestErrorProvenance:
             with pytest.raises(TraceFormatError) as info:
                 build_store(TextTraceSource(path, faults=True))
         assert info.value.line is not None
+
+
+class TestRepeatedSampleLines:
+    """The kernel keeps each ``t`` line its fast path resolved, keyed by
+    the raw line, and consults it only inside a tick."""
+
+    T_LINE = TINY.splitlines()[-1]
+
+    def lines(self, *tail):
+        # TINY's tick resolves the t line by the reference path; a
+        # second tick resolves it by the fast path, which keeps it.
+        return tiny_lines() + ["P 4000000", self.T_LINE, *tail]
+
+    def test_repeat_after_a_thread_record_is_outside_a_tick(self, tmp_path):
+        lines = self.lines("T worker", self.T_LINE)
+        message = f"line {len(lines)}: t record outside a tick"
+        path = tmp_path / "stray.lila"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for source in (LinesTraceSource(lines), TextTraceSource(path)):
+            with pytest.raises(TraceFormatError) as info:
+                build_store(source)
+            assert message in str(info.value)
+            assert info.value.line == len(lines)
+        with pytest.raises(TraceFormatError) as info:
+            IncrementalSessionAnalyzer().push_lines(lines)
+        assert message in str(info.value)
+
+    def test_repeat_in_a_later_tick_yields_the_same_entry(self):
+        lines = self.lines("T worker", "P 5000000", self.T_LINE)
+        store = build_store(LinesTraceSource(lines))
+        reference = reference_build_store(LinesTraceSource(lines))
+        entries = list(
+            zip(store.entry_thread, store.entry_state, store.entry_stack)
+        )
+        assert list(store.sample_ts) == [3000000, 4000000, 5000000]
+        assert len(entries) == 3 and len(set(entries)) == 1
+        assert entries == list(zip(
+            reference.entry_thread, reference.entry_state,
+            reference.entry_stack,
+        ))
 
 
 class TestUndecodableByte:
