@@ -122,7 +122,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             queue_limit=args.queue_limit,
             incremental=args.incremental,
-            config=_analysis_config(args) if args.incremental else None,
+            config=_analysis_config(args),
             health_port=args.health_port,
             slo=slo,
             warehouse=args.warehouse,

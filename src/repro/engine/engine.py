@@ -77,16 +77,15 @@ class QuarantinedTrace:
         return f"{self.application}/{self.session_id}: {self.error}"
 
 
-def _map_task(task: Tuple[Trace, Tuple[str, ...], Any]) -> List[Any]:
-    """Worker: the requested partials of one trace (module-level for pickling).
+def _fused_pass(trace: Trace, names: Tuple[str, ...], config: Any) -> List[Any]:
+    """The partials of ``names`` over ``trace``, in one fused pass.
 
-    Executes one **fused pass**: the names are compiled into an
-    :class:`~repro.core.plan.AnalysisPlan` whose operators all map
-    through one shared :class:`~repro.core.plan.StageContext`, so the
-    episode split and pattern tallies are computed once for the whole
-    task instead of once per analysis.
+    The names are compiled into an :class:`~repro.core.plan.AnalysisPlan`
+    whose operators all map through one shared
+    :class:`~repro.core.plan.StageContext`, so the episode split and
+    pattern tallies are computed once for the whole pass instead of
+    once per analysis.
     """
-    trace, names, config = task
     faults_runtime.check(
         "trace.map", key=f"{trace.application}/{trace.metadata.session_id}"
     )
@@ -94,41 +93,34 @@ def _map_task(task: Tuple[Trace, Tuple[str, ...], Any]) -> List[Any]:
     return [partials[name] for name in names]
 
 
-def _obs_map_task(
-    task: Tuple[Trace, Tuple[str, ...], Any, bool]
-) -> Tuple[List[Any], Optional[dict]]:
-    """Worker: ``_map_task`` plus this process's observability snapshot.
+def _map_task(task: Tuple[Any, Tuple[str, ...], Any]) -> List[Any]:
+    """Worker: the requested partials of one trace (module-level for pickling).
 
-    In a fresh worker process a local observer is installed for the
-    task and its snapshot shipped back for re-parented merging; when an
-    ambient observer already exists (serial fallback in the dispatching
-    process) spans land there directly and no snapshot is returned.
+    The task is ``(trace, names, config)``; an observed pooled map ships
+    the trace already pickled (see :func:`_counted_pickle`). Its
+    ``engine.worker_task`` span opens wherever the task runs.
     """
-    trace, names, config, profile = task
+    trace, names, config = task
     if isinstance(trace, bytes):
-        # Pickled by the dispatcher, which counted its bytes.
         trace = pickle.loads(trace)
-    if obs_runtime.current() is not None:
-        return _map_task((trace, names, config)), None
-    worker = Observer(profile=profile)
-    with obs_runtime.installed(worker):
-        with worker.span(
-            "engine.worker_task", analyses=len(names), application=trace.application
-        ):
-            partials = _map_task((trace, names, config))
-    return partials, worker.snapshot()
+    with obs_runtime.maybe_span(
+        "engine.worker_task", analyses=len(names), application=trace.application
+    ):
+        return _fused_pass(trace, names, config)
 
 
 def _load_task(
-    task: Tuple[Any, Optional[Tuple[Tuple[str, ...], Any]]]
-) -> Tuple[Trace, Optional[List[Any]]]:
+    task: Tuple[Any, Optional[Tuple[Tuple[str, ...], Any]], bool]
+) -> Tuple[Any, Optional[List[Any]]]:
     """Worker: load and digest one trace, then map it if asked to.
 
-    The task is ``(entry, ahead)``: a file path or a source, and
-    ``(names, config)`` or None. The digest is memoized on the trace's
-    columnar store, which carries it back to the dispatching process,
-    so the cache probe never re-serializes a loaded trace. A trace
-    whose canonical text cannot be produced (a symbol the format
+    The task is ``(entry, ahead, pickled)``: a file path or a source,
+    ``(names, config)`` or None, and whether to return the trace
+    pickled by :func:`_counted_pickle`, so that an observed pooled load
+    counts the bytes its result carries. The digest is memoized on the
+    trace's columnar store, which carries it back to the dispatching
+    process, so the cache probe never re-serializes a loaded trace. A
+    trace whose canonical text cannot be produced (a symbol the format
     forbids) fails here, stamped with its path, instead of at its first
     cached run.
 
@@ -141,7 +133,7 @@ def _load_task(
     from repro.lila.autodetect import load_trace
     from repro.lila.source import TraceSource, build_trace
 
-    entry, ahead = task
+    entry, ahead, pickled = task
     if isinstance(entry, TraceSource):
         trace = build_trace(entry)
         path = entry.path
@@ -154,33 +146,18 @@ def _load_task(
         if error.path is None:
             error.path = path
         raise
-    if ahead is None:
-        return trace, None
-    names, config = ahead
-    try:
-        return trace, _map_task((trace, names, config))
-    except Exception:
-        # Not a load failure: the trace's later map runs the same code
-        # and raises or quarantines there, as after a serial load.
-        return trace, None
-
-
-def _obs_load_task(
-    task: Tuple[Any, Optional[tuple], bool]
-) -> Tuple[Tuple[Any, Optional[List[Any]]], Optional[dict]]:
-    """Worker: ``_load_task`` plus the worker's observability snapshot.
-
-    In a worker the trace goes back pickled by the task itself, so its
-    bytes are counted without a second pickle.
-    """
-    entry, ahead, profile = task
-    if obs_runtime.current() is not None:
-        return _load_task((entry, ahead)), None
-    worker = Observer(profile=profile)
-    with obs_runtime.installed(worker):
-        trace, partials = _load_task((entry, ahead))
-        payload = _counted_pickle(trace, "engine.trace_bytes_in")
-    return (payload, partials), worker.snapshot()
+    partials = None
+    if ahead is not None:
+        try:
+            partials = _fused_pass(trace, *ahead)
+        except Exception:
+            # Not a load failure: the trace's later map runs the same
+            # code and raises or quarantines there, as after a serial
+            # load.
+            pass
+    if pickled:
+        return _counted_pickle(trace, "engine.trace_bytes_in"), partials
+    return trace, partials
 
 
 def _counted_pickle(trace: Trace, metric: str) -> bytes:
@@ -315,7 +292,6 @@ class AnalysisEngine:
         traces: Sequence[Trace],
         config: Any,
     ) -> Dict[str, List[Any]]:
-        obs = obs_runtime.current()
         cache = self.cache
         self.quarantined = []
         names = tuple(analysis_names)
@@ -328,7 +304,7 @@ class AnalysisEngine:
             analyses=len(names),
             traces=len(traces),
             workers=self.effective_workers,
-        ) as dispatch_span:
+        ):
             missing: List[int] = []
             digests: List[str] = []
             with obs_runtime.maybe_span("engine.cache.probe"):
@@ -375,29 +351,20 @@ class AnalysisEngine:
                         fingerprint, plan_fp,
                     )
             if shipped:
-                if obs is not None:
-                    obs.metrics.inc("engine.tasks", len(shipped))
-                    pickled = fans_out(self.workers, len(shipped))
-                    profile = obs.profiler is not None
-                    tasks: List[Any] = []
-                    for index in shipped:
-                        trace = traces[index]
-                        if pickled:
-                            trace = _counted_pickle(
-                                trace, "engine.trace_bytes_out"
-                            )
-                        tasks.append((trace, names, config, profile))
-                    task_func: Any = _obs_map_task
-                    parent_id = (
-                        dispatch_span.span_id
-                        if dispatch_span is not None
-                        else None
-                    )
-                else:
-                    tasks = [(traces[index], names, config) for index in shipped]
-                    task_func = _map_task
+                obs_runtime.count("engine.tasks", len(shipped))
+                # Observed, a pooled task carries its trace pickled
+                # here, so its bytes are counted from that one pickle.
+                pickled = obs_runtime.current() is not None and fans_out(
+                    self.workers, len(shipped)
+                )
+                tasks: List[Any] = []
+                for index in shipped:
+                    trace = traces[index]
+                    if pickled:
+                        trace = _counted_pickle(trace, "engine.trace_bytes_out")
+                    tasks.append((trace, names, config))
                 outcomes = run_tasks(
-                    task_func,
+                    _map_task,
                     tasks,
                     workers=self.workers,
                     timeout=self.task_timeout,
@@ -417,12 +384,7 @@ class AnalysisEngine:
                             )
                         )
                         continue
-                    if obs is not None:
-                        partial_list, snapshot = outcome.value
-                        obs.absorb(snapshot, parent_id=parent_id)
-                    else:
-                        partial_list = outcome.value
-                    partials = dict(zip(names, partial_list))
+                    partials = dict(zip(names, outcome.value))
                     for name in names:
                         results[name][index] = partials[name]
                     if cache is not None:
@@ -547,37 +509,26 @@ class AnalysisEngine:
             )
         quarantine = QUARANTINE_ERRORS if on_error == "quarantine" else ()
         with obs_runtime.installed(self.obs):
-            obs = obs_runtime.current()
             self.quarantined = []
-            with obs_runtime.maybe_span(
-                "engine.load_traces", files=len(paths)
-            ) as load_span:
+            with obs_runtime.maybe_span("engine.load_traces", files=len(paths)):
                 entries: List[Any] = [
                     path if isinstance(path, TraceSource) else str(path)
                     for path in paths
                 ]
+                pooled = fans_out(self.workers, len(entries))
                 ahead: Optional[Tuple[Tuple[str, ...], Any]] = None
-                if config is not None and fans_out(self.workers, len(entries)):
+                if config is not None and pooled:
                     names = tuple(REGISTRY)
                     memo_key, pins = _memo_key(config)
                     ahead = (names, config)
-                if obs is None:
-                    task_func: Any = _load_task
-                    tasks: List[Any] = [(entry, ahead) for entry in entries]
-                else:
-                    profile = obs.profiler is not None
-                    task_func = _obs_load_task
-                    tasks = [(entry, ahead, profile) for entry in entries]
+                pickled = pooled and obs_runtime.current() is not None
                 outcomes = run_tasks(
-                    task_func,
-                    tasks,
+                    _load_task,
+                    [(entry, ahead, pickled) for entry in entries],
                     workers=self.workers,
                     timeout=self.task_timeout,
                     retry=self.retry,
                     quarantine_types=quarantine,
-                )
-                parent_id = (
-                    load_span.span_id if load_span is not None else None
                 )
                 traces = []
                 for index, outcome in enumerate(outcomes):
@@ -591,13 +542,9 @@ class AnalysisEngine:
                             )
                         )
                         continue
-                    if obs is None:
-                        trace, partial_list = outcome.value
-                    else:
-                        (trace, partial_list), snapshot = outcome.value
-                        obs.absorb(snapshot, parent_id=parent_id)
-                        if isinstance(trace, bytes):
-                            trace = pickle.loads(trace)
+                    trace, partial_list = outcome.value
+                    if isinstance(trace, bytes):
+                        trace = pickle.loads(trace)
                     if partial_list is not None:
                         # Beside the digest memo; never pickled (see
                         # ColumnarTrace.__getstate__).

@@ -33,7 +33,11 @@ Fault injection (:mod:`repro.faults`) plugs in at the task wrapper:
 the ambient plan is shipped inside each task payload so worker
 processes make the same deterministic decisions as the parent. So is
 the dispatcher's working directory, so a long-lived worker resolves
-relative paths as a worker forked for the call would.
+relative paths as a worker forked for the call would. Observation
+(:mod:`repro.obs`) rides the same way: when the dispatcher observes, a
+pooled task runs under a fresh worker :class:`~repro.obs.Observer` and
+its snapshot is absorbed under the span that was current when
+:func:`run_tasks` was called, so callers see only their tasks' values.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from repro.faults import runtime as faults_runtime
 from repro.faults.injector import TransientFault
 from repro.faults.plan import hash_unit
 from repro.obs import runtime as obs_runtime
+from repro.obs.observer import Observer
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -134,22 +139,34 @@ class TaskOutcome:
 
 
 def _call_one(
-    spec: Tuple[Callable, Any, int, int, Optional[dict], Optional[str]]
-) -> Any:
-    """Execute one task under its fault-injection context.
+    spec: Tuple[
+        Callable, Any, int, int, Optional[dict], Optional[str], Optional[bool]
+    ]
+) -> Tuple[Any, Optional[dict]]:
+    """Execute one task under its fault-injection and observation context.
 
     Module-level so it pickles into workers; the plan dict rides along
     in the spec and :class:`~repro.faults.runtime.task_scope` rebuilds
     the injector in a fresh worker process. A pooled task also carries
     its dispatcher's working directory, which the worker enters first
     without reading its own: that one may have been deleted since.
+
+    Returns ``(value, snapshot)``. ``profile`` is the dispatching
+    observer's profile flag, None when the dispatcher does not observe;
+    a process with no observer of its own then runs ``func`` under a
+    fresh one and returns its snapshot, which is None otherwise.
     """
-    func, item, index, attempt, plan_dict, cwd = spec
+    func, item, index, attempt, plan_dict, cwd, profile = spec
     if cwd is not None:
         os.chdir(cwd)
     with faults_runtime.task_scope(plan_dict, index=index, attempt=attempt):
         faults_runtime.check("engine.task", key=index)
-        return func(item)
+        if profile is None or obs_runtime.current() is not None:
+            return func(item), None
+        worker = Observer(profile=profile)
+        with obs_runtime.installed(worker):
+            value = func(item)
+        return value, worker.snapshot()
 
 
 def _settle_failure(
@@ -200,8 +217,9 @@ def _serial_round(
         attempt = attempts[index]
         attempts[index] += 1
         try:
-            value = _call_one(
-                (func, items[index], index, attempt, plan_dict, None)
+            # In the dispatching process: spans land on its own observer.
+            value, _snapshot = _call_one(
+                (func, items[index], index, attempt, plan_dict, None, None)
             )
         except Exception as error:
             _settle_failure(
@@ -226,12 +244,15 @@ def _pool_round(
     retry: RetryPolicy,
     quarantine_types: Tuple[type, ...],
     plan_dict: Optional[dict],
+    observer: Optional[Observer],
+    parent_id: Optional[str],
 ) -> Tuple[List[int], bool]:
     """One pooled attempt over ``pending``, on this process's pool.
 
     Returns ``(still_pending, pool_usable)``; a broken or timed-out
     pool is discarded and flips ``pool_usable`` off so the caller
-    finishes serially.
+    finishes serially. Each finished task's snapshot is absorbed into
+    ``observer`` under ``parent_id``.
     """
     from concurrent.futures import TimeoutError as FuturesTimeout
     from concurrent.futures import wait
@@ -248,12 +269,21 @@ def _pool_round(
         obs_runtime.count("engine.pool_breaks")
         return list(pending), False
 
+    def settle(index: int, result: Tuple[Any, Optional[dict]]) -> None:
+        value, snapshot = result
+        if observer is not None:
+            observer.absorb(snapshot, parent_id=parent_id)
+        outcomes[index] = TaskOutcome(
+            index, value=value, attempts=attempts[index]
+        )
+
     still_pending: List[int] = []
     broke = False
     try:
         cwd: Optional[str] = os.getcwd()
     except OSError:  # the directory is gone; workers keep their own
         cwd = None
+    profile = None if observer is None else observer.profiler is not None
     obs_runtime.set_gauge("engine.workers", min(workers, len(pending)))
     with obs_runtime.maybe_span(
         "engine.parallel_map", items=len(pending), workers=workers
@@ -268,7 +298,10 @@ def _pool_round(
                         index,
                         pool.submit(
                             _call_one,
-                            (func, items[index], index, attempt, plan_dict, cwd),
+                            (
+                                func, items[index], index, attempt,
+                                plan_dict, cwd, profile,
+                            ),
                         ),
                     )
                 )
@@ -286,7 +319,7 @@ def _pool_round(
                     # for tasks that never started).
                     if future.done() and not future.cancelled():
                         try:
-                            value = future.result()
+                            result = future.result()
                         except BrokenProcessPool:
                             still_pending.append(index)
                         except Exception as error:
@@ -295,15 +328,13 @@ def _pool_round(
                                 still_pending, retry, quarantine_types,
                             )
                         else:
-                            outcomes[index] = TaskOutcome(
-                                index, value=value, attempts=attempts[index]
-                            )
+                            settle(index, result)
                     else:
                         attempts[index] -= 1
                         still_pending.append(index)
                     continue
                 try:
-                    value = future.result(timeout=timeout)
+                    result = future.result(timeout=timeout)
                 except (FuturesTimeout, TimeoutError):
                     # A hung worker: count it, abandon the pool, and
                     # let every unfinished task re-run serially.
@@ -322,9 +353,7 @@ def _pool_round(
                         retry, quarantine_types,
                     )
                 else:
-                    outcomes[index] = TaskOutcome(
-                        index, value=value, attempts=attempts[index]
-                    )
+                    settle(index, result)
         finally:
             if broke:
                 _forget_pool()
@@ -366,9 +395,14 @@ def run_tasks(
             ``quarantined=True`` instead of raising. When non-empty,
             exhausted retries also quarantine rather than abort.
 
+    Under an ambient observer, a pooled task's spans, metrics and
+    profile are merged into it, its root spans under the calling
+    thread's current span.
+
     Returns:
-        One :class:`TaskOutcome` per item, in item order. Errors that
-        are neither retryable nor quarantinable propagate.
+        One :class:`TaskOutcome` per item, in item order; ``value`` is
+        what ``func`` returned. Errors that are neither retryable nor
+        quarantinable propagate.
     """
     items = list(items)
     retry = retry or RetryPolicy()
@@ -376,6 +410,8 @@ def run_tasks(
     attempts = [0] * len(items)
     pending = list(range(len(items)))
     plan_dict = faults_runtime.plan_snapshot()
+    observer = obs_runtime.current()
+    parent_id = observer.current_span_id() if observer is not None else None
     pool_usable = fans_out(workers, len(items))
     round_no = 0
     while pending:
@@ -387,7 +423,7 @@ def run_tasks(
             pending, pool_usable = _pool_round(
                 func, items, pending, attempts, outcomes,
                 resolve_workers(workers), timeout, retry,
-                quarantine_types, plan_dict,
+                quarantine_types, plan_dict, observer, parent_id,
             )
         else:
             pending = _serial_round(

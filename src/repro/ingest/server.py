@@ -365,7 +365,8 @@ class IngestServer:
         retry_after_ms: hint sent with backpressure nacks.
         incremental: run an :class:`IncrementalSessionAnalyzer` per
             session, advanced at every flush.
-        config: analysis config for incremental mode.
+        config: analysis config of incremental mode and of spool
+            compaction (default: ``AnalysisConfig()``).
         flush_interval_s: background flush cadence (the flusher also
             wakes immediately whenever a batch is accepted).
         health_port: also serve ``/metrics`` / ``/healthz`` /
@@ -513,9 +514,10 @@ class IngestServer:
     def compact_spools(self) -> Dict[str, int]:
         """Compact every session's flushed spool into the study warehouse.
 
-        Each spool is re-read as a trace source, analyzed with the
-        warehouse ingest plan (``statistics`` + ``occurrence``), and
-        stored under this daemon's ``run_id`` — so the warehouse's
+        Each spool is re-read as a trace source, analyzed under
+        ``config`` with the warehouse ingest plan
+        (:data:`~repro.warehouse.store.INGEST_ANALYSES`), and stored
+        under this daemon's ``run_id`` — so the warehouse's
         per-session ``records`` equals the spool's record count, which
         equals ``records_flushed`` (the zero-loss contract). Every
         session goes through one warehouse connection

@@ -13,10 +13,11 @@ instrumented layer of the pipeline reports into it. Afterwards
 
 which ``lagalyzer obs report`` and ``lagalyzer obs export`` consume.
 
-Cross-process flow: a worker builds its own Observer, runs its task,
-and returns :meth:`snapshot` (a picklable dict) alongside the result;
-the dispatcher calls :meth:`absorb`, which re-parents the worker's root
-spans under the dispatching span and merges metrics and profiles.
+Cross-process flow: the scheduler (:mod:`repro.engine.scheduler`) runs
+each pooled task under a fresh Observer and ships its :meth:`snapshot`
+(a picklable dict) back with the task's value, then calls :meth:`absorb`
+on the dispatching process's observer, which re-parents the worker's
+root spans under the dispatching span and merges metrics and profiles.
 """
 
 from __future__ import annotations

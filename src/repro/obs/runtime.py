@@ -13,9 +13,8 @@ Worker processes never *use* the parent's observer: on fork-start
 platforms a child inherits the module global, but its spans and
 counters would land in a throwaway copy, so the installation records
 the owning pid and :func:`current` treats a foreign-pid observer as
-absent. The engine and study runner then install a fresh observer per
-worker task and ship its snapshot back (see ``repro.engine.engine`` /
-``repro.study.runner``).
+absent. The scheduler then installs a fresh observer per pooled task
+and absorbs its snapshot back (see :mod:`repro.engine.scheduler`).
 """
 
 from __future__ import annotations

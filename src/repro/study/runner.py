@@ -215,36 +215,26 @@ def _analyze_app_task(
     config: StudyConfig,
     cache_dir: Optional[str],
     use_cache: bool,
-    obs_profile: Optional[bool] = None,
     retry: Optional[RetryPolicy] = None,
     task_timeout: Optional[float] = None,
-) -> Tuple[AppResult, Optional[dict]]:
+) -> AppResult:
     """Worker: one application end to end (module-level for pickling).
 
     Cache counters accumulated in the worker are flushed to the shared
     ``stats.json`` before returning, so ``engine cache stats`` sees the
-    whole study no matter how it was scheduled. With ``obs_profile``
-    set (observed study) a fresh-process worker also returns its
-    observability snapshot; in the dispatching process (serial path or
-    pool fallback) spans land on the ambient observer and the snapshot
-    is None.
+    whole study no matter how it was scheduled.
     """
-    worker_obs: Optional[Observer] = None
-    if obs_profile is not None and obs_runtime.current() is None:
-        worker_obs = Observer(profile=obs_profile)
-    with obs_runtime.installed(worker_obs):
-        with obs_runtime.maybe_span("study.app", application=name):
-            engine = AnalysisEngine(
-                workers=1,
-                cache_dir=cache_dir,
-                use_cache=use_cache,
-                retry=retry,
-                task_timeout=task_timeout,
-            )
-            result = analyze_app(name, config, engine=engine)
-            engine.flush_cache_stats()
-    snapshot = worker_obs.snapshot() if worker_obs is not None else None
-    return result, snapshot
+    with obs_runtime.maybe_span("study.app", application=name):
+        engine = AnalysisEngine(
+            workers=1,
+            cache_dir=cache_dir,
+            use_cache=use_cache,
+            retry=retry,
+            task_timeout=task_timeout,
+        )
+        result = analyze_app(name, config, engine=engine)
+        engine.flush_cache_stats()
+    return result
 
 
 def _resolve_injector(
@@ -283,9 +273,10 @@ def run_study(
         cache_dir: result-cache root (default ``~/.cache/lagalyzer``).
         use_cache: set ``False`` to recompute everything.
         obs: an :class:`~repro.obs.Observer`; when given, the study is
-            traced end to end (installed ambiently for the duration,
-            worker snapshots merged back and re-parented under the
-            ``study.run`` root span). Results are identical either way.
+            traced end to end (installed ambiently for the duration;
+            the scheduler merges pooled workers' snapshots back under
+            the ``study.run`` root span). Results are identical either
+            way.
         faults: a :class:`~repro.faults.FaultPlan` (or injector, or
             plan dict) to run the study under — installed ambiently for
             the duration and shipped into workers. Damaged sessions are
@@ -307,22 +298,18 @@ def run_study(
             defaults to a deterministic ``study-<seed>-<config-fp>``.
     """
     config = config or StudyConfig()
-    if obs is None:
-        obs = obs_runtime.current()
     injector = _resolve_injector(faults)
     with faults_runtime.installed(
         injector if injector is not faults_runtime.current() else None
     ):
-        with obs_runtime.installed(
-            obs if obs is not obs_runtime.current() else None
-        ):
+        with obs_runtime.installed(obs):
             with obs_runtime.maybe_span(
                 "study.run",
                 applications=len(config.applications),
                 sessions=config.sessions,
                 scale=config.scale,
                 workers=resolve_workers(workers),
-            ) as root_span:
+            ):
                 task = functools.partial(
                     _analyze_app_task,
                     config=config,
@@ -333,10 +320,6 @@ def run_study(
                         else default_cache_dir()
                     ),
                     use_cache=use_cache,
-                    obs_profile=(
-                        (obs.profiler is not None) if obs is not None
-                        else None
-                    ),
                     retry=retry,
                     task_timeout=task_timeout,
                 )
@@ -347,12 +330,9 @@ def run_study(
                     timeout=task_timeout,
                     retry=retry,
                 )
-                root_id = root_span.span_id if root_span is not None else None
                 results: Dict[str, AppResult] = {}
                 for outcome in outcomes:
-                    result, snapshot = outcome.value
-                    if obs is not None:
-                        obs.absorb(snapshot, parent_id=root_id)
+                    result = outcome.value
                     results[result.name] = result
                     if progress:
                         stats = result.mean_stats

@@ -34,10 +34,11 @@ Design rules (shared with :mod:`repro.obs.warehouse`):
   ``warehouse.write_errors``, and lets the study run continue; corrupt
   rows are swept into a quarantine table, not served and not fatal.
 - **Parity by construction.** :meth:`StudyWarehouse.ingest_trace` runs
-  the same fused plan (``statistics`` + ``occurrence``) that
-  :meth:`LagAlyzer.summaries` runs, and :meth:`ingest_bundles` compacts
-  partials the engine already computed — so warehouse queries agree
-  exactly with recomputing, which the parity tests pin.
+  the same fused plan (:data:`INGEST_ANALYSES`: ``statistics``,
+  ``occurrence`` and ``causes``) that :meth:`LagAlyzer.summaries` runs,
+  and :meth:`ingest_bundles` compacts partials the engine already
+  computed — so warehouse queries agree exactly with recomputing, which
+  the parity tests pin.
 """
 
 from __future__ import annotations
@@ -344,8 +345,8 @@ class StudyWarehouse(SQLiteStore):
     ) -> bool:
         """Analyze one trace with the ingest plan and store the session.
 
-        Runs the same fused ``statistics`` + ``occurrence`` pass the
-        engine runs, so the stored row is value-identical to what
+        Runs the same fused pass of :data:`INGEST_ANALYSES` the engine
+        runs, so the stored row is value-identical to what
         :meth:`LagAlyzer.summaries` would reduce for this trace.
 
         ``session_id`` overrides the trace's own metadata session id —
@@ -415,8 +416,9 @@ class StudyWarehouse(SQLiteStore):
 
         The spool counterpart of :meth:`ingest_bundles`: ``spools``
         yields ``(session_id, spool_path)`` pairs (see
-        :meth:`ingest_spool`), and :meth:`record_run` plus every session
-        write share this call's connection, each session still
+        :meth:`ingest_spool`), and :meth:`record_run`, which files the
+        run under ``config``'s fingerprint and threshold, plus every
+        session write share this call's connection, each session still
         committing on its own. A session that fails warns, counts
         ``warehouse.write_errors`` and is skipped; one damaged spool
         never loses the rest.
@@ -424,11 +426,20 @@ class StudyWarehouse(SQLiteStore):
         Returns counters: ``{"ingested", "skipped", "failed"}`` —
         ``skipped`` are sessions already stored with the same digest.
         """
+        from repro.engine.cache import config_fingerprint
+
         spools = list(spools)
         ingested = skipped = failed = 0
         with self._connection():
             try:
-                self.record_run(run_id, source="spool")
+                self.record_run(
+                    run_id,
+                    source="spool",
+                    config_fingerprint=config_fingerprint(config),
+                    threshold_ms=getattr(
+                        config, "perceptible_threshold_ms", None
+                    ),
+                )
             except Exception as error:
                 warnings.warn(
                     f"study warehouse unavailable under {self.path}:"

@@ -236,6 +236,35 @@ class TestServerWire:
             assert not serving.is_alive()
             assert srv._server.socket.fileno() == -1
 
+    def test_shutdown_waits_for_a_serve_thread_not_yet_in_its_loop(
+        self, tmp_path
+    ):
+        """A ``shutdown()`` that comes before the serve thread reaches
+        its loop waits for that loop to run and return."""
+        server = IngestServer(spool_dir=tmp_path / "spools")._server
+        release = threading.Event()
+        serve_forever = server.serve_forever
+
+        def held(poll_interval: float) -> None:
+            release.wait(timeout=10.0)
+            serve_forever(poll_interval=poll_interval)
+
+        server.serve_forever = held
+        try:
+            serving = server.serve_in_thread("held-serve", 0.05)
+            stopper = threading.Thread(target=server.shutdown, daemon=True)
+            stopper.start()
+            stopper.join(timeout=0.3)
+            assert stopper.is_alive(), "shutdown() returned before the loop ran"
+            release.set()
+            stopper.join(timeout=5.0)
+            assert not stopper.is_alive()
+            serving.join(timeout=5.0)
+            assert not serving.is_alive()
+        finally:
+            release.set()
+            server.server_close()
+
     @pytest.mark.parametrize("kind", ("ingest", "health"))
     def test_a_port_in_use_fails_with_os_error(self, tmp_path, kind):
         taken = socket.socket()
@@ -697,7 +726,20 @@ class TestIngestCli:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["lines"] == spool.read_text(encoding="utf-8").count("\n")
 
-    def test_serve_stops_gracefully_on_sigterm(self, tmp_path):
+    @pytest.mark.parametrize(
+        "threshold, perceptible", [(None, 4), (150.0, 0)],
+        ids=["threshold-omitted", "threshold-150"],
+    )
+    def test_serve_stops_gracefully_on_sigterm(
+        self, tmp_path, threshold, perceptible
+    ):
+        """Without ``--incremental`` too, the daemon compacts its spools
+        under ``--threshold`` (100 ms when omitted) and files the run
+        under that config."""
+        import sqlite3
+
+        from repro.engine.cache import config_fingerprint
+
         trace = GOLDEN_DIR / "OrderApi-session-0.lila"
         records = len(trace.read_text(encoding="utf-8").splitlines())
         warehouse = tmp_path / "fleet.sqlite"
@@ -705,10 +747,12 @@ class TestIngestCli:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(protocol.__file__).parents[2]), env.get("PYTHONPATH", "")]
         )
+        flags = [] if threshold is None else ["--threshold", str(threshold)]
         daemon = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro.cli", "ingest", "serve",
              "--port", "0", "--spool-dir", str(tmp_path / "spools"),
-             "--study-warehouse", str(warehouse), "--run-id", "term"],
+             "--study-warehouse", str(warehouse), "--run-id", "term",
+             *flags],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env,
         )
@@ -729,5 +773,19 @@ class TestIngestCli:
         stats = json.loads(out.strip().splitlines()[-1])
         assert stats["records_flushed"] == records
         assert stats["ended_sessions"] == 1
-        [row] = StudyWarehouse(warehouse).aggregate(run_ids=["term"])
+        store = StudyWarehouse(warehouse)
+        [row] = store.aggregate(run_ids=["term"])
         assert (row.application, row.sessions) == ("OrderApi", 1)
+        assert row.perceptible_episodes == perceptible
+        config = AnalysisConfig(perceptible_threshold_ms=threshold or 100.0)
+        connection = sqlite3.connect(str(warehouse))
+        try:
+            [(stored,)] = connection.execute(
+                "SELECT config_fingerprint FROM sessions WHERE run_id = 'term'"
+            ).fetchall()
+        finally:
+            connection.close()
+        assert stored == config_fingerprint(config)
+        [run] = store.runs()
+        assert run.config_fingerprint == config_fingerprint(config)
+        assert run.threshold_ms == config.perceptible_threshold_ms

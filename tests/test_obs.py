@@ -454,6 +454,74 @@ class TestPipelineIntegration:
         assert counters.get("cache.misses", 0) > 0
         assert counters.get("vm.episodes_built", 0) > 0
 
+    def test_pooled_load_files_worker_spans_under_load_traces(self, tmp_path):
+        from repro import LagAlyzer
+        from repro.core.analyses import REGISTRY
+        from repro.lila.writer import write_trace
+
+        paths = [
+            write_trace(trace, tmp_path / f"s{index}.lila")
+            for index, trace in enumerate(
+                simulate_sessions("Euclide", count=2, seed=2, scale=0.03)
+            )
+        ]
+        obs = Observer()
+        LagAlyzer.load(paths, workers=2, obs=obs)
+        spans = obs.spans()
+        [load] = [s for s in spans if s.name == "engine.load_traces"]
+        expected = {
+            "lila.read_trace": len(paths),
+            "lila.trace_digest": len(paths),
+            "analysis.map": len(paths) * len(REGISTRY),
+        }
+        for name, count in expected.items():
+            filed = [s for s in spans if s.name == name]
+            assert len(filed) == count, name
+            assert all(s.parent_id == load.span_id for s in filed), name
+            assert all(s.pid != load.pid for s in filed), name
+        ids = {s.span_id for s in spans}
+        assert all(s.parent_id in ids for s in spans if s.parent_id is not None)
+
+    @pytest.mark.parametrize("entry", ("map_traces", "run_study"))
+    def test_pooled_profile_has_a_row_per_mapped_analysis(
+        self, traces, tmp_path, entry
+    ):
+        obs = Observer(profile=True)
+        if entry == "map_traces":
+            names = ("statistics", "patterns", "causes")
+            AnalysisEngine(workers=2, use_cache=False, obs=obs).map_traces(
+                names, traces, AnalysisConfig()
+            )
+        else:
+            from repro.study.runner import _APP_ANALYSES as names
+
+            config = StudyConfig(
+                sessions=1, scale=0.03, applications=("Arabeske", "Euclide")
+            )
+            run_study(
+                config, workers=2, cache_dir=str(tmp_path / "cache"), obs=obs
+            )
+        assert sorted(obs.profiler.keys()) == sorted(names)
+
+    def test_study_counters_hold_across_worker_counts(self, tmp_path):
+        config = StudyConfig(
+            sessions=1, scale=0.03, applications=("Arabeske", "Euclide")
+        )
+        counters = []
+        for workers in (1, 2):
+            obs = Observer()
+            run_study(
+                config, workers=workers,
+                cache_dir=str(tmp_path / f"cache-{workers}"), obs=obs,
+            )
+            counters.append({
+                name: value
+                for name, value in obs.metrics.as_dict()["counters"].items()
+                if not name.startswith("engine.pool")
+            })
+        assert counters[0] == counters[1]
+        assert counters[0]["cache.misses"] == 2
+
     def test_summary_line_counts_warm_bundle_hits(self, tmp_path):
         """The one-liner reports the cache the engine actually probes:
         cold, every session misses; warm, every session hits."""
