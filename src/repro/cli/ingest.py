@@ -284,29 +284,34 @@ def _publish_replay_telemetry(obs, args: argparse.Namespace) -> None:
 def _cmd_tail(args: argparse.Namespace) -> int:
     from repro.core.errors import LagAlyzerError
     from repro.ingest.incremental import IncrementalSessionAnalyzer
+    from repro.lila.source import TextTraceSource
 
     path = Path(args.spool)
     if not path.exists():
         print(f"error: no such spool: {path}", file=sys.stderr)
         return 1
+    source = TextTraceSource(path)
     analyzer = IncrementalSessionAnalyzer(
         label=str(path), config=_analysis_config(args)
     )
     consumed = 0
     try:
         while True:
-            # Split where the trace reader splits (see _replay_one). A
-            # spool flush is line-atomic, but guard against reading
-            # mid-write: the unterminated final piece (empty after a
-            # final newline) waits for the next poll.
-            text = path.read_text(encoding="utf-8")
-            fresh = text.split("\n")[:-1][consumed:]
+            try:
+                # Read as the trace reader reads (a byte that is not
+                # UTF-8 raises its typed error) and split where it
+                # splits (see _replay_one). A spool flush is
+                # line-atomic, but guard against reading mid-write: the
+                # unterminated final piece (empty after a final
+                # newline) waits for the next poll.
+                with source.open_lines() as lines:
+                    text = "".join(lines)
+                fresh = text.split("\n")[:-1][consumed:]
+                analyzer.push_lines(fresh)
+            except LagAlyzerError as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 1
             if fresh:
-                try:
-                    analyzer.push_lines(fresh)
-                except LagAlyzerError as error:
-                    print(f"error: {error}", file=sys.stderr)
-                    return 1
                 consumed += len(fresh)
                 print(json.dumps(analyzer.rolling_summary(), sort_keys=True))
             if not args.follow:

@@ -9,7 +9,7 @@ the GUI thread plus the call-stack samples taken while it ran.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.errors import AnalysisError
 from repro.core.intervals import Interval, IntervalKind
@@ -213,57 +213,4 @@ def trace_episodes(trace, config) -> List[Episode]:
     if config.all_dispatch_threads:
         return trace.all_episodes()
     return trace.episodes
-
-
-class IncrementalEpisodeSplitter:
-    """Episode splitting for a trace that is still arriving.
-
-    The batch path (:func:`trace_episodes` plus :func:`perceptible`)
-    sees a finished trace and splits it once; a live ingest session
-    instead completes one root interval at a time. Push each completed
-    root of the event dispatch thread here, in time order, and the
-    splitter maintains exactly the populations the batch split would
-    produce over the records so far:
-    the full episode list (dispatch roots only, indexed in completion
-    order — the same ordinals :func:`episodes_from_roots` assigns) and
-    the perceptible subsequence under the configured threshold.
-
-    Samples are *not* attached (ticks for an episode may still be in
-    flight when its root closes); rolling consumers that need per-episode
-    structure — pattern keys, lag statistics — don't use them, and the
-    sealed-store path recomputes the final summaries with samples in
-    place.
-    """
-
-    def __init__(
-        self,
-        gui_thread: str,
-        threshold_ms: float = DEFAULT_PERCEPTIBLE_MS,
-        root_kind: IntervalKind = IntervalKind.DISPATCH,
-    ) -> None:
-        self.gui_thread = gui_thread
-        self.threshold_ms = threshold_ms
-        self.root_kind = root_kind
-        self.episodes: List[Episode] = []
-        self.perceptible: List[Episode] = []
-
-    def push_root(self, root: Interval) -> Optional[Episode]:
-        """Register one completed root; the new episode, if it is one.
-
-        Roots of other kinds (a GC between episodes) return ``None``,
-        mirroring the batch splitter's filter.
-        """
-        if root.kind is not self.root_kind:
-            return None
-        episode = Episode(
-            root, index=len(self.episodes), gui_thread=self.gui_thread
-        )
-        self.episodes.append(episode)
-        if episode.is_perceptible(self.threshold_ms):
-            self.perceptible.append(episode)
-        return episode
-
-    def split(self) -> Tuple[List[Episode], List[Episode]]:
-        """(all episodes, perceptible episodes) over the roots so far."""
-        return list(self.episodes), list(self.perceptible)
 

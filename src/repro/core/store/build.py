@@ -66,7 +66,9 @@ class ColumnarBuilder:
         self.interns = interns if interns is not None else InternTable()
         self._strings: List[str] = self.interns.strings
         self._strings_map: Dict[str, int] = self.interns.ids
-        self._threads: List[_ThreadColumns] = []
+        #: Each thread's columns so far, in first-appearance order; its
+        #: ``root_rows`` gains each root as the root closes.
+        self.threads: List[_ThreadColumns] = []
         self._thread_map: Dict[str, int] = {}
         # Per thread: a stack of [row, kind code, symbol id, start_ns,
         # children_end] frames for the currently open intervals.
@@ -139,14 +141,14 @@ class ColumnarBuilder:
             name = record[1]
             index = self._thread_map.get(name)
             if index is None:
-                index = len(self._threads)
+                index = len(self.threads)
                 self._thread_map[name] = index
-                self._threads.append(_ThreadColumns(name))
+                self.threads.append(_ThreadColumns(name))
                 self._open.append([])
                 self._last_root_end.append(None)
                 self._intern(name)
             self._current = index
-            self._cur_columns = self._threads[index]
+            self._cur_columns = self.threads[index]
             self._cur_frames = self._open[index]
         elif tag == REC_META:
             _, key, value, is_extra = record
@@ -311,7 +313,7 @@ class ColumnarBuilder:
             from repro.core.family import family_of
 
             root_code = _KIND_CODES[family_of(metadata).root_kind]
-            columns = self._threads[gui_index]
+            columns = self.threads[gui_index]
             episode_index = 0
             for row in columns.root_rows:
                 if columns.kind[row] != root_code:
@@ -330,7 +332,7 @@ class ColumnarBuilder:
             metadata=metadata,
             strings=self.interns,
             strings_map=None,
-            threads=self._threads,
+            threads=self.threads,
             thread_map=self._thread_map,
             sample_ts=sample_ts,
             sample_offsets=sample_offsets,

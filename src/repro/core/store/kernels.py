@@ -42,19 +42,37 @@ def pattern_key_of(
 ) -> str:
     """Canonical pattern key of the episode rooted at ``row``.
 
-    Identical to :func:`repro.core.patterns.pattern_key` over the
-    materialized tree: the dispatch root is implicit, GC subtrees are
-    elided unless ``include_gc``. Keys are memoized on the store.
+    :func:`thread_pattern_key` over the store's columns, memoized on
+    the store.
     """
     cache_key = (thread_idx, row, include_gc)
     cached = store._key_cache.get(cache_key)
     if cached is not None:
         return cached
-    columns = store.threads[thread_idx]
+    key = thread_pattern_key(
+        store.threads[thread_idx], store.strings, row, include_gc
+    )
+    store._key_cache[cache_key] = key
+    return key
+
+
+def thread_pattern_key(
+    columns: _ThreadColumns,
+    strings: Sequence[str],
+    row: int,
+    include_gc: bool = False,
+) -> str:
+    """Canonical pattern key of the subtree rooted at ``row`` of one
+    thread's ``columns``, whose symbols index ``strings``.
+
+    Identical to :func:`repro.core.patterns.pattern_key` over the
+    materialized tree: the dispatch root is implicit, GC subtrees are
+    elided unless ``include_gc``. The subtree must be closed (its
+    ``size`` is set when its root closes).
+    """
     kind = columns.kind
     symbol = columns.symbol
     size = columns.size
-    strings = store.strings
     parts: List[str] = []
     closes: List[int] = []
     i = row + 1
@@ -76,9 +94,7 @@ def pattern_key_of(
     while closes:
         parts.append(")")
         closes.pop()
-    key = "".join(parts)
-    store._key_cache[cache_key] = key
-    return key
+    return "".join(parts)
 
 
 def pattern_counts(

@@ -153,20 +153,21 @@ def _call_one(
 
     Returns ``(value, snapshot)``. ``profile`` is the dispatching
     observer's profile flag, None when the dispatcher does not observe;
-    a process with no observer of its own then runs ``func`` under a
-    fresh one and returns its snapshot, which is None otherwise.
+    a process with no observer of its own then runs the task's fault
+    check and ``func`` under a fresh one and returns its snapshot, which
+    is None otherwise.
     """
     func, item, index, attempt, plan_dict, cwd, profile = spec
     if cwd is not None:
         os.chdir(cwd)
-    with faults_runtime.task_scope(plan_dict, index=index, attempt=attempt):
-        faults_runtime.check("engine.task", key=index)
-        if profile is None or obs_runtime.current() is not None:
-            return func(item), None
+    worker = None
+    if profile is not None and obs_runtime.current() is None:
         worker = Observer(profile=profile)
+    with faults_runtime.task_scope(plan_dict, index=index, attempt=attempt):
         with obs_runtime.installed(worker):
+            faults_runtime.check("engine.task", key=index)
             value = func(item)
-        return value, worker.snapshot()
+    return value, None if worker is None else worker.snapshot()
 
 
 def _settle_failure(

@@ -11,13 +11,18 @@ daemon advances after every flush:
 
 - :class:`~repro.lila.source.TextParser`, the line kernel every text
   trace goes through, parses each pushed line straight into the
-  columns of an
-  :class:`~repro.core.store.incremental.IncrementalColumnarBuilder`
-  (same validation, same error messages, same line numbers as the file
-  reader), which reports each root interval the lines completed;
-- :class:`~repro.core.episodes.IncrementalEpisodeSplitter` turns the
-  completed dispatch roots of the event dispatch thread into episodes,
-  and per-episode pattern tallies advance immediately.
+  columns of a :class:`~repro.core.store.build.ColumnarBuilder` (same
+  validation, same error messages, same line numbers as the file
+  reader);
+- the builder appends each root interval to its thread's ``root_rows``
+  as the root closes, and nothing reopens a closed root. After every
+  push the analyzer walks each thread's ``root_rows`` on from a
+  per-thread cursor and keeps the roots of the trace family's episode
+  root kind on the event dispatch thread (on every thread under
+  ``all_dispatch_threads``): the rows
+  :meth:`~repro.core.store.columns.ColumnarTrace.episode_rows` holds
+  once the trace is sealed. Lag, perceptibility and pattern keys come
+  from the column kernels the batch analysis maps with.
 
 :meth:`rolling_summary` publishes the running totals at any moment.
 When the session ends, :meth:`finalize` seals the builder with the
@@ -37,15 +42,18 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 from collections import Counter
 
 from repro.core.analyzer import AnalysisConfig, LagAlyzer
-from repro.core.episodes import Episode, IncrementalEpisodeSplitter
 from repro.core.errors import AnalysisError, LagAlyzerError
-from repro.core.patterns import pattern_key
+from repro.core.family import family_of
+from repro.core.intervals import NS_PER_MS
+from repro.core.store.build import ColumnarBuilder
+from repro.core.store.columns import _KIND_CODES
 from repro.core.store.facade import FacadeTrace
-from repro.core.store.incremental import IncrementalColumnarBuilder
+from repro.core.store.kernels import thread_pattern_key
 from repro.lila.source import TextParser, TraceSource
 
 
@@ -59,14 +67,19 @@ class IncrementalSessionAnalyzer:
     ) -> None:
         self.config = config or AnalysisConfig()
         self._label = label if label is not None else "<push>"
-        self._builder = IncrementalColumnarBuilder()
+        self._builder = ColumnarBuilder()
         self._parser = TextParser(self._builder, TraceSource())
-        self._splitter: Optional[IncrementalEpisodeSplitter] = None
+        #: Per thread index, how many of its ``root_rows`` were walked;
+        #: None until the metadata names the event dispatch thread.
+        self._cursors: Optional[List[int]] = None
         #: Structural pattern tallies over episodes completed so far
         #: (episodes without structure are excluded, exactly as
         #: :meth:`PatternTable.from_episodes` excludes them).
         self.pattern_counts: CounterType[str] = Counter()
         self.unstructured_episodes = 0
+        self._episodes = 0
+        self._perceptible = 0
+        self._longest_ns = 0
         self._sealed: Optional[FacadeTrace] = None
 
     # ------------------------------------------------------------------
@@ -84,7 +97,7 @@ class IncrementalSessionAnalyzer:
         """Lines pushed so far, the header and any damaged line included."""
         return self._parser.line_no
 
-    def push_line(self, line: str) -> List[Episode]:
+    def push_line(self, line: str) -> List[Tuple[int, int]]:
         """Feed one record line; the episodes it completed (often none).
 
         Raises:
@@ -94,84 +107,82 @@ class IncrementalSessionAnalyzer:
         """
         return self.push_lines((line,))
 
-    def push_lines(self, lines: Sequence[str]) -> List[Episode]:
-        """Feed a batch of lines; all episodes the batch completed.
+    def push_lines(self, lines: Iterable[str]) -> List[Tuple[int, int]]:
+        """Feed a batch of lines; the episodes the batch completed.
 
-        Until the metadata has named the event dispatch thread the lines
-        go in one at a time, so a root completed before that point is
-        never taken for an episode. On damage, the episodes completed by
-        the lines before the damaged one are advanced before the error
+        Each episode is its ``(thread index, root row)`` in the
+        builder's columns, thread by thread in row order. Until the
+        metadata has named the event dispatch thread the lines go in
+        one at a time, so a root completed before that point is never
+        taken for an episode. On damage, the episodes completed by the
+        lines before the damaged one are counted before the error
         propagates.
         """
         if self._sealed is not None:
             raise AnalysisError("session already finalized")
-        if self.gui_thread is None:
-            episodes: List[Episode] = []
-            remaining = iter(lines)
-            for line in remaining:
-                episodes.extend(self._push((line,)))
-                if self.gui_thread is not None:
-                    episodes.extend(self._push(remaining))
-                    break
-            return episodes
-        return self._push(lines)
-
-    def _push(self, lines: Iterable[str]) -> List[Episode]:
         try:
+            if self._cursors is None:
+                lines = iter(lines)
+                for line in lines:
+                    self._parser.feed_lines((line,))
+                    if self.gui_thread is not None:
+                        self._cursors = [
+                            len(columns.root_rows)
+                            for columns in self._builder.threads
+                        ]
+                        break
             self._parser.feed_lines(lines)
         except LagAlyzerError:
-            self._advance(self._builder.take_completed_roots())
+            self._advance()
             raise
-        return self._advance(self._builder.take_completed_roots())
+        return self._advance()
 
-    def _advance(self, completed: List) -> List[Episode]:
-        gui_thread = self.gui_thread
-        if not completed or gui_thread is None:
-            # Roots before the gui_thread meta record can't be episodes
-            # we recognize; well-formed streams put metadata first.
+    def _advance(self) -> List[Tuple[int, int]]:
+        """Count the episodes among the roots closed since the last walk."""
+        cursors = self._cursors
+        if cursors is None:
             return []
-        if self._splitter is None:
-            self._splitter = IncrementalEpisodeSplitter(
-                gui_thread,
-                threshold_ms=self.config.perceptible_threshold_ms,
-            )
-        episodes: List[Episode] = []
-        for thread_index, row in completed:
-            name = self._builder.thread_name(thread_index)
-            if name != gui_thread and not self.config.all_dispatch_threads:
+        builder = self._builder
+        config = self.config
+        gui_thread = self.gui_thread
+        # The builder holds the ``x.`` metadata as ``extra``, where the
+        # family registry looks the declared family up.
+        root_code = _KIND_CODES[family_of(builder).root_kind]
+        strings = builder.interns.strings
+        completed: List[Tuple[int, int]] = []
+        for index, columns in enumerate(builder.threads):
+            if index == len(cursors):
+                cursors.append(0)
+            if columns.name != gui_thread and not config.all_dispatch_threads:
                 continue
-            root = self._builder.materialize_root(thread_index, row)
-            episode = self._splitter.push_root(root)
-            if episode is None:
-                continue
-            if episode.has_structure:
-                key = pattern_key(
-                    episode,
-                    include_gc=self.config.include_gc_in_patterns,
-                )
-                self.pattern_counts[key] += 1
-            else:
-                self.unstructured_episodes += 1
-            episodes.append(episode)
-        return episodes
+            kind = columns.kind
+            start = columns.start
+            end = columns.end
+            size = columns.size
+            roots = columns.root_rows
+            for row in roots[cursors[index]:]:
+                if kind[row] != root_code:
+                    continue
+                completed.append((index, row))
+                lag_ns = end[row] - start[row]
+                if lag_ns / NS_PER_MS >= config.perceptible_threshold_ms:
+                    self._perceptible += 1
+                if lag_ns > self._longest_ns:
+                    self._longest_ns = lag_ns
+                if size[row] > 1:
+                    key = thread_pattern_key(
+                        columns, strings, row, config.include_gc_in_patterns
+                    )
+                    self.pattern_counts[key] += 1
+                else:
+                    self.unstructured_episodes += 1
+            cursors[index] = len(roots)
+        self._episodes += len(completed)
+        return completed
 
     # ------------------------------------------------------------------
     # Rolling output
     # ------------------------------------------------------------------
-
-    @property
-    def episodes(self) -> List[Episode]:
-        """Episodes completed so far, in completion order."""
-        if self._splitter is None:
-            return []
-        return list(self._splitter.episodes)
-
-    @property
-    def perceptible_episodes(self) -> List[Episode]:
-        """The perceptible subsequence of :attr:`episodes`."""
-        if self._splitter is None:
-            return []
-        return list(self._splitter.perceptible)
 
     def rolling_summary(self) -> Dict[str, Any]:
         """Running totals over everything fed so far.
@@ -180,22 +191,18 @@ class IncrementalSessionAnalyzer:
         flush: episode and perceptible counts, distinct/covered pattern
         tallies, and the worst lag seen.
         """
-        episodes = self.episodes
-        perceptible = self.perceptible_episodes
         return {
             "session": self._builder.meta.get("session_id"),
             "application": self._builder.meta.get("application"),
             "lines": self.lines_fed,
             "records": self._builder.record_count,
-            "episodes": len(episodes),
-            "perceptible_episodes": len(perceptible),
+            "episodes": self._episodes,
+            "perceptible_episodes": self._perceptible,
             "threshold_ms": self.config.perceptible_threshold_ms,
             "distinct_patterns": len(self.pattern_counts),
             "covered_episodes": sum(self.pattern_counts.values()),
             "unstructured_episodes": self.unstructured_episodes,
-            "longest_lag_ms": max(
-                (ep.duration_ms for ep in episodes), default=0.0
-            ),
+            "longest_lag_ms": self._longest_ns / NS_PER_MS,
         }
 
     # ------------------------------------------------------------------
@@ -231,5 +238,5 @@ class IncrementalSessionAnalyzer:
         return (
             f"IncrementalSessionAnalyzer({self._label!r}, "
             f"{self.lines_fed} lines, "
-            f"{len(self.episodes)} episodes, {state})"
+            f"{self._episodes} episodes, {state})"
         )

@@ -29,6 +29,7 @@ import pytest
 from helpers import GOLDEN_DIR, dispatch, gui_sample, listener_iv, make_trace
 from repro.cli import main
 from repro.core.analyzer import AnalysisConfig, LagAlyzer
+from repro.core.errors import TraceFormatError
 from repro.core.store.facade import FacadeTrace
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.faults import runtime as faults_runtime
@@ -63,6 +64,12 @@ def sample_lines(offset_ms: float = 0.0, session: str = "s0"):
     trace = make_trace(roots, samples=samples)
     trace.metadata.session_id = session
     return trace_to_lines(trace)
+
+
+def golden_lines(name: str):
+    """A golden trace's lines, split where the trace reader splits."""
+    text = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    return text.split("\n")[:-1]
 
 
 def wait_until(predicate, timeout_s: float = 5.0) -> bool:
@@ -602,6 +609,49 @@ class TestIncrementalParity:
         assert analyzer.rolling_summary()["episodes"] == 2
         assert analyzer.lines_fed == len(lines)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            AnalysisConfig(),
+            AnalysisConfig(
+                all_dispatch_threads=True,
+                include_gc_in_patterns=True,
+                perceptible_threshold_ms=30,
+            ),
+        ],
+        ids=["default", "all-threads-gc-30ms"],
+    )
+    @pytest.mark.parametrize(
+        "golden", sorted(GOLDEN_DIR.glob("*.lila")), ids=lambda path: path.stem
+    )
+    def test_rolling_summary_matches_the_batch_analysis(self, golden, config):
+        """Every family's episodes split live as the batch path splits
+        them, the request and stage roots of io_service and
+        async_pipeline sessions included."""
+        lines = golden_lines(golden.name)
+        analyzer = IncrementalSessionAnalyzer(config=config)
+        for start in range(0, len(lines), 7):
+            analyzer.push_lines(lines[start:start + 7])
+        batch = LagAlyzer.load([golden], config=config)
+        table = batch.pattern_table()
+        rolling = analyzer.rolling_summary()
+        assert {
+            name: rolling[name]
+            for name in (
+                "episodes", "perceptible_episodes", "distinct_patterns",
+                "covered_episodes", "unstructured_episodes", "longest_lag_ms",
+            )
+        } == {
+            "episodes": len(batch.episodes),
+            "perceptible_episodes": len(batch.perceptible_episodes()),
+            "distinct_patterns": table.distinct_count,
+            "covered_episodes": table.covered_episodes,
+            "unstructured_episodes": table.excluded_episodes,
+            "longest_lag_ms": max(
+                episode.duration_ms for episode in batch.episodes
+            ),
+        }
+
     def test_summaries_byte_identical_to_one_shot(self, tmp_path):
         lines = sample_lines(session="parity")
         config = AnalysisConfig()
@@ -618,18 +668,27 @@ class TestIncrementalParity:
 
         assert pickle.dumps(incremental) == pickle.dumps(one_shot)
 
-    def test_daemon_incremental_mode_matches_one_shot(self, tmp_path):
-        lines = sample_lines(session="live")
+    @pytest.mark.parametrize(
+        "lines, family, episodes",
+        [
+            (sample_lines(session="live"), "gui", 3),
+            (golden_lines("OrderApi-session-0.lila"), "io_service", 19),
+        ],
+        ids=["sample", "OrderApi-session-0"],
+    )
+    def test_daemon_incremental_mode_matches_one_shot(
+        self, tmp_path, lines, family, episodes
+    ):
         with IngestServer(
             spool_dir=tmp_path / "spools", incremental=True
         ) as srv:
             with TraceClient(
-                srv.address, session="live", batch_records=4
+                srv.address, session="live", batch_records=4, family=family
             ) as client:
                 client.extend(lines)
             state = srv.sessions()[0]
             rolling = srv.rolling_summaries()["live"]
-            assert rolling["episodes"] == 3
+            assert rolling["episodes"] == episodes
             incremental = state.analyzer.summaries()
             spool_path = state.spool.path
         one_shot = LagAlyzer(
@@ -725,6 +784,26 @@ class TestIngestCli:
         assert main(["ingest", "tail", str(spool)]) == 0
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["lines"] == spool.read_text(encoding="utf-8").count("\n")
+
+    def test_tail_reports_a_byte_that_is_not_utf8(self, tmp_path, capsys):
+        """A spool byte that is not UTF-8 is one ``error:`` line and exit
+        1, with the message the trace reader raises for it."""
+        data = (GOLDEN_DIR / "CrosswordSage-session-0.lila").read_bytes()
+        lines = data.split(b"\n")
+        first = next(
+            index for index, line in enumerate(lines)
+            if line.startswith(b"T ")
+        )
+        lines[first] = lines[first][:2] + b"\xff\xfe" + lines[first][2:]
+        spool = tmp_path / "CrosswordSage-undecodable.lila"
+        spool.write_bytes(b"\n".join(lines))
+        message = "line 11: byte 0xff is not UTF-8 (invalid start byte)"
+        with pytest.raises(TraceFormatError) as info:
+            build_store(open_source(spool))
+        assert str(info.value) == message
+        capsys.readouterr()
+        assert main(["ingest", "tail", str(spool)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "threshold, perceptible", [(None, 4), (150.0, 0)],

@@ -19,6 +19,7 @@ from repro.apps.sessions import simulate_sessions
 from repro.cli import main
 from repro import AnalysisConfig
 from repro.engine import MISS, AnalysisEngine, ResultCache
+from repro.faults import FaultPlan, FaultRule
 from repro.obs import Observer, MetricsRegistry, span_depth
 from repro.obs import runtime as obs_runtime
 from repro.obs.export import (
@@ -503,7 +504,20 @@ class TestPipelineIntegration:
             )
         assert sorted(obs.profiler.keys()) == sorted(names)
 
-    def test_study_counters_hold_across_worker_counts(self, tmp_path):
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            None,
+            FaultPlan(seed=1, rules=(
+                FaultRule(kind="worker_hang", site="engine.task",
+                          probability=1.0, seconds=0.01),
+            )),
+        ],
+        ids=["no-faults", "worker-hang"],
+    )
+    def test_study_counters_hold_across_worker_counts(self, tmp_path, faults):
+        """A fault that fires at a pooled task's ``engine.task`` site
+        counts into the study's observer, as a serial task's does."""
         config = StudyConfig(
             sessions=1, scale=0.03, applications=("Arabeske", "Euclide")
         )
@@ -513,6 +527,7 @@ class TestPipelineIntegration:
             run_study(
                 config, workers=workers,
                 cache_dir=str(tmp_path / f"cache-{workers}"), obs=obs,
+                faults=faults,
             )
             counters.append({
                 name: value
@@ -521,6 +536,8 @@ class TestPipelineIntegration:
             })
         assert counters[0] == counters[1]
         assert counters[0]["cache.misses"] == 2
+        if faults is not None:
+            assert counters[0]["faults.injected"] > 0
 
     def test_summary_line_counts_warm_bundle_hits(self, tmp_path):
         """The one-liner reports the cache the engine actually probes:
