@@ -172,15 +172,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _replay_one(args, address, index: int, path: Path) -> dict:
     from repro.ingest.client import TraceClient
     from repro.lila.autodetect import detect_format, load_trace
+    from repro.lila.source import TextTraceSource
     from repro.lila.writer import trace_to_lines
 
     # The wire carries text lines: a text trace goes out verbatim, any
-    # other encoding as the lines of the trace it loads to. Lines end
-    # only where the trace reader ends them: reading turns "\r\n" and
-    # "\r" into "\n", and a symbol may hold any other character that
-    # ``str.splitlines`` breaks at.
+    # other encoding as the lines of the trace it loads to. Lines are
+    # read as the trace reader reads them (a byte that is not UTF-8
+    # raises its typed error) and end only where it ends them: reading
+    # turns "\r\n" and "\r" into "\n", and a symbol may hold any
+    # other character that ``str.splitlines`` breaks at.
     if detect_format(path) == "text":
-        lines = path.read_text(encoding="utf-8").split("\n")
+        with TextTraceSource(path).open_lines() as handle:
+            lines = "".join(handle).split("\n")
         if not lines[-1]:
             lines.pop()  # the empty tail after a final newline
     else:
@@ -207,6 +210,7 @@ def _replay_one(args, address, index: int, path: Path) -> dict:
 def _cmd_replay(args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
+    from repro.core.errors import LagAlyzerError
     from repro.faults import runtime as faults_runtime
     from repro.lila.autodetect import expand_trace_paths
     from repro.obs import runtime as obs_runtime
@@ -232,14 +236,21 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     injector = _load_injector(args)
     workers = args.workers if args.workers > 0 else len(paths)
     results = []
+    failed = 0
     with obs_runtime.installed(ambient), faults_runtime.installed(injector):
         with ThreadPoolExecutor(max_workers=min(workers, len(paths))) as pool:
             futures = [
                 pool.submit(_replay_one, args, address, index, Path(path))
                 for index, path in enumerate(paths)
             ]
-            for future in futures:
-                results.append(future.result())
+            # A trace that raises a typed error (a damaged one, say) is
+            # one error line; the others still replay.
+            for path, future in zip(paths, futures):
+                try:
+                    results.append(future.result())
+                except LagAlyzerError as error:
+                    print(f"error: {path}: {error}", file=sys.stderr)
+                    failed += 1
         if args.warehouse is not None:
             _publish_replay_telemetry(ambient, args)
     for result in results:
@@ -249,7 +260,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(f"replayed {len(results)} session(s): {total} records sent, "
           f"{dropped} dropped")
     _finish_observer(obs, args)
-    return 0 if dropped == 0 else 1
+    return 0 if dropped == 0 and not failed else 1
 
 
 def _publish_replay_telemetry(obs, args: argparse.Namespace) -> None:

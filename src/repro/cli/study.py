@@ -350,8 +350,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         f"{report.run_a} -> {report.run_b}: "
         f"{sign}{report.total_delta_ns / 1e6:.1f} ms in-episode self time"
     )
+    if all(delta.delta_ns == 0 for delta in report.deltas):
+        print(f"no cause moved between {report.run_a} and {report.run_b}")
+        return 0
+    # Causes that moved, the heaviest regressions then the heaviest
+    # improvements: most labels of two runs of one study hold still.
+    moved = report.regressions(args.limit) + report.improvements(args.limit)
     print(f"{'DELTA[ms]':>10s} {'A[ms]':>9s} {'B[ms]':>9s}  CAUSE")
-    for delta in report.deltas[: args.limit]:
+    for delta in moved:
         print(
             f"{delta.delta_ns / 1e6:>+10.1f} "
             f"{delta.a_total_ns / 1e6:>9.1f} "

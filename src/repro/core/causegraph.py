@@ -36,7 +36,8 @@ worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.core.episodes import Episode
 from repro.core.intervals import Interval, IntervalKind
@@ -288,9 +289,12 @@ def rank_outliers(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CauseDelta:
-    """One label's contribution to a latency delta between two runs."""
+class CauseDelta(NamedTuple):
+    """One label's contribution to a latency delta between two runs.
+
+    A named tuple: a report holds one per label of either run, so it is
+    built as cheaply as a tuple and unpacks and indexes as one.
+    """
 
     label: str
     delta_ns: int
@@ -377,17 +381,12 @@ def rank_cause_deltas(
             label, a_total, a_count = row_a
             b_total, b_count = row_b[1], row_b[2]
             row_a, row_b = next(iter_a, None), next(iter_b, None)
-        total += b_total - a_total
+        delta = b_total - a_total
+        total += delta
         deltas.append(
-            CauseDelta(
-                label, b_total - a_total, a_total, b_total, a_count, b_count
-            )
+            CauseDelta(label, delta, a_total, b_total, a_count, b_count)
         )
-    deltas.sort(key=_delta_ns, reverse=True)
+    deltas.sort(key=itemgetter(1), reverse=True)
     return DiffReport(
         run_a=run_a, run_b=run_b, total_delta_ns=total, deltas=tuple(deltas)
     )
-
-
-def _delta_ns(delta: CauseDelta) -> int:
-    return delta.delta_ns

@@ -670,7 +670,10 @@ class StudyWarehouse(SQLiteStore):
 
         Reads ``pattern_rollup`` alone: one row per (run, app, pattern
         key), summed over the runs asked for; ``sessions`` counts the
-        sessions whose numeric pattern rows the rollup holds.
+        sessions whose numeric pattern rows the rollup holds. One run
+        holds one row per (app, pattern key), so a filter naming one
+        distinct run ranks the stored rows as they are, with no
+        ``GROUP BY``.
         """
         if metric == "perceptible_lag":
             order = "total_perceptible DESC, total_count DESC"
@@ -690,11 +693,21 @@ class StudyWarehouse(SQLiteStore):
             clauses.append(_in("run_id", run_ids))
             params.extend(run_ids)
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        if run_ids and len(set(run_ids)) == 1:
+            values = (
+                "count AS total_count, perceptible AS total_perceptible,"
+                " sessions"
+            )
+            group = ""
+        else:
+            values = (
+                "SUM(count) AS total_count,"
+                " SUM(perceptible) AS total_perceptible, SUM(sessions)"
+            )
+            group = " GROUP BY app, pattern_key"
         rows = self._rows(
-            "SELECT app, pattern_key, SUM(count) AS total_count,"
-            " SUM(perceptible) AS total_perceptible, SUM(sessions)"
-            f" FROM pattern_rollup{where}"
-            " GROUP BY app, pattern_key"
+            f"SELECT app, pattern_key, {values}"
+            f" FROM pattern_rollup{where}{group}"
             f" ORDER BY {order}, app, pattern_key"
             " LIMIT ?",
             params + [int(n)],

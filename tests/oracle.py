@@ -28,7 +28,10 @@ study warehouse's ``cause_totals`` and ``diff`` as schema v4 answered
 them: a ``GROUP BY`` over every session's ``causes`` rows, ranked by
 sorting the union of both runs' labels. :func:`reference_top_patterns`
 is its ``top_patterns`` as schema v5 answered it, the same kind of
-``GROUP BY`` over every session's ``patterns`` rows.
+``GROUP BY`` over every session's ``patterns`` rows, and
+:func:`reference_rollup_top_patterns` as schema v6 to v8 answered it
+for every filter: a ``GROUP BY`` summing ``pattern_rollup`` rows across
+runs.
 :func:`expected_answers` is the same warehouse's queries merged in
 Python from the session rows a history left stored, in the shape of
 perfbench's ``expected_answers``.
@@ -282,6 +285,48 @@ def reference_top_patterns(
             "SELECT app, pattern_key, SUM(count) AS total_count,"
             " SUM(perceptible) AS total_perceptible, COUNT(*)"
             f" FROM patterns WHERE {' AND '.join(clauses)}"
+            " GROUP BY app, pattern_key"
+            f" ORDER BY {order}, app, pattern_key"
+            " LIMIT ?",
+            params + [int(n)],
+        ).fetchall()
+    finally:
+        connection.close()
+    return [
+        PatternAggregate(row[0], row[1], int(row[2] or 0), int(row[3] or 0),
+                         int(row[4] or 0))
+        for row in rows
+    ]
+
+
+def reference_rollup_top_patterns(
+    path: Union[str, Path],
+    n: int = 10,
+    metric: str = "perceptible_lag",
+    apps: Optional[Sequence[str]] = None,
+    run_ids: Optional[Sequence[str]] = None,
+) -> List[PatternAggregate]:
+    """The N worst patterns summed off the ``pattern_rollup`` rows of a
+    warehouse file, with the v6 statement, whatever the run filter."""
+    if metric == "perceptible_lag":
+        order = "total_perceptible DESC, total_count DESC"
+    else:
+        order = "total_count DESC, total_perceptible DESC"
+    clauses: List[str] = []
+    params: List[Any] = []
+    if apps:
+        clauses.append(f"app IN ({', '.join('?' * len(apps))})")
+        params.extend(apps)
+    if run_ids:
+        clauses.append(f"run_id IN ({', '.join('?' * len(run_ids))})")
+        params.extend(run_ids)
+    where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+    connection = sqlite3.connect(str(path))
+    try:
+        rows = connection.execute(
+            "SELECT app, pattern_key, SUM(count) AS total_count,"
+            " SUM(perceptible) AS total_perceptible, SUM(sessions)"
+            f" FROM pattern_rollup{where}"
             " GROUP BY app, pattern_key"
             f" ORDER BY {order}, app, pattern_key"
             " LIMIT ?",

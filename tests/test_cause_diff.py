@@ -8,21 +8,25 @@ deterministically whether the summaries were computed serially, by a
 worker pool, or compacted from engine bundles. Alongside it live the
 v2 -> v5 schema migration pins (family column backfill, causes table),
 the v3 -> v5 and v4 -> v5 pins (the cause rollup, its backfill, and the
-query plan it buys), and the CLI surface of ``study diff``.
+query plan it buys), ``rank_cause_deltas`` held to the v4 ranking on
+generated tallies, and the CLI surface of ``study diff``.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 import sqlite3
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.io_service import simulate_service_sessions
 from repro.cli import main
 from repro.cli.study import EXIT_NO_WAREHOUSE
 from repro.core.analyzer import AnalysisConfig, LagAlyzer
+from repro.core.causegraph import CauseDelta, diff_cause_totals, rank_cause_deltas
 from repro.core.statistics import SessionStats
 from repro.engine.cache import ResultCache, config_fingerprint
 from repro.engine.engine import AnalysisEngine
@@ -383,6 +387,66 @@ class TestMigrationV5:
 
 
 # ----------------------------------------------------------------------
+# The ranking against the v4 reference
+# ----------------------------------------------------------------------
+
+#: Few labels and small values, so labels held by one run, equal
+#: deltas and zero deltas all come up often.
+RANK_LABELS = ("a", "b", "c", "d", "e")
+tallies = st.dictionaries(
+    st.sampled_from(RANK_LABELS),
+    st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    max_size=len(RANK_LABELS),
+)
+
+
+class TestRankCauseDeltas:
+    @settings(max_examples=200, deadline=None)
+    @given(tally_a=tallies, tally_b=tallies)
+    # "a" and "c" only in one run each, "b" and "d" tie at +1 and must
+    # rank in label order, "e" does not move.
+    @example(
+        tally_a={"a": (2, 1), "b": (1, 1), "d": (0, 0), "e": (3, 2)},
+        tally_b={"b": (2, 1), "c": (1, 1), "d": (1, 1), "e": (3, 2)},
+    )
+    @example(tally_a={}, tally_b={})
+    def test_ranking_equals_the_reference(self, tally_a, tally_b):
+        expected = reference_diff(tally_a, tally_b, "A", "B")
+        rows = [
+            [(label, ns, count) for label, (ns, count) in sorted(tally.items())]
+            for tally in (tally_a, tally_b)
+        ]
+        report = rank_cause_deltas(rows[0], rows[1], "A", "B")
+        assert report == expected
+        assert diff_cause_totals(tally_a, tally_b, "A", "B") == expected
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report
+        assert all(type(delta) is CauseDelta for delta in copy.deltas)
+
+    def test_delta_fields_construction_and_repr(self):
+        assert CauseDelta._fields == (
+            "label", "delta_ns", "a_total_ns", "b_total_ns", "a_episodes",
+            "b_episodes",
+        )
+        delta = CauseDelta(
+            label="gc:young", delta_ns=-2, a_total_ns=5, b_total_ns=3,
+            a_episodes=2, b_episodes=1,
+        )
+        assert delta == CauseDelta("gc:young", -2, 5, 3, 2, 1)
+        assert (delta.label, delta.delta_ns, delta.b_episodes) == (
+            "gc:young", -2, 1,
+        )
+        assert repr(delta) == (
+            "CauseDelta(label='gc:young', delta_ns=-2, a_total_ns=5,"
+            " b_total_ns=3, a_episodes=2, b_episodes=1)"
+        )
+        report = diff_cause_totals(
+            {"gc:young": (5, 2)}, {"gc:young": (3, 1)}, "A", "B"
+        )
+        assert report.deltas == (delta,)
+
+
+# ----------------------------------------------------------------------
 # The acceptance pin: injected cause ranks first, deterministically
 # ----------------------------------------------------------------------
 
@@ -480,6 +544,28 @@ class TestStudyDiffCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["deltas"]) == 1
+
+    def test_table_lists_causes_that_moved(self, wh_path, capsys):
+        """B -> A regresses nothing, so the table opens on the injected
+        cause's improvement; labels that did not move are left out."""
+        code = main(
+            ["study", "diff", "B", "A", "--warehouse", wh_path, "-n", "3"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(
+            index for index, line in enumerate(lines) if "CAUSE" in line
+        )
+        rows = [line.split() for line in lines[header + 1:]]
+        assert rows and rows[0][-1] == INJECTED_LABEL
+        assert float(rows[0][0]) < 0
+        assert all(row[0] != "+0.0" for row in rows), rows
+
+    def test_table_says_when_no_cause_moved(self, wh_path, capsys):
+        code = main(["study", "diff", "A", "A", "--warehouse", wh_path])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "no cause moved between A and A"
 
     def test_missing_warehouse_exit_code(self, tmp_path, capsys):
         code = main(

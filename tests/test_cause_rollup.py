@@ -21,9 +21,10 @@ carrying pattern and cause rows:
 After every step:
 
 - ``aggregate``, ``series``, ``top_patterns`` (both metrics,
-  ``sessions`` included), ``cause_totals``, ``diff`` and ``regression``
-  (both orders) must equal :func:`oracle.expected_answers` over the
-  sessions the history left stored, for each ``apps`` filter and both
+  ``sessions`` included, every pattern and the top 3), ``cause_totals``,
+  ``diff`` and ``regression`` (both orders) must equal
+  :func:`oracle.expected_answers` over the sessions the history left
+  stored, for each ``apps`` filter, each run filter and both
   populations;
 - ``top_patterns`` must equal :mod:`oracle`'s v5 reference, and both
   cause queries its v4 reference: the ``GROUP BY`` over every
@@ -68,6 +69,10 @@ PATTERN_KEYS = ("d", "d(l)", "d(p)", "d(l(d))")
 DIGESTS = ("d0", "d1", "d2")
 #: ``apps`` filters: none, one app, two apps.
 APP_FILTERS = (None, ("AppB",), ("AppA", "AppC"))
+#: ``run_ids`` filters: none and two runs (``top_patterns`` sums the
+#: rollup across runs), one run named once or twice (it ranks the
+#: run's rollup rows as stored).
+RUN_FILTERS = (None, ("r1",), ("r0", "r1"), ("r1", "r1"))
 #: The columns a tamper step may set to text, each under the numeric
 #: guard of its table, with the column naming the row.
 TAMPERABLE = {
@@ -237,20 +242,22 @@ def tamper(wh: StudyWarehouse, key: tuple, column: str, name: str) -> None:
         connection.close()
 
 
-def assert_matches_model(wh: StudyWarehouse, model: Model) -> None:
+def assert_queries_match_model(wh: StudyWarehouse, model: Model) -> None:
     for apps in APP_FILTERS:
-        for run_ids in (None, ("r1",)):
+        for run_ids in RUN_FILTERS:
             expected = expected_answers(model.rows(run_ids), apps)
             assert wh.aggregate(apps, run_ids) == expected["aggregate"]
             assert wh.series(
                 "perceptible_rate", "minute", apps, run_ids
             ) == expected["series"]
             for metric in ("perceptible_lag", "occurrences"):
-                actual = wh.top_patterns(1000, metric, apps, run_ids)
-                assert actual == expected[f"top_patterns.{metric}"]
-                assert actual == reference_top_patterns(
-                    wh.path, 1000, metric, apps, run_ids
-                )
+                ranked = expected[f"top_patterns.{metric}"]
+                for n in (1000, 3):
+                    actual = wh.top_patterns(n, metric, apps, run_ids)
+                    assert actual == ranked[:n]
+                    assert actual == reference_top_patterns(
+                        wh.path, n, metric, apps, run_ids
+                    )
         for perceptible_only in (False, True):
             expected = expected_answers(model.rows(), apps, perceptible_only)
             for run_id, totals in expected["cause_totals"].items():
@@ -266,6 +273,13 @@ def assert_matches_model(wh: StudyWarehouse, model: Model) -> None:
     regressions = expected_answers(model.rows())["regression"]
     for (run_a, run_b), report in regressions.items():
         assert wh.regression([run_a], [run_b]) == report
+
+
+def assert_matches_model(wh: StudyWarehouse, model: Model) -> None:
+    # The queries share one connection, as nested public calls do:
+    # opening one per query would take most of the test's time.
+    with wh._connection():
+        assert_queries_match_model(wh, model)
     connection = sqlite3.connect(str(wh.path))
     try:
         orphans = connection.execute(
@@ -370,6 +384,18 @@ def run_history(path: Path, history: list) -> None:
     ("ingest", ("r1", "AppA", "s1"), "d1", None, {"d(l)": (1, 1)}),
     ("tamper", 0, "count", 0),
     ("quarantine", 1, "d2", None, {"d(l)": (3, 2)}),
+])
+# Run r1 holds five pattern rows and r0 two, and one of r1's is then
+# tampered to text: the top 3 cuts inside each ranking, and ranking
+# r1's rollup rows as stored must match summing them across runs.
+@example(history=[
+    ("ingest", ("r1", "AppA", "s0"), "d0", None,
+     {"d": (2, 1), "d(l)": (1, 1), "d(p)": (3, 0)}),
+    ("ingest", ("r1", "AppB", "s1"), "d1", None,
+     {"d(l)": (2, 1), "d(l(d))": (1, 0)}),
+    ("ingest", ("r0", "AppA", "s2"), "d0", None,
+     {"d": (4, 2), "d(p)": (1, 1)}),
+    ("tamper", 1, "count", 0),
 ])
 def test_rollup_answers_equal_the_v4_query(history):
     with tempfile.TemporaryDirectory() as scratch:

@@ -785,9 +785,13 @@ class TestIngestCli:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["lines"] == spool.read_text(encoding="utf-8").count("\n")
 
-    def test_tail_reports_a_byte_that_is_not_utf8(self, tmp_path, capsys):
-        """A spool byte that is not UTF-8 is one ``error:`` line and exit
-        1, with the message the trace reader raises for it."""
+    #: What the trace reader raises for :meth:`undecodable_trace`.
+    UNDECODABLE = "line 11: byte 0xff is not UTF-8 (invalid start byte)"
+
+    @pytest.fixture()
+    def undecodable_trace(self, tmp_path) -> Path:
+        """The CrosswordSage golden trace with ``\\xff\\xfe`` inserted
+        into its first ``T`` line (line 11)."""
         data = (GOLDEN_DIR / "CrosswordSage-session-0.lila").read_bytes()
         lines = data.split(b"\n")
         first = next(
@@ -795,15 +799,37 @@ class TestIngestCli:
             if line.startswith(b"T ")
         )
         lines[first] = lines[first][:2] + b"\xff\xfe" + lines[first][2:]
-        spool = tmp_path / "CrosswordSage-undecodable.lila"
-        spool.write_bytes(b"\n".join(lines))
-        message = "line 11: byte 0xff is not UTF-8 (invalid start byte)"
+        path = tmp_path / "CrosswordSage-undecodable.lila"
+        path.write_bytes(b"\n".join(lines))
         with pytest.raises(TraceFormatError) as info:
-            build_store(open_source(spool))
-        assert str(info.value) == message
-        capsys.readouterr()
-        assert main(["ingest", "tail", str(spool)]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+            build_store(open_source(path))
+        assert str(info.value) == self.UNDECODABLE
+        return path
+
+    def test_tail_reports_a_byte_that_is_not_utf8(
+        self, undecodable_trace, capsys
+    ):
+        """A spool byte that is not UTF-8 is one ``error:`` line and exit
+        1, with the message the trace reader raises for it."""
+        assert main(["ingest", "tail", str(undecodable_trace)]) == 1
+        assert capsys.readouterr() == ("", f"error: {self.UNDECODABLE}\n")
+
+    def test_replay_reports_a_byte_that_is_not_utf8(
+        self, undecodable_trace, capsys
+    ):
+        """The same damage in a replayed trace is one ``error:`` line and
+        exit 1, raised while reading: the closed port is never tried."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        code = main([
+            "ingest", "replay", str(undecodable_trace),
+            "--address", f"127.0.0.1:{port}",
+        ])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {undecodable_trace}: ")
+        assert line.endswith(self.UNDECODABLE)
 
     @pytest.mark.parametrize(
         "threshold, perceptible", [(None, 4), (150.0, 0)],

@@ -990,8 +990,11 @@ class TestWorkBudget:
     pattern key), instead of summing every session's ``patterns`` rows
     (:func:`oracle.reference_top_patterns`, the v5 statement). On a file
     where sessions repeat their application's patterns, as a study's
-    do, that must halve the VM steps at least. The budget is relative:
-    step counts depend on the SQLite build."""
+    do, that must halve the VM steps at least. A run holds one rollup
+    row per (app, pattern key), so a one-run ``top_patterns`` must also
+    take under half the steps of the v6 statement that sums the rollup
+    with a ``GROUP BY`` (:func:`oracle.reference_rollup_top_patterns`).
+    The budgets are relative: step counts depend on the SQLite build."""
 
     #: Steps per progress-handler call.
     GRANULARITY = 100
@@ -1058,6 +1061,24 @@ class TestWorkBudget:
         answer, used = steps(lambda: wh.top_patterns(10, metric, None, run_ids))
         expected, budget = steps(
             lambda: reference_top_patterns(study_file, 10, metric, None, run_ids)
+        )
+        assert answer == expected
+        assert len(answer) == 10
+        assert 2 * used < budget, (used, budget)
+
+    @pytest.mark.parametrize("metric", ("perceptible_lag", "occurrences"))
+    def test_one_run_takes_under_half_the_rollup_group_by_steps(
+        self, study_file, steps, metric
+    ):
+        from oracle import reference_rollup_top_patterns
+
+        wh = StudyWarehouse(study_file)
+        wh.schema_version()
+        answer, used = steps(lambda: wh.top_patterns(10, metric, None, ["r1"]))
+        expected, budget = steps(
+            lambda: reference_rollup_top_patterns(
+                study_file, 10, metric, None, ["r1"]
+            )
         )
         assert answer == expected
         assert len(answer) == 10
