@@ -13,8 +13,9 @@ version 3 removed the engine's split of one trace across several tasks
 and the numpy kernel mode; version 4 removed the binary trace
 encoding and the streaming reader; version 5 removed the push-mode
 record parser ``RecordFeed``; version 6 removed
-``StudyWarehouse.compact`` and the warehouse column-file options (all
-listed in ``docs/api.md``).
+``StudyWarehouse.compact`` and the warehouse column-file options;
+version 7 removed the ingest daemon's incremental mode (all listed in
+``docs/api.md``).
 
 The package is organized as:
 
@@ -23,7 +24,7 @@ The package is organized as:
   analyses (occurrence, trigger, location, concurrency, thread states).
 - :mod:`repro.lila` — a LiLa-style trace file format (writer/reader).
 - :mod:`repro.ingest` — the live collector daemon, its client, and the
-  incremental (per-episode) analysis mode.
+  rolling (per-episode) analysis ``ingest tail`` runs over a spool.
 - :mod:`repro.vm` — a discrete-event JVM/Swing session simulator that
   produces LiLa-style traces (substitute for running real Java apps).
 - :mod:`repro.apps` — behaviour models for the paper's 14 applications.
@@ -57,7 +58,7 @@ from repro.apps import simulate_session
 __version__ = "1.1.0"
 
 #: Version of the public surface below; bumped on incompatible change.
-API_VERSION = 6
+API_VERSION = 7
 
 # Heavier subsystems resolve lazily (PEP 562): importing ``repro`` for
 # a quick trace read should not pay for the study harness, the engine,

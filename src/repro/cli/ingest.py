@@ -121,7 +121,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             queue_limit=args.queue_limit,
-            incremental=args.incremental,
             config=_analysis_config(args),
             health_port=args.health_port,
             slo=slo,
@@ -132,7 +131,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         server.start()
         try:
-            # Either signal ends the loop; stop() then flushes every
+            # Either signal ends the wait; stop() then flushes every
             # session and compacts the spools. The handler is in place
             # before the address is printed.
             with _sigterm_interrupts():
@@ -149,11 +148,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 if server.study_warehouse is not None:
                     print(f"study warehouse -> {server.study_warehouse.path} "
                           f"(run {server.run_id}, compacted on shutdown)")
-                while True:
-                    time.sleep(args.summary_interval)
-                    if args.incremental:
-                        for summary in server.rolling_summaries().values():
-                            print(json.dumps(summary, sort_keys=True))
+                threading.Event().wait()
         except KeyboardInterrupt:
             pass
         finally:
@@ -170,6 +165,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _replay_one(args, address, index: int, path: Path) -> dict:
+    from repro.core.family import DEFAULT_FAMILY_NAME, FAMILY_KEY
     from repro.ingest.client import TraceClient
     from repro.lila.autodetect import detect_format, load_trace
     from repro.lila.source import TextTraceSource
@@ -188,12 +184,21 @@ def _replay_one(args, address, index: int, path: Path) -> dict:
             lines.pop()  # the empty tail after a final newline
     else:
         lines = trace_to_lines(load_trace(path))
+    # HELLO announces the family the trace declares; the last
+    # declaration wins, as it does for the reader.
+    declaration = f"M x.{FAMILY_KEY} "
+    family = next(
+        (line[len(declaration):] for line in reversed(lines)
+         if line.startswith(declaration)),
+        DEFAULT_FAMILY_NAME,
+    )
     session = f"{args.session_prefix}{index}"
     client = TraceClient(
         address,
         session=session,
         application=path.stem,
         batch_records=args.batch_records,
+        family=family,
     )
     with client:
         client.extend(lines)
@@ -355,11 +360,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     p_sv.add_argument("--queue-limit", type=int, default=8,
                       help="unflushed batches per session before "
                       "backpressure nacks")
-    p_sv.add_argument("--incremental", action="store_true",
-                      help="run the rolling per-episode analysis and "
-                      "print summaries")
-    p_sv.add_argument("--summary-interval", type=float, default=5.0,
-                      help="seconds between rolling-summary prints")
     p_sv.add_argument("--health-port", type=int, default=None,
                       metavar="PORT",
                       help="serve /healthz /metrics /sessions on this "

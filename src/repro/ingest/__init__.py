@@ -7,13 +7,13 @@ record batches from any number of concurrent
 :class:`~repro.ingest.client.TraceClient` sessions, applies explicit
 backpressure through bounded per-session queues, spools every acked
 record into a per-session LiLa text file
-(:class:`~repro.ingest.spool.SessionSpool`), and — in incremental mode
-— advances a rolling episode/pattern analysis per session
-(:class:`~repro.ingest.incremental.IncrementalSessionAnalyzer`). It
-splits episodes as the batch analysis does, from the root rows the
-column builder records as they close and the root kind of the trace's
-family, and its final summaries are byte-identical to a one-shot
-analysis of the same records.
+(:class:`~repro.ingest.spool.SessionSpool`). The rolling
+episode/pattern analysis of a spool,
+:class:`~repro.ingest.incremental.IncrementalSessionAnalyzer`, is what
+``lagalyzer ingest tail`` runs. It splits episodes as the batch
+analysis does, from the root rows the column builder records as they
+close and the root kind of the trace's family, and the trace it seals
+analyzes byte-identically to a one-shot analysis of the same records.
 
 See ``docs/ingest.md`` for the protocol and flow-control contract.
 """

@@ -143,6 +143,8 @@ class TraceClient:
         self._seq = 0
         self._closing = False
         self._done = threading.Event()
+        #: Set when close() gave up waiting: the sender stops delivering.
+        self._abandoned = False
         self._failure: Optional[BaseException] = None
         self._sock: Optional[socket.socket] = None
         self._rfile = None
@@ -254,7 +256,8 @@ class TraceClient:
 
         Raises:
             IngestClientError: the sender failed hard and records were
-                not delivered.
+                not delivered, or the wait ran out before the daemon
+                acked every record and END; the sender then stops.
         """
         if self._closing:
             return
@@ -265,13 +268,24 @@ class TraceClient:
             self._pending.append(_END)
             self._cond.notify_all()
         self._ensure_sender()
-        self._done.wait(
+        finished = self._done.wait(
             timeout=self.timeout_s * 4 if timeout_s is None else timeout_s
         )
         if self._failure is not None:
             raise IngestClientError(
                 f"ingest client failed: {self._failure}"
             ) from self._failure
+        if not finished:
+            self._abandoned = True
+            undelivered = (
+                self.records_enqueued - self.records_sent
+                - self.dropped_records
+            )
+            host, port = self.address[:2]
+            raise IngestClientError(
+                f"{undelivered} record(s) not acked by the daemon at "
+                f"{host}:{port} before the close wait ran out"
+            )
 
     def __enter__(self) -> "TraceClient":
         return self
@@ -332,7 +346,7 @@ class TraceClient:
 
     def _sender_loop(self) -> None:
         try:
-            while True:
+            while not self._abandoned:
                 with self._cond:
                     while not self._pending:
                         self._cond.wait(timeout=0.1)
@@ -342,7 +356,7 @@ class TraceClient:
                     with self._cond:
                         self._pending.popleft()
                     break
-                self._deliver(item)  # drops or delivers; never raises
+                self._deliver(item)  # never raises
                 with self._cond:
                     self._pending.popleft()
                     obs_runtime.set_gauge(
@@ -368,7 +382,8 @@ class TraceClient:
         obs_runtime.count("ingest.client.dropped_records", batch.records)
 
     def _deliver(self, batch: _Batch) -> None:
-        """Deliver one batch: retries, backoff, reconnects, drops.
+        """Deliver one batch: retries, backoff, reconnects, drops; or
+        give up, neither sent nor dropped, once close() abandoned it.
 
         Under a sampled trace context the whole delivery — including
         retries — is one ``ingest.client.send`` span whose id *is* the
@@ -382,7 +397,7 @@ class TraceClient:
             self._deliver_inner(batch)
 
     def _deliver_inner(self, batch: _Batch) -> None:
-        while True:
+        while not self._abandoned:
             if (
                 self.max_retries is not None
                 and batch.attempts > self.max_retries
@@ -455,7 +470,7 @@ class TraceClient:
         self._seq += 1
         seq = self._seq
         attempts = 0
-        while True:
+        while not self._abandoned:
             attempts += 1
             try:
                 if self._sock is None:

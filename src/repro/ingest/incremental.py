@@ -1,13 +1,14 @@
-"""Incremental analysis over a live ingest session.
+"""Incremental analysis over a growing session spool.
 
 One-shot analysis waits for a complete trace file, builds the store,
-then splits episodes and mines patterns. A live session never hands
-over a complete file — records arrive a batch at a time, and the
-interesting questions ("how many perceptible episodes so far?", "which
-pattern keeps recurring?") want answers *between* batches.
+then splits episodes and mines patterns. A live session's spool grows a
+batch at a time, and the interesting questions ("how many perceptible
+episodes so far?", "which pattern keeps recurring?") want answers
+*between* batches.
 
-:class:`IncrementalSessionAnalyzer` is the per-session pipeline the
-daemon advances after every flush:
+:class:`IncrementalSessionAnalyzer` is the rolling analysis
+``lagalyzer ingest tail`` advances over each batch of lines it reads
+from a spool:
 
 - :class:`~repro.lila.source.TextParser`, the line kernel every text
   trace goes through, parses each pushed line straight into the
@@ -27,9 +28,9 @@ daemon advances after every flush:
 :meth:`rolling_summary` publishes the running totals at any moment.
 When the session ends, :meth:`finalize` seals the builder with the
 same :meth:`~repro.lila.source.TextParser.finish` a one-shot
-:func:`~repro.lila.source.build_store` runs, so :meth:`summaries` over
-the sealed trace is **byte-identical** to a one-shot analysis of the
-same lines (the parity test pickles both).
+:func:`~repro.lila.source.build_store` runs, so an analysis of the
+sealed trace is **byte-identical** to a one-shot analysis of the same
+lines (the parity test pickles both).
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 from collections import Counter
 
-from repro.core.analyzer import AnalysisConfig, LagAlyzer
+from repro.core.analyzer import AnalysisConfig
 from repro.core.errors import AnalysisError, LagAlyzerError
 from repro.core.family import family_of
 from repro.core.intervals import NS_PER_MS
@@ -187,8 +187,8 @@ class IncrementalSessionAnalyzer:
     def rolling_summary(self) -> Dict[str, Any]:
         """Running totals over everything fed so far.
 
-        A plain dict (JSON-friendly) the daemon republishes after every
-        flush: episode and perceptible counts, distinct/covered pattern
+        A plain dict (JSON-friendly), one line of ``ingest tail``'s
+        output: episode and perceptible counts, distinct/covered pattern
         tallies, and the worst lag seen.
         """
         return {
@@ -220,18 +220,6 @@ class IncrementalSessionAnalyzer:
         if self._sealed is None:
             self._sealed = FacadeTrace(self._parser.finish())
         return self._sealed
-
-    def summaries(
-        self, names: Optional[Sequence[str]] = None
-    ) -> Dict[str, Any]:
-        """Final analysis summaries over the sealed trace.
-
-        Runs the ordinary fused-plan path over :meth:`finalize`'s
-        trace, so the result is byte-identical to a one-shot analysis
-        of the same records.
-        """
-        trace = self.finalize()
-        return LagAlyzer([trace], config=self.config).summaries(names)
 
     def __repr__(self) -> str:
         state = "sealed" if self._sealed is not None else "live"

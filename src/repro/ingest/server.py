@@ -5,9 +5,9 @@ connections (one OS thread each, via ``socketserver.ThreadingTCPServer``)
 speaking the framed protocol of :mod:`repro.ingest.protocol`. Per
 session it keeps a **bounded** queue of accepted-but-unflushed batches;
 a single background flush thread drains every session's queue into its
-:class:`~repro.ingest.spool.SessionSpool` and (in incremental mode)
-advances the session's
-:class:`~repro.ingest.incremental.IncrementalSessionAnalyzer`.
+:class:`~repro.ingest.spool.SessionSpool`. The daemon only spools: the
+rolling analysis of a session is ``lagalyzer ingest tail`` over its
+spool, and full analysis reads the finished spool as any trace file.
 
 Flow control is explicit, not implicit in TCP buffers:
 
@@ -42,10 +42,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.core.errors import LagAlyzerError
 from repro.faults import runtime as faults_runtime
 from repro.ingest import protocol
-from repro.ingest.incremental import IncrementalSessionAnalyzer
 from repro.ingest.spool import SessionSpool
 from repro.obs import runtime as obs_runtime
 from repro.obs.context import TraceContext, adopted_span
@@ -75,15 +73,12 @@ class SessionState:
         application: str,
         spool: SessionSpool,
         queue_limit: int,
-        analyzer: Optional[IncrementalSessionAnalyzer] = None,
         family: str = "gui",
     ) -> None:
         self.session = session
         self.application = application
         self.family = family
         self.spool = spool
-        self.analyzer = analyzer
-        self.analyzer_error: Optional[str] = None
         self.queue_limit = queue_limit
         self.queue: Deque[
             Tuple[int, List[str], Optional[TraceContext]]
@@ -169,26 +164,7 @@ class SessionState:
                     self.queue.popleft()
                     self.records_flushed += len(lines)
                 flushed += len(lines)
-                self._advance_analyzer(lines)
         return flushed
-
-    def _advance_analyzer(self, lines: List[str]) -> None:
-        if self.analyzer is None:
-            return
-        try:
-            self.analyzer.push_lines(lines)
-        except LagAlyzerError as error:
-            # Damaged records still spool (the file is the ground
-            # truth); only the rolling analysis stops.
-            self.analyzer = None
-            self.analyzer_error = str(error)
-            obs_runtime.count("ingest.server.analyzer_errors")
-
-    def rolling_summary(self) -> Optional[Dict[str, Any]]:
-        """The analyzer's running totals, or None outside incremental mode."""
-        if self.analyzer is None:
-            return None
-        return self.analyzer.rolling_summary()
 
 
 class _IngestHandler(socketserver.StreamRequestHandler):
@@ -363,10 +339,8 @@ class IngestServer:
         max_payload: per-frame payload ceiling; larger batches are
             drained and nacked.
         retry_after_ms: hint sent with backpressure nacks.
-        incremental: run an :class:`IncrementalSessionAnalyzer` per
-            session, advanced at every flush.
-        config: analysis config of incremental mode and of spool
-            compaction (default: ``AnalysisConfig()``).
+        config: analysis config of spool compaction (default:
+            ``AnalysisConfig()``).
         flush_interval_s: background flush cadence (the flusher also
             wakes immediately whenever a batch is accepted).
         health_port: also serve ``/metrics`` / ``/healthz`` /
@@ -403,7 +377,6 @@ class IngestServer:
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         max_payload: int = protocol.DEFAULT_MAX_PAYLOAD,
         retry_after_ms: int = DEFAULT_RETRY_AFTER_MS,
-        incremental: bool = False,
         config: Optional[Any] = None,
         flush_interval_s: float = 0.02,
         health_port: Optional[int] = None,
@@ -418,7 +391,6 @@ class IngestServer:
         self.queue_limit = max(1, int(queue_limit))
         self.max_payload = int(max_payload)
         self.retry_after_ms = int(retry_after_ms)
-        self.incremental = incremental
         self.config = config
         self.flush_interval_s = flush_interval_s
         self._sessions: Dict[str, SessionState] = {}
@@ -559,17 +531,11 @@ class IngestServer:
         with self._sessions_lock:
             state = self._sessions.get(session_id)
             if state is None:
-                analyzer = None
-                if self.incremental:
-                    analyzer = IncrementalSessionAnalyzer(
-                        label=f"ingest:{session_id}", config=self.config
-                    )
                 state = SessionState(
                     session_id,
                     application,
                     SessionSpool(self.spool_dir, session_id, application),
                     self.queue_limit,
-                    analyzer=analyzer,
                     family=family,
                 )
                 self._sessions[session_id] = state
@@ -598,9 +564,6 @@ class IngestServer:
         """The stat mapping ``/healthz`` evaluates the SLO against."""
         return ingest_stats_for_slo(
             self.stats(),
-            analyzer_errors=sum(
-                1 for s in self.sessions() if s.analyzer_error is not None
-            ),
             telemetry_lost=(
                 self.publisher.lost_flushes
                 if self.publisher is not None
@@ -623,7 +586,6 @@ class IngestServer:
                     "nacks_sent": state.nacks_sent,
                     "ended": state.ended,
                     "trace_id": state.trace_id,
-                    "analyzer_error": state.analyzer_error,
                 }
             )
         return rows
@@ -637,15 +599,6 @@ class IngestServer:
         if observer is None:
             return "# observation disabled (no ambient observer)\n"
         return metrics_to_prometheus(observer.metrics.as_dict())
-
-    def rolling_summaries(self) -> Dict[str, Dict[str, Any]]:
-        """Per-session rolling summaries (incremental mode only)."""
-        result = {}
-        for state in self.sessions():
-            summary = state.rolling_summary()
-            if summary is not None:
-                result[state.session] = summary
-        return result
 
     # ------------------------------------------------------------------
     # Flushing

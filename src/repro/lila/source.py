@@ -11,8 +11,9 @@ interval.
 Text is parsed by one line kernel, :class:`TextParser`, which writes
 each line straight into a :class:`~repro.core.store.ColumnarBuilder`'s
 columns. The same kernel reads a whole file, a list of lines, and —
-one pushed batch at a time — a live ingest session
-(:class:`~repro.ingest.incremental.IncrementalSessionAnalyzer`).
+one pushed batch at a time — a growing session spool
+(:class:`~repro.ingest.incremental.IncrementalSessionAnalyzer`, which
+``lagalyzer ingest tail`` runs).
 Record syntax is checked as each line is read, so damage surfaces with
 its position attached: every
 :class:`~repro.core.errors.TraceFormatError` carries the 1-based line

@@ -2,7 +2,7 @@
 
 An :class:`SloPolicy` is a named set of :class:`SloThreshold` rules,
 each bounding one observable of the live system — a gauge ("queue depth
-stays under 1024"), a counter ("zero analyzer errors"), or a derived
+stays under 1024"), a counter ("no lost warehouse flushes"), or a derived
 stat. Evaluating a policy against a stats mapping yields an
 :class:`SloReport`: per-rule verdicts plus one overall ``healthy`` bit,
 which is exactly what ``/healthz`` turns into its 200-vs-503 answer and
@@ -214,10 +214,6 @@ def _ingest_default() -> SloPolicy:
                 "accepted records not yet on disk stay bounded",
             ),
             SloThreshold(
-                "analyzer_errors", "<=", 0,
-                "no incremental analyzer has failed",
-            ),
-            SloThreshold(
                 "telemetry_lost_flushes", "<=", 0,
                 "no warehouse flush has been lost",
             ),
@@ -226,13 +222,12 @@ def _ingest_default() -> SloPolicy:
 
 
 #: The ingest daemon's built-in health posture: queues bounded, spool
-#: keeping up, no analyzer failures, no telemetry loss.
+#: keeping up, no telemetry loss.
 DEFAULT_INGEST_SLO: SloPolicy = _ingest_default()
 
 
 def ingest_stats_for_slo(
     server_stats: Mapping[str, Any],
-    analyzer_errors: int = 0,
     telemetry_lost: int = 0,
 ) -> Dict[str, float]:
     """Map daemon counters onto the stat names the default SLO bounds."""
@@ -245,6 +240,5 @@ def ingest_stats_for_slo(
         "records_accepted": accepted,
         "records_flushed": flushed,
         "nacks_sent": float(server_stats.get("nacks_sent", 0)),
-        "analyzer_errors": float(analyzer_errors),
         "telemetry_lost_flushes": float(telemetry_lost),
     }

@@ -32,7 +32,7 @@ class TestTopLevelSurface:
 
     def test_api_version_is_int(self):
         assert isinstance(repro.API_VERSION, int)
-        assert repro.API_VERSION == 6
+        assert repro.API_VERSION == 7
 
     def test_version_is_string(self):
         assert isinstance(repro.__version__, str)
@@ -122,3 +122,17 @@ class TestRemovedPaths:
         spool = inspect.signature(StudyWarehouse.ingest_spool).parameters
         assert "column_file" not in spool
         assert "column_dir" not in inspect.signature(IngestServer).parameters
+
+    def test_daemon_incremental_mode_is_gone(self):
+        # Removed in API_VERSION 7: the daemon only spools, and the
+        # rolling analysis is `ingest tail` over a spool.
+        from repro.cli import main
+        from repro.ingest.incremental import IncrementalSessionAnalyzer
+        from repro.ingest.server import IngestServer
+
+        assert "incremental" not in inspect.signature(IngestServer).parameters
+        assert not hasattr(IngestServer, "rolling_summaries")
+        assert not hasattr(IncrementalSessionAnalyzer, "summaries")
+        with pytest.raises(SystemExit) as info:
+            main(["ingest", "serve", "--incremental"])
+        assert info.value.code == 2

@@ -4,9 +4,9 @@ Covers the wire-level failure modes (truncated frames, bad version
 bytes, oversized batches), the flow-control contract (backpressure
 nacks, idempotent redelivery, zero loss through END), durability on
 mid-stream disconnects, the chaos behaviour under ``ingest.*`` fault
-sites, and the acceptance-critical property that incremental-mode
-summaries are byte-identical to a one-shot analysis of the same
-records.
+sites, and the acceptance-critical property that the rolling analysis
+``ingest tail`` runs seals a trace whose summaries are byte-identical
+to a one-shot analysis of the same records.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -39,8 +40,9 @@ from repro.ingest import (
     SessionSpool,
     TraceClient,
 )
+from repro.ingest import client as client_module
 from repro.ingest import protocol
-from repro.ingest.client import DEFAULT_RETRY
+from repro.ingest.client import DEFAULT_RETRY, IngestClientError
 from repro.lila.source import build_store, open_source
 from repro.lila.writer import trace_to_lines
 from repro.obs import runtime as obs_runtime
@@ -502,6 +504,43 @@ class TestDurability:
                 spooled = states[session].spool.path.read_text().splitlines()
                 assert spooled == lines
 
+    def test_damaged_record_spools_verbatim(self, server):
+        """The daemon does not parse what it spools: a damaged record is
+        acked and spooled as sent, for the reader to report."""
+        lines = sample_lines(session="dmg")
+        lines.insert(len(lines) - 1, "Z bogus record")
+        with TraceClient(server.address, session="dmg") as client:
+            client.extend(lines)
+        state = server.sessions()[0]
+        assert state.ended
+        assert client.records_sent == len(lines)
+        assert state.spool.path.read_text().splitlines() == lines
+
+    def test_close_raises_when_its_wait_runs_out(self):
+        """Against a port where no daemon listens, close() names the
+        records never acked, and the sender stops retrying."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        lines = golden_lines("CrosswordSage-session-0.lila")
+        assert len(lines) == 1187
+        client = TraceClient(("127.0.0.1", port), session="nowhere")
+        client.extend(lines)
+        started = time.monotonic()
+        with pytest.raises(IngestClientError) as info:
+            client.close(timeout_s=0.5)
+        assert time.monotonic() - started < 2.0
+        assert str(info.value) == (
+            "1187 record(s) not acked by the daemon at "
+            f"127.0.0.1:{port} before the close wait ran out"
+        )
+        assert wait_until(lambda: not any(
+            thread.name == "ingest-client-nowhere"
+            for thread in threading.enumerate()
+        ))
+        assert client.records_sent == 0
+        assert client.dropped_records == 0
+
     def test_client_drop_mode_counts_overflow(self, tmp_path):
         # A plan that nacks every delivery of every frame: with
         # max_retries bounded and overflow="drop", the client sheds
@@ -658,7 +697,9 @@ class TestIncrementalParity:
 
         analyzer = IncrementalSessionAnalyzer(config=config)
         analyzer.push_lines(lines)
-        incremental = analyzer.summaries()
+        incremental = LagAlyzer(
+            [analyzer.finalize()], config=config
+        ).summaries()
 
         path = tmp_path / "parity.lila"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -667,51 +708,6 @@ class TestIncrementalParity:
         ).summaries()
 
         assert pickle.dumps(incremental) == pickle.dumps(one_shot)
-
-    @pytest.mark.parametrize(
-        "lines, family, episodes",
-        [
-            (sample_lines(session="live"), "gui", 3),
-            (golden_lines("OrderApi-session-0.lila"), "io_service", 19),
-        ],
-        ids=["sample", "OrderApi-session-0"],
-    )
-    def test_daemon_incremental_mode_matches_one_shot(
-        self, tmp_path, lines, family, episodes
-    ):
-        with IngestServer(
-            spool_dir=tmp_path / "spools", incremental=True
-        ) as srv:
-            with TraceClient(
-                srv.address, session="live", batch_records=4, family=family
-            ) as client:
-                client.extend(lines)
-            state = srv.sessions()[0]
-            rolling = srv.rolling_summaries()["live"]
-            assert rolling["episodes"] == episodes
-            incremental = state.analyzer.summaries()
-            spool_path = state.spool.path
-        one_shot = LagAlyzer(
-            [FacadeTrace(build_store(open_source(spool_path)))]
-        ).summaries()
-        assert pickle.dumps(incremental) == pickle.dumps(one_shot)
-
-    def test_damaged_record_stops_analyzer_not_spool(self, tmp_path):
-        lines = sample_lines(session="dmg")
-        lines.insert(len(lines) - 1, "Z bogus record")
-        with IngestServer(
-            spool_dir=tmp_path / "spools", incremental=True
-        ) as srv:
-            with TraceClient(srv.address, session="dmg") as client:
-                client.extend(lines)
-            state = srv.sessions()[0]
-            assert state.ended
-            assert state.analyzer is None
-            assert "unknown record type" in (state.analyzer_error or "") or (
-                state.analyzer_error
-            )
-            # The spool still holds every acked record verbatim.
-            assert state.spool.path.read_text().splitlines() == lines
 
 
 # ----------------------------------------------------------------------
@@ -831,6 +827,46 @@ class TestIngestCli:
         assert line.startswith(f"error: {undecodable_trace}: ")
         assert line.endswith(self.UNDECODABLE)
 
+    def test_replay_announces_each_trace_family(self, tmp_path):
+        """Each replayed session's HELLO carries the family its trace
+        declares in ``M x.family``, gui when it declares none."""
+        families = {
+            "OrderApi-session-0": "io_service",
+            "IndexBuilder-session-0": "async_pipeline",
+            "CrosswordSage-session-0": "gui",
+        }
+        with IngestServer(spool_dir=tmp_path / "spools") as server:
+            host, port = server.address
+            assert main([
+                "ingest", "replay",
+                *(str(GOLDEN_DIR / f"{name}.lila") for name in families),
+                "--address", f"{host}:{port}",
+            ]) == 0
+            rows = server.session_summaries()
+        assert {row["application"]: row["family"] for row in rows} == families
+
+    def test_replay_to_a_closed_port_fails(self, monkeypatch, capsys):
+        """Records no daemon acked are one ``error:`` line and exit 1."""
+        monkeypatch.setattr(
+            client_module, "TraceClient",
+            partial(client_module.TraceClient, timeout_s=0.25),
+        )
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        trace = GOLDEN_DIR / "CrosswordSage-session-0.lila"
+        started = time.monotonic()
+        code = main([
+            "ingest", "replay", str(trace), "--address", f"127.0.0.1:{port}",
+        ])
+        assert time.monotonic() - started < 5.0
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: {trace}: 1187 record(s) not acked by the daemon at "
+            f"127.0.0.1:{port} before the close wait ran out"
+        )
+
     @pytest.mark.parametrize(
         "threshold, perceptible", [(None, 4), (150.0, 0)],
         ids=["threshold-omitted", "threshold-150"],
@@ -838,9 +874,8 @@ class TestIngestCli:
     def test_serve_stops_gracefully_on_sigterm(
         self, tmp_path, threshold, perceptible
     ):
-        """Without ``--incremental`` too, the daemon compacts its spools
-        under ``--threshold`` (100 ms when omitted) and files the run
-        under that config."""
+        """The daemon compacts its spools under ``--threshold`` (100 ms
+        when omitted) and files the run under that config."""
         import sqlite3
 
         from repro.engine.cache import config_fingerprint

@@ -446,13 +446,31 @@ class TestSlo:
         stats = ingest_stats_for_slo(
             {"records_accepted": 100, "records_flushed": 90,
              "pending_batches": 2, "sessions": 1, "nacks_sent": 0},
-            analyzer_errors=0, telemetry_lost=0,
+            telemetry_lost=0,
         )
         assert stats["spool_lag_records"] == 10.0
         assert DEFAULT_INGEST_SLO.evaluate(stats).healthy
         assert not DEFAULT_INGEST_SLO.evaluate(
             dict(stats, telemetry_lost_flushes=1)
         ).healthy
+        assert [t.stat for t in DEFAULT_INGEST_SLO.thresholds] == [
+            "pending_batches", "spool_lag_records", "telemetry_lost_flushes",
+        ]
+
+    def test_a_rule_on_a_stat_the_daemon_drops_passes(self, tmp_path):
+        """A policy file that still bounds ``analyzer_errors`` loads, and
+        its rule reads the stat the daemon no longer reports as 0."""
+        path = tmp_path / "slo.json"
+        path.write_text(json.dumps({"name": "old", "thresholds": [
+            {"stat": "analyzer_errors", "op": "<=", "limit": 0},
+        ]}), encoding="utf-8")
+        policy = SloPolicy.load(path)
+        with IngestServer(spool_dir=tmp_path / "spools") as server:
+            stats = server.health_stats()
+        assert "analyzer_errors" not in stats
+        report = policy.evaluate(stats)
+        assert report.healthy
+        assert [r["value"] for r in report.results] == [0.0]
 
 
 # ----------------------------------------------------------------------
@@ -707,7 +725,7 @@ class TestWarehouseCli:
                          encoding="utf-8")
         assert main(["obs", "slo", "check", "--stats", str(stats)]) == 0
         assert "healthy" in capsys.readouterr().out
-        stats.write_text(json.dumps({"analyzer_errors": 2}),
+        stats.write_text(json.dumps({"telemetry_lost_flushes": 1}),
                          encoding="utf-8")
         assert main(["obs", "slo", "check", "--stats", str(stats)]) == 1
         assert "UNHEALTHY" in capsys.readouterr().out
