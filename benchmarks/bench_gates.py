@@ -590,7 +590,6 @@ def _replay_session(address: Any, index: int, lines: List[str]) -> TraceClient:
         session=f"bench-{index}",
         application=FLEET_APPLICATION,
         batch_records=FLEET_BATCH_RECORDS,
-        overflow="block",
     )
     try:
         client.extend(lines)

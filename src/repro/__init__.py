@@ -14,8 +14,9 @@ and the numpy kernel mode; version 4 removed the binary trace
 encoding and the streaming reader; version 5 removed the push-mode
 record parser ``RecordFeed``; version 6 removed
 ``StudyWarehouse.compact`` and the warehouse column-file options;
-version 7 removed the ingest daemon's incremental mode (all listed in
-``docs/api.md``).
+version 7 removed the ingest daemon's incremental mode; version 8
+removed ``TraceClient``'s lossy modes and one-value knobs (all listed
+in ``docs/api.md``).
 
 The package is organized as:
 
@@ -58,7 +59,7 @@ from repro.apps import simulate_session
 __version__ = "1.1.0"
 
 #: Version of the public surface below; bumped on incompatible change.
-API_VERSION = 7
+API_VERSION = 8
 
 # Heavier subsystems resolve lazily (PEP 562): importing ``repro`` for
 # a quick trace read should not pay for the study harness, the engine,

@@ -23,9 +23,11 @@ Analyses that distinguish the perceptible-only episode population
 cached map serves ``perceptible_only=True`` and ``False`` alike; the
 flag is applied at reduce time.
 
-Since the fused-plan refactor every analysis implements its map as
-``map_context(ctx)`` over a :class:`~repro.core.plan.StageContext`, and
-``map_trace`` merely delegates through a fresh single-use context.
+Since the fused-plan refactor every built-in analysis implements its
+map as ``map_context(ctx)`` over a :class:`~repro.core.plan.StageContext`,
+and ``map_trace`` merely delegates through a fresh single-use context.
+A downstream analysis may implement ``map_trace`` alone instead:
+:class:`MapReduceAnalysis`'s default ``map_context`` calls it.
 Shared prefixes — the episode split, the pattern-key tally — are
 requested from the context, so when several analyses run as one
 :class:`~repro.core.plan.AnalysisPlan` each prefix is computed exactly
@@ -33,11 +35,12 @@ once per trace and reused; run alone, the same code computes the same
 stages into a private context. Fused and per-analysis partials are
 therefore byte-identical by construction.
 
-Every ``map_context`` reads only ``ctx.store`` through the column
-kernels of :mod:`repro.core.store.kernels`; the context columnarizes a
-plain object-graph trace when it is built. The object functions
-(:func:`repro.core.triggers.summarize` and its siblings) stay as the
-reference implementations the parity suite compares the kernels with.
+Every built-in ``map_context`` reads only ``ctx.store`` through the
+column kernels of :mod:`repro.core.store.kernels`; the context
+columnarizes a plain object-graph trace when it is built. The object
+functions (:func:`repro.core.triggers.summarize` and its siblings) stay
+as the reference implementations the parity suite compares the kernels
+with.
 
 The :data:`REGISTRY` maps stable analysis names to their instances;
 :meth:`~repro.core.analyzer.LagAlyzer.summary` and the engine look analyses
@@ -82,8 +85,10 @@ from repro.core.triggers import TriggerSummary
 class Analysis(Protocol):
     """What every entry of the registry provides.
 
-    ``map_trace`` must return a picklable value; ``reduce`` must accept
-    partials in trace order and reproduce the serial summary exactly.
+    Both maps must return the same picklable value (plans call
+    ``map_context``; ``map_trace`` is its bare-trace form); ``reduce``
+    must accept partials in trace order and reproduce the serial
+    summary exactly.
     Analyses whose summaries do not depend on the perceptible-only
     split set ``supports_perceptible_only = False`` and reject the flag.
     """
@@ -112,12 +117,15 @@ class Analysis(Protocol):
 class MapReduceAnalysis:
     """Base class: ``summarize`` as the serial map–reduce composition.
 
-    Subclasses implement :meth:`map_context` as their *only* map code;
+    Subclasses implement one of the two map methods as their *only*
+    map code. The built-ins implement :meth:`map_context`, and
     :meth:`map_trace` wraps the trace in a fresh single-use
     :class:`~repro.core.plan.StageContext`, which makes the classic
     per-analysis path a degenerate fused plan of size one — the fused
     executor runs literally the same code, just through a shared
-    context.
+    context. A subclass that implements only :meth:`map_trace` is
+    mapped by the default :meth:`map_context`, which calls it with the
+    context's trace and config, so it too runs through every path.
     """
 
     name: str = ""
@@ -129,7 +137,7 @@ class MapReduceAnalysis:
     shared_stages: Tuple[str, ...] = ()
 
     def map_context(self, ctx: StageContext) -> Any:
-        raise NotImplementedError
+        return self.map_trace(ctx.trace, ctx.config)
 
     def map_trace(self, trace: Trace, config: Any) -> Any:
         return self.map_context(StageContext(trace, config))
@@ -520,10 +528,27 @@ class StatisticsAnalysis(MapReduceAnalysis):
 REGISTRY: Dict[str, Analysis] = {}
 
 
+def _maps(analysis: Any) -> bool:
+    """Whether ``analysis`` has a ``map_context`` that is not just the
+    two :class:`MapReduceAnalysis` defaults calling each other."""
+    if not isinstance(analysis, MapReduceAnalysis):
+        return hasattr(analysis, "map_context")
+    return any(
+        getattr(getattr(analysis, name), "__func__", None)
+        is not getattr(MapReduceAnalysis, name)
+        for name in ("map_context", "map_trace")
+    )
+
+
 def register(analysis: Analysis, replace: bool = False) -> Analysis:
     """Add ``analysis`` to the registry (downstream extension point)."""
     if not analysis.name:
         raise AnalysisError("an Analysis must have a non-empty name")
+    if not _maps(analysis):
+        raise AnalysisError(
+            f"analysis {analysis.name!r} has no map: implement "
+            "map_context(ctx) or map_trace(trace, config)"
+        )
     if analysis.name in REGISTRY and not replace:
         raise AnalysisError(
             f"analysis {analysis.name!r} is already registered "

@@ -22,6 +22,7 @@ from repro.core.errors import AnalysisError
 from repro.core.location import LocationSummary
 from repro.core.occurrence import OccurrenceSummary
 from repro.core.patterns import Pattern, PatternTable
+from repro.core.plan import AnalysisPlan, build_plan
 from repro.core.samples import DEFAULT_LIBRARY_PREFIXES
 from repro.core.statistics import SessionStats, average_stats
 from repro.core.threadstates import ThreadStateSummary
@@ -146,7 +147,8 @@ class LagAlyzer:
         maps the trace it parsed with every registered analysis under
         ``config``: a later ``summaries(engine=...)`` under the same
         config and registry then stores those partials and ships no
-        trace to a worker.
+        trace to a worker, and an engine-less :meth:`summary` or
+        :meth:`summaries` reduces them without mapping again.
         """
         from repro.engine.engine import AnalysisEngine
         from repro.lila.autodetect import expand_trace_paths
@@ -244,8 +246,9 @@ class LagAlyzer:
         ``"concurrency"``, ``"threadstates"``, ``"statistics"``,
         ``"patterns"``, or anything registered downstream). With an
         :class:`~repro.engine.AnalysisEngine` the per-trace map work
-        runs through its worker pool and result cache; without one it
-        is the plain serial composition. Both paths produce identical
+        runs through its worker pool and result cache; without one each
+        trace is mapped in-process, or served the partials its pooled
+        load mapped (see :meth:`load`). Both paths produce identical
         summaries. The cache keys a bundle by its analysis set, so this
         one-analysis request stores its own bundles rather than reading
         those an earlier :meth:`summaries` run stored.
@@ -258,12 +261,19 @@ class LagAlyzer:
             return engine.summarize(
                 name, self.traces, self.config, perceptible_only=perceptible_only
             )
+        plan = build_plan([name])
+        analysis = plan.operators[0].analysis
+        if perceptible_only and not analysis.supports_perceptible_only:
+            raise AnalysisError(
+                f"analysis {name!r} has no perceptible-only variant"
+            )
         with obs_runtime.installed(self.obs):
             with obs_runtime.maybe_span(
                 "api.summary", analysis=name, perceptible_only=perceptible_only
             ):
-                return analyses_mod.get_analysis(name).summarize(
-                    self.traces, self.config, perceptible_only=perceptible_only
+                return analysis.reduce(
+                    [partials[name] for partials in self._partials(plan)],
+                    perceptible_only=perceptible_only,
                 )
 
     def summaries(
@@ -285,29 +295,39 @@ class LagAlyzer:
         With an :class:`~repro.engine.AnalysisEngine` the fused passes
         additionally run through its worker pool and bundle cache
         (``engine.summarize_all``); without one they run serially
-        in-process.
+        in-process, except for a trace whose pooled load already mapped
+        it (see :meth:`load`).
         """
         if names is None:
             names = tuple(analyses_mod.REGISTRY)
         if engine is not None:
             return engine.summarize_all(names, self.traces, self.config)
-        from repro.core.plan import build_plan
-
         plan = build_plan(names)
         with obs_runtime.installed(self.obs):
             with obs_runtime.maybe_span(
                 "api.summaries", analyses=len(plan.operators),
                 traces=len(self.traces),
             ):
-                per_trace = [
-                    plan.execute(trace, self.config) for trace in self.traces
-                ]
+                per_trace = self._partials(plan)
                 return {
-                    name: analyses_mod.get_analysis(name).reduce(
-                        [partials[name] for partials in per_trace]
+                    op.name: op.analysis.reduce(
+                        [partials[op.name] for partials in per_trace]
                     )
-                    for name in plan.names
+                    for op in plan.operators
                 }
+
+    def _partials(self, plan: AnalysisPlan) -> List[dict]:
+        """Each trace's partials of ``plan``'s analyses: those its pooled
+        load mapped under this config and registry, or one fused pass."""
+        from repro.engine.engine import loaded_partials
+
+        per_trace = []
+        for trace in self.traces:
+            partials = loaded_partials(trace, self.config, plan.names)
+            if partials is None:
+                partials = plan.execute(trace, self.config)
+            per_trace.append(partials)
+        return per_trace
 
     def occurrence_summary(self) -> OccurrenceSummary:
         """Always/sometimes/once/never distribution over patterns (Fig 4)."""

@@ -181,13 +181,7 @@ class AnalysisPlan:
                 "analysis.map", metric="engine.map_ms", analysis=op.name
             ):
                 with obs_runtime.profiled(op.name):
-                    mapper = getattr(op.analysis, "map_context", None)
-                    if mapper is not None:
-                        partials[op.name] = mapper(ctx)
-                    else:
-                        partials[op.name] = op.analysis.map_trace(
-                            trace, config
-                        )
+                    partials[op.name] = op.analysis.map_context(ctx)
         obs_runtime.count("engine.fused_passes")
         obs_runtime.count("plan.operators", len(self.operators))
         obs_runtime.count("plan.shared_hits", ctx.shared_hits)

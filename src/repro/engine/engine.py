@@ -187,18 +187,19 @@ def _memo_key(config: Any) -> Tuple[Tuple[str, Tuple[Any, ...]], Tuple[Any, ...]
     return (config_fingerprint(config), fingerprint), pins
 
 
-def _loaded_partials(
-    memo: Tuple[Any, Any, Dict[str, Any]],
-    key: Tuple[Any, ...],
-    names: Sequence[str],
+def loaded_partials(
+    trace: Trace, config: Any, names: Sequence[str]
 ) -> Optional[Dict[str, Any]]:
-    """The partials of ``names`` in a pooled load's ``memo``, if it was
-    mapped under ``key``; None otherwise."""
-    if memo[0] != key:
+    """The partials of ``names`` that ``trace``'s pooled load mapped, if
+    it mapped them under ``config`` and the current registry; None
+    otherwise. Each hit counts ``engine.loaded_partials``."""
+    memo = getattr(getattr(trace, "columnar", None), "_partials_memo", None)
+    if memo is None or memo[0] != _memo_key(config)[0]:
         return None
     partials = memo[2]
     if not all(name in partials for name in names):
         return None
+    obs_runtime.count("engine.loaded_partials")
     return {name: partials[name] for name in names}
 
 
@@ -328,21 +329,12 @@ class AnalysisEngine:
             # registry is not shipped: the memo's partials are stored as
             # a fresh map's would be.
             shipped: List[int] = []
-            memo_key: Optional[Tuple[Any, ...]] = None
             for index in missing:
                 trace = traces[index]
-                memo = getattr(
-                    getattr(trace, "columnar", None), "_partials_memo", None
-                )
-                partials = None
-                if memo is not None:
-                    if memo_key is None:
-                        memo_key = _memo_key(config)[0]
-                    partials = _loaded_partials(memo, memo_key, names)
+                partials = loaded_partials(trace, config, names)
                 if partials is None:
                     shipped.append(index)
                     continue
-                obs_runtime.count("engine.loaded_partials")
                 for name in names:
                     results[name][index] = partials[name]
                 if cache is not None:

@@ -7,7 +7,10 @@ record batches from any number of concurrent
 :class:`~repro.ingest.client.TraceClient` sessions, applies explicit
 backpressure through bounded per-session queues, spools every acked
 record into a per-session LiLa text file
-(:class:`~repro.ingest.spool.SessionSpool`). The rolling
+(:class:`~repro.ingest.spool.SessionSpool`). The client has one
+lossless delivery path: every record reaches the spool, or a call
+raises :class:`~repro.ingest.client.IngestClientError` once its wait
+for the daemon runs out. The rolling
 episode/pattern analysis of a spool,
 :class:`~repro.ingest.incremental.IncrementalSessionAnalyzer`, is what
 ``lagalyzer ingest tail`` runs. It splits episodes as the batch

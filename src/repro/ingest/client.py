@@ -1,18 +1,21 @@
 """The trace client: batches, compresses, and ships record lines.
 
 :class:`TraceClient` is the instrumented half the application embeds: a
-bounded in-memory queue of compressed batches drained by one background
+bounded in-memory queue of compressed frames drained by one background
 sender thread. The calling thread only ever appends to the current
 batch — compression happens at batch-seal time, socket I/O in the
 sender — so instrumented code pays microseconds per record.
 
-Memory is bounded twice: batches are sealed at ``batch_records`` lines,
-and at most ``max_pending_batches`` sealed batches wait in the queue.
-What happens at the bound is the ``overflow`` policy: ``"block"``
-(default — the zero-loss mode; the caller waits for the queue to
-drain) or ``"drop"`` (the graceful-degradation mode; the oldest
-pending batch is discarded and counted in :attr:`dropped_batches` /
-:attr:`dropped_records`).
+Delivery is lossless or it fails loudly. Memory is bounded twice:
+batches are sealed at ``batch_records`` lines, and at most
+:data:`MAX_PENDING_BATCHES` sealed batches wait in the queue; a seal
+that finds the queue full waits for the sender to free a slot.
+``close()`` queues END behind the last batch, and the same sender loop
+delivers it. Both waits for the daemon — a seal's wait for a slot and
+``close()``'s wait for the END ack — run out after ``timeout_s * 4``
+(``close(timeout_s=)`` sets the second). When one does, the client
+stops the sender and raises an :class:`IngestClientError` naming the
+records the daemon never acked; every later call raises it again.
 
 Backpressure: a ``backpressure:`` nack from the daemon makes the sender
 sleep and redeliver the same seq. A nack of a batch's first delivery
@@ -23,10 +26,9 @@ full gets a growing backoff — the curve (and its deterministic jitter) is
 exactly the engine scheduler's
 :class:`~repro.engine.scheduler.RetryPolicy`, keyed by
 ``(session, seq)``. Redelivery is idempotent: the daemon acks
-duplicates without re-spooling. With ``max_retries`` set, a batch that
-keeps getting nacked is eventually dropped with its counter bumped;
-unset (default) the sender blocks for as long as the daemon pushes
-back.
+duplicates without re-spooling. A batch the daemon refuses for good
+(any other nack) is dropped and counted in :attr:`dropped_batches` /
+:attr:`dropped_records`.
 """
 
 from __future__ import annotations
@@ -35,13 +37,16 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Iterable, List, Optional, Tuple
 
 from repro.core.errors import LagAlyzerError
 from repro.engine.scheduler import RetryPolicy
 from repro.ingest import protocol
 from repro.obs import runtime as obs_runtime
 from repro.obs.context import TraceContext, carrier_span
+
+#: Sealed batches the queue holds before a seal waits for a free slot.
+MAX_PENDING_BATCHES = 64
 
 #: Backoff curve for nacked deliveries (deterministic jitter).
 DEFAULT_RETRY = RetryPolicy(
@@ -54,24 +59,25 @@ class IngestClientError(LagAlyzerError):
     """The client failed hard (protocol error, daemon rejected us)."""
 
 
-class _Batch:
-    __slots__ = ("seq", "payload", "records", "attempts", "context")
+class _Frame:
+    """One queued frame: a sealed BATCH, or the END that closes the session."""
+
+    __slots__ = ("type", "seq", "payload", "records", "attempts", "context")
 
     def __init__(
         self,
+        frame_type: int,
         seq: int,
-        payload: bytes,
-        records: int,
+        payload: bytes = b"",
+        records: int = 0,
         context: Optional[TraceContext] = None,
     ) -> None:
+        self.type = frame_type
         self.seq = seq
         self.payload = payload
         self.records = records
         self.attempts = 0
         self.context = context
-
-
-_END = object()
 
 
 class TraceClient:
@@ -82,21 +88,14 @@ class TraceClient:
         session: session id (the daemon's spool/dedup key).
         application: application name recorded in the spool name.
         batch_records: lines per sealed batch.
-        max_pending_batches: sealed batches the queue holds before the
-            ``overflow`` policy applies.
-        overflow: ``"block"`` (lossless) or ``"drop"`` (lossy, counted).
-        max_retries: per-batch delivery attempts before dropping;
-            ``None`` retries forever (lossless under backpressure).
-        retry: backoff policy for nacked deliveries.
-        timeout_s: socket timeout for connects, sends, and ack waits.
+        timeout_s: socket timeout for connects, sends, and ack waits;
+            a wait for the daemon runs out after four of them.
         propagate: carry a trace context in HELLO/BATCH frames so the
             daemon's spans parent under this client's send spans
             (effective only while an observer is installed).
         sample_rate: fraction of sessions whose batches carry context —
-            a **deterministic** decision derived from
-            ``(sample_seed, session)``, not a random draw, so repeated
-            runs sample identically.
-        sample_seed: seed for the sampling decision and the trace id.
+            a **deterministic** decision derived from the session id,
+            not a random draw, so repeated runs sample identically.
         family: workload family announced in HELLO (``"gui"``,
             ``"io_service"``, ``"async_pipeline"``); gui omits the key,
             keeping the frame byte-identical to pre-family clients.
@@ -108,44 +107,30 @@ class TraceClient:
         session: str,
         application: str = "",
         batch_records: int = 256,
-        max_pending_batches: int = 64,
-        overflow: str = "block",
-        max_retries: Optional[int] = None,
-        retry: RetryPolicy = DEFAULT_RETRY,
         timeout_s: float = 10.0,
         propagate: bool = True,
         sample_rate: float = 1.0,
-        sample_seed: int = 0,
         family: str = "gui",
     ) -> None:
-        if overflow not in ("block", "drop"):
-            raise IngestClientError(
-                f"overflow must be 'block' or 'drop', got {overflow!r}"
-            )
         self.address = address
         self.session = session
         self.application = application
         self.family = family
         self.batch_records = max(1, int(batch_records))
-        self.max_pending_batches = max(1, int(max_pending_batches))
-        self.overflow = overflow
-        self.max_retries = max_retries
-        self.retry = retry
         self.timeout_s = timeout_s
         self.propagate = bool(propagate)
-        self.trace_context = TraceContext.mint(
-            session, seed=sample_seed, sample_rate=sample_rate
-        )
+        self.trace_context = TraceContext.mint(session, sample_rate=sample_rate)
 
         self._cond = threading.Condition()
-        self._pending: Deque[object] = deque()
+        self._pending: Deque[_Frame] = deque()
         self._current: List[str] = []
         self._seq = 0
         self._closing = False
-        self._done = threading.Event()
-        #: Set when close() gave up waiting: the sender stops delivering.
-        self._abandoned = False
-        self._failure: Optional[BaseException] = None
+        #: Set once the sender thread has exited.
+        self._finished = False
+        #: What every call raises once set: the sender failed, or a wait
+        #: for the daemon ran out. The sender stops delivering.
+        self._error: Optional[IngestClientError] = None
         self._sock: Optional[socket.socket] = None
         self._rfile = None
         self._wfile = None
@@ -171,7 +156,7 @@ class TraceClient:
         self._current.append(line.rstrip("\n"))
         self.records_enqueued += 1
         if len(self._current) >= self.batch_records:
-            self._seal()
+            self._seal(self._deadline(), "send")
 
     def extend(self, lines: Iterable[str]) -> None:
         """Buffer many record lines."""
@@ -182,15 +167,13 @@ class TraceClient:
         """Seal the current partial batch, if any."""
         self._check_usable()
         if self._current:
-            self._seal()
+            self._seal(self._deadline(), "send")
 
     def _check_usable(self) -> None:
+        if self._error is not None:
+            raise self._error
         if self._closing:
             raise IngestClientError("client is closed")
-        if self._failure is not None:
-            raise IngestClientError(
-                f"client failed: {self._failure}"
-            ) from self._failure
 
     def _propagating(self) -> bool:
         """Whether batches sealed now should carry a trace context."""
@@ -200,7 +183,12 @@ class TraceClient:
             and obs_runtime.current() is not None
         )
 
-    def _seal(self) -> None:
+    def _deadline(self, timeout_s: Optional[float] = None) -> float:
+        return time.monotonic() + (
+            self.timeout_s * 4 if timeout_s is None else timeout_s
+        )
+
+    def _seal(self, deadline: float, wait: str) -> None:
         lines = self._current
         self._current = []
         self._seq += 1
@@ -210,42 +198,50 @@ class TraceClient:
         payload = protocol.encode_batch(
             lines, context=context.to_dict() if context else None
         )
-        batch = _Batch(self._seq, payload, len(lines), context=context)
+        self._await(
+            lambda: len(self._pending) < MAX_PENDING_BATCHES, deadline, wait
+        )
+        self._enqueue(_Frame(
+            protocol.T_BATCH, self._seq, payload, len(lines), context
+        ))
+
+    def _enqueue(self, frame: _Frame) -> None:
         with self._cond:
-            while (
-                self.overflow == "block"
-                and self._queued_batches() >= self.max_pending_batches
-                and self._failure is None
-            ):
-                self._cond.wait(timeout=0.1)
-            if self._failure is not None:
-                return  # close() will surface the failure
-            if (
-                self.overflow == "drop"
-                and self._queued_batches() >= self.max_pending_batches
-            ):
-                victim = self._oldest_batch()
-                if victim is not None:
-                    self.dropped_batches += 1
-                    self.dropped_records += victim.records
-                    obs_runtime.count("ingest.client.dropped_records",
-                                      victim.records)
-            self._pending.append(batch)
+            self._pending.append(frame)
             obs_runtime.set_gauge(
-                "ingest.client.queue_depth", self._queued_batches()
+                "ingest.client.queue_depth", len(self._pending)
             )
             self._cond.notify_all()
         self._ensure_sender()
 
-    def _queued_batches(self) -> int:
-        return sum(1 for item in self._pending if isinstance(item, _Batch))
+    def _await(
+        self, ready: Callable[[], bool], deadline: float, wait: str
+    ) -> None:
+        """Wait for ``ready()`` until ``deadline``, then give up.
 
-    def _oldest_batch(self) -> Optional[_Batch]:
-        for item in list(self._pending):
-            if isinstance(item, _Batch):
-                self._pending.remove(item)
-                return item
-        return None
+        Giving up records an :class:`IngestClientError` naming the
+        records the daemon never acked and stops the sender. That
+        error, or the sender's own failure, is raised here and by
+        every later call.
+        """
+        with self._cond:
+            while self._error is None and not ready():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    undelivered = (
+                        self.records_enqueued - self.records_sent
+                        - self.dropped_records
+                    )
+                    host, port = self.address[:2]
+                    self._error = IngestClientError(
+                        f"{undelivered} record(s) not acked by the daemon "
+                        f"at {host}:{port} before the {wait} wait ran out"
+                    )
+                    self._cond.notify_all()
+                    break
+                self._cond.wait(timeout=remaining)
+        if self._error is not None:
+            raise self._error
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -259,33 +255,17 @@ class TraceClient:
                 not delivered, or the wait ran out before the daemon
                 acked every record and END; the sender then stops.
         """
+        if self._error is not None:
+            raise self._error
         if self._closing:
             return
-        if self._current and self._failure is None:
-            self._seal()
+        deadline = self._deadline(timeout_s)
+        if self._current:
+            self._seal(deadline, "close")
         self._closing = True
-        with self._cond:
-            self._pending.append(_END)
-            self._cond.notify_all()
-        self._ensure_sender()
-        finished = self._done.wait(
-            timeout=self.timeout_s * 4 if timeout_s is None else timeout_s
-        )
-        if self._failure is not None:
-            raise IngestClientError(
-                f"ingest client failed: {self._failure}"
-            ) from self._failure
-        if not finished:
-            self._abandoned = True
-            undelivered = (
-                self.records_enqueued - self.records_sent
-                - self.dropped_records
-            )
-            host, port = self.address[:2]
-            raise IngestClientError(
-                f"{undelivered} record(s) not acked by the daemon at "
-                f"{host}:{port} before the close wait ran out"
-            )
+        self._seq += 1
+        self._enqueue(_Frame(protocol.T_END, self._seq))
+        self._await(lambda: self._finished, deadline, "close")
 
     def __enter__(self) -> "TraceClient":
         return self
@@ -300,9 +280,8 @@ class TraceClient:
     # ------------------------------------------------------------------
 
     def _ensure_sender(self) -> None:
-        if self._sender is None or not self._sender.is_alive():
-            if self._failure is not None or self._done.is_set():
-                return
+        # One sender per client: it ends only after END or a failure.
+        if self._sender is None:
             self._sender = threading.Thread(
                 target=self._sender_loop,
                 name=f"ingest-client-{self.session}",
@@ -346,73 +325,60 @@ class TraceClient:
 
     def _sender_loop(self) -> None:
         try:
-            while not self._abandoned:
+            while self._error is None:
                 with self._cond:
-                    while not self._pending:
+                    while not self._pending and self._error is None:
                         self._cond.wait(timeout=0.1)
-                    item = self._pending[0]
-                if item is _END:
-                    self._deliver_end()
-                    with self._cond:
-                        self._pending.popleft()
-                    break
-                self._deliver(item)  # never raises
+                    if self._error is not None:
+                        break
+                    frame = self._pending[0]
+                self._deliver(frame)
                 with self._cond:
                     self._pending.popleft()
                     obs_runtime.set_gauge(
-                        "ingest.client.queue_depth", self._queued_batches()
+                        "ingest.client.queue_depth", len(self._pending)
                     )
                     self._cond.notify_all()
-        except BaseException as error:  # noqa: BLE001 - surfaced at close
-            self._fail(error)
+                if frame.type == protocol.T_END:
+                    break
+        except BaseException as error:  # noqa: BLE001 - raised by the producer
+            failure = IngestClientError(f"ingest client failed: {error}")
+            failure.__cause__ = error
+            with self._cond:
+                if self._error is None:
+                    self._error = failure
         finally:
             self._disconnect()
-            self._done.set()
             with self._cond:
+                self._finished = True
                 self._cond.notify_all()
 
-    def _fail(self, error: BaseException) -> None:
-        self._failure = error
-        with self._cond:
-            self._cond.notify_all()
+    def _deliver(self, frame: _Frame) -> None:
+        """Deliver one frame: retries, backoff, reconnects, drops; or
+        give up, neither sent nor dropped, once the client failed.
 
-    def _drop(self, batch: _Batch) -> None:
-        self.dropped_batches += 1
-        self.dropped_records += batch.records
-        obs_runtime.count("ingest.client.dropped_records", batch.records)
-
-    def _deliver(self, batch: _Batch) -> None:
-        """Deliver one batch: retries, backoff, reconnects, drops; or
-        give up, neither sent nor dropped, once close() abandoned it.
-
-        Under a sampled trace context the whole delivery — including
-        retries — is one ``ingest.client.send`` span whose id *is* the
-        propagated ``span_id``, so the daemon's frame/flush spans
-        attach to it once observers merge.
+        Under a sampled trace context the whole delivery of a batch —
+        including retries — is one ``ingest.client.send`` span whose id
+        *is* the propagated ``span_id``, so the daemon's frame/flush
+        spans attach to it once observers merge.
         """
         with carrier_span(
-            "ingest.client.send", batch.context,
-            session=self.session, seq=batch.seq, records=batch.records,
+            "ingest.client.send", frame.context,
+            session=self.session, seq=frame.seq, records=frame.records,
         ):
-            self._deliver_inner(batch)
+            self._deliver_inner(frame)
 
-    def _deliver_inner(self, batch: _Batch) -> None:
-        while not self._abandoned:
-            if (
-                self.max_retries is not None
-                and batch.attempts > self.max_retries
-            ):
-                self._drop(batch)
-                return
-            if batch.attempts:
+    def _deliver_inner(self, frame: _Frame) -> None:
+        while self._error is None:
+            if frame.attempts:
                 self.retries += 1
-            batch.attempts += 1
+            frame.attempts += 1
             try:
                 if self._sock is None:
                     self._connect()
                 started = time.perf_counter()
                 protocol.write_frame(
-                    self._wfile, protocol.T_BATCH, batch.seq, batch.payload
+                    self._wfile, frame.type, frame.seq, frame.payload
                 )
                 reply = protocol.read_frame(self._rfile)
             except (OSError, protocol.ProtocolError):
@@ -421,8 +387,8 @@ class TraceClient:
                 self.reconnects += 1
                 self._disconnect()
                 time.sleep(
-                    self.retry.delay_for(
-                        batch.attempts, token=f"{self.session}/{batch.seq}"
+                    DEFAULT_RETRY.delay_for(
+                        frame.attempts, token=f"{self.session}/{frame.seq}"
                     )
                 )
                 continue
@@ -430,72 +396,48 @@ class TraceClient:
                 self.reconnects += 1
                 self._disconnect()
                 continue
-            if reply.type == protocol.T_ACK and reply.seq == batch.seq:
-                self.batches_sent += 1
-                self.records_sent += batch.records
-                obs_runtime.observe(
-                    "ingest.client.flush_ms",
-                    (time.perf_counter() - started) * 1000.0,
-                )
+            if reply.type == protocol.T_ACK and reply.seq == frame.seq:
+                if frame.type == protocol.T_BATCH:
+                    self.batches_sent += 1
+                    self.records_sent += frame.records
+                    obs_runtime.observe(
+                        "ingest.client.flush_ms",
+                        (time.perf_counter() - started) * 1000.0,
+                    )
                 return
             if reply.type == protocol.T_NACK:
                 self.nacks_received += 1
                 obs_runtime.count("ingest.client.nacks")
                 retry_after_ms, reason = protocol.decode_nack(reply.payload)
                 if not reason.startswith("backpressure"):
-                    self._drop(batch)  # permanent refusal
+                    # A permanent refusal: drop the batch and count it.
+                    self.dropped_batches += 1
+                    self.dropped_records += frame.records
+                    obs_runtime.count(
+                        "ingest.client.dropped_records", frame.records
+                    )
                     return
                 # The first nack waits out the hint alone; the backoff
                 # grows from the second (``delay_for(0)`` is 0).
                 delay = max(
                     retry_after_ms / 1000.0,
-                    self.retry.delay_for(
-                        batch.attempts - 1,
-                        token=f"{self.session}/{batch.seq}",
+                    DEFAULT_RETRY.delay_for(
+                        frame.attempts - 1,
+                        token=f"{self.session}/{frame.seq}",
                     ),
                 )
                 obs_runtime.observe("ingest.client.backoff_ms", delay * 1000.0)
                 time.sleep(delay)
                 continue
             if reply.type == protocol.T_ERROR:
+                answering = " on END" if frame.type == protocol.T_END else ""
                 raise IngestClientError(
-                    "daemon error: "
+                    f"daemon error{answering}: "
                     + reply.payload.decode("utf-8", "replace")
                 )
             raise IngestClientError(
                 f"unexpected {reply.name} frame answering a batch"
             )
-
-    def _deliver_end(self) -> None:
-        self._seq += 1
-        seq = self._seq
-        attempts = 0
-        while not self._abandoned:
-            attempts += 1
-            try:
-                if self._sock is None:
-                    self._connect()
-                protocol.write_frame(self._wfile, protocol.T_END, seq)
-                reply = protocol.read_frame(self._rfile)
-            except (OSError, protocol.ProtocolError):
-                if attempts >= 8:
-                    raise
-                self.reconnects += 1
-                self._disconnect()
-                time.sleep(self.retry.delay_for(
-                    attempts, token=f"{self.session}/end"
-                ))
-                continue
-            if reply is not None and reply.type == protocol.T_ACK:
-                return
-            if reply is not None and reply.type == protocol.T_ERROR:
-                raise IngestClientError(
-                    "daemon error on END: "
-                    + reply.payload.decode("utf-8", "replace")
-                )
-            if attempts >= 8:
-                raise IngestClientError("daemon never acked END")
-            self._disconnect()
 
     def __repr__(self) -> str:
         return (

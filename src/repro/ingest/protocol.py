@@ -214,14 +214,15 @@ def encode_hello(
     return json.dumps(raw, sort_keys=True).encode("utf-8")
 
 
-def decode_hello_context(
+def decode_hello(
     payload: bytes,
-) -> Tuple[str, str, Optional[Dict[str, Any]]]:
-    """``(session, application, trace context or None)`` from a HELLO."""
+) -> Tuple[str, str, Optional[Dict[str, Any]], str]:
+    """``(session, application, trace context or None, family)`` from a
+    HELLO payload; the family is ``"gui"`` where none is announced."""
     try:
         raw = json.loads(payload.decode("utf-8"))
         session = raw["session"]
-    except (ValueError, KeyError, UnicodeDecodeError) as error:
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
         raise ProtocolError(f"malformed HELLO payload: {error}") from None
     if not isinstance(session, str) or not session:
         raise ProtocolError("HELLO 'session' must be a non-empty string")
@@ -231,25 +232,10 @@ def decode_hello_context(
     context = raw.get("trace")
     if not isinstance(context, dict):
         context = None  # telemetry is best-effort, never fatal
-    return session, application, context
-
-
-def decode_hello(payload: bytes) -> Tuple[str, str]:
-    """``(session, application)`` from a HELLO payload."""
-    session, application, _ = decode_hello_context(payload)
-    return session, application
-
-
-def decode_hello_family(payload: bytes) -> str:
-    """The workload family announced in a HELLO (``"gui"`` if absent)."""
-    try:
-        raw = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        raise ProtocolError(f"malformed HELLO payload: {error}") from None
     family = raw.get("family", "gui")
     if not isinstance(family, str) or not family:
         raise ProtocolError("HELLO 'family' must be a non-empty string")
-    return family
+    return session, application, context, family
 
 
 #: High bit of the BATCH count word: a trace-context block follows.

@@ -185,10 +185,9 @@ class _IngestHandler(socketserver.StreamRequestHandler):
             self._error(frame.seq, "first frame must be HELLO")
             return
         try:
-            session_id, application, hello_ctx = (
-                protocol.decode_hello_context(frame.payload)
+            session_id, application, hello_ctx, family = (
+                protocol.decode_hello(frame.payload)
             )
-            family = protocol.decode_hello_family(frame.payload)
         except protocol.ProtocolError as error:
             self._error(frame.seq, str(error))
             return

@@ -79,6 +79,65 @@ class TestRegistry:
         finally:
             del REGISTRY["episode-count"]
 
+    def test_map_trace_only_analysis_runs_through_every_path(self):
+        """docs/api.md's example gives one value serially, fused, and
+        through the engine, in-process and pooled."""
+        from repro import AnalysisEngine
+        from repro.apps.sessions import simulate_sessions
+
+        class EpisodeCount(MapReduceAnalysis):
+            name = "episode-count"
+            supports_perceptible_only = False
+
+            def map_trace(self, trace, config):
+                return len(analyses_mod.trace_episodes(trace, config))
+
+            def reduce(self, partials, perceptible_only=False):
+                self._check_flag(perceptible_only)
+                return sum(partials)
+
+        traces = simulate_sessions("JMol", count=2, seed=1, scale=0.02)
+        register(EpisodeCount())
+        try:
+            one = LagAlyzer(traces[:1])
+            counted = one.summary("episode-count")
+            assert counted > 0
+            assert one.summaries(["episode-count"]) == {"episode-count": counted}
+            assert one.summary(
+                "episode-count", engine=AnalysisEngine(use_cache=False)
+            ) == counted
+            both = LagAlyzer(traces)
+            pooled = both.summaries(
+                ["episode-count"],
+                engine=AnalysisEngine(workers=2, use_cache=False),
+            )
+            assert pooled == {"episode-count": both.summary("episode-count")}
+            assert pooled["episode-count"] > counted
+        finally:
+            del REGISTRY["episode-count"]
+
+    def test_register_refuses_an_analysis_without_a_map(self):
+        class NoMap(MapReduceAnalysis):
+            name = "no-map"
+
+            def reduce(self, partials, perceptible_only=False):
+                return partials
+
+        class NoMapContext:
+            name = "no-map-context"
+            supports_perceptible_only = False
+
+            def map_trace(self, trace, config):
+                return 0
+
+            def reduce(self, partials, perceptible_only=False):
+                return partials
+
+        for analysis in (NoMap(), NoMapContext()):
+            with pytest.raises(AnalysisError, match=f"'{analysis.name}' has no map"):
+                register(analysis)
+            assert analysis.name not in REGISTRY
+
     def test_perceptible_only_unsupported_raises(self):
         for name in ("occurrence", "statistics", "patterns"):
             analysis = get_analysis(name)

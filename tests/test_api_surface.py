@@ -32,7 +32,7 @@ class TestTopLevelSurface:
 
     def test_api_version_is_int(self):
         assert isinstance(repro.API_VERSION, int)
-        assert repro.API_VERSION == 7
+        assert repro.API_VERSION == 8
 
     def test_version_is_string(self):
         assert isinstance(repro.__version__, str)
@@ -111,6 +111,16 @@ class TestRemovedPaths:
         assert "RecordFeed" not in repro.lila.__all__
         assert not hasattr(repro.lila, "RecordFeed")
         assert not hasattr(repro.lila.source, "RecordFeed")
+
+    def test_lossy_client_modes_are_gone(self):
+        # Removed in API_VERSION 8: the client delivers every record or
+        # raises, with module constants in place of one-value knobs.
+        from repro.ingest.client import TraceClient
+
+        parameters = inspect.signature(TraceClient).parameters
+        for name in ("overflow", "max_retries", "max_pending_batches",
+                     "retry", "sample_seed"):
+            assert name not in parameters
 
     def test_study_compact_and_column_file_options_are_gone(self):
         # Removed in API_VERSION 6: retention is prune, and a spool is

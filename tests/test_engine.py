@@ -1030,6 +1030,59 @@ class TestLoadMapsAhead:
         assert self._counter(obs, "engine.tasks") == len(paths)
         assert self._counter(obs, "engine.loaded_partials") == 0
 
+    def test_engineless_summaries_read_the_loaded_partials(self, obs, paths):
+        """Without an engine, summaries() and summary() reduce what the
+        pooled load mapped and run no fused pass here."""
+        analyzer = LagAlyzer.load(paths, workers=2)
+        passes = self._counter(obs, "engine.fused_passes")
+        got = pickle.dumps(analyzer.summaries())
+        triggers = pickle.dumps(
+            analyzer.summary("triggers", perceptible_only=True)
+        )
+        assert self._counter(obs, "engine.fused_passes") == passes
+        assert self._counter(obs, "engine.loaded_partials") == 2 * len(paths)
+        serial = LagAlyzer.load(paths)
+        assert got == pickle.dumps(serial.summaries())
+        assert triggers == pickle.dumps(
+            serial.summary("triggers", perceptible_only=True)
+        )
+
+    @pytest.mark.parametrize("change", ("reregistered", "patched", "config"))
+    def test_engineless_summaries_map_again(self, obs, paths, change):
+        """A registry or config that changed since the load maps again,
+        engine or no engine."""
+        analyzer = LagAlyzer.load(paths, workers=2)
+        config = self.CONFIG
+        original = get_analysis("triggers")
+        if change == "reregistered":
+            register(_PerceptibleTriggers(), replace=True)
+        elif change == "patched":
+            original.map_context = _perceptible_triggers_map.__get__(original)
+        else:
+            config = config.with_threshold(30.0)
+            analyzer = LagAlyzer.from_traces(analyzer.traces, config=config)
+        try:
+            got = pickle.dumps(analyzer.summaries())
+            expected = self._serial(paths, config)
+        finally:
+            register(original, replace=True)
+            original.__dict__.pop("map_context", None)
+        assert got == expected
+        assert expected != self._serial(paths)
+        assert self._counter(obs, "engine.loaded_partials") == 0
+
+    def test_engineless_summary_checks_its_request_before_mapping(
+        self, obs, paths
+    ):
+        analyzer = LagAlyzer.load(paths[:1])
+        with pytest.raises(AnalysisError, match="'nope'"):
+            analyzer.summary("nope")
+        with pytest.raises(AnalysisError, match="perceptible-only"):
+            analyzer.summary("statistics", perceptible_only=True)
+        with pytest.raises(AnalysisError, match="'nope'"):
+            analyzer.summaries(["triggers", "nope"])
+        assert self._counter(obs, "engine.fused_passes") == 0
+
     @pytest.mark.parametrize(
         "error", (TraceFormatError("damaged"), ValueError("bug")),
         ids=["quarantined", "raised"],

@@ -42,7 +42,11 @@ from repro.ingest import (
 )
 from repro.ingest import client as client_module
 from repro.ingest import protocol
-from repro.ingest.client import DEFAULT_RETRY, IngestClientError
+from repro.ingest.client import (
+    DEFAULT_RETRY,
+    MAX_PENDING_BATCHES,
+    IngestClientError,
+)
 from repro.lila.source import build_store, open_source
 from repro.lila.writer import trace_to_lines
 from repro.obs import runtime as obs_runtime
@@ -81,6 +85,31 @@ def wait_until(predicate, timeout_s: float = 5.0) -> bool:
             return True
         time.sleep(0.01)
     return predicate()
+
+
+def closed_port() -> int:
+    """A local port where no daemon listens."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def bounded(call, timeout_s: float = 10.0):
+    """Run ``call`` in a thread; what it raised, or None. Fails, rather
+    than hangs, when the call outlasts ``timeout_s``."""
+    raised = []
+
+    def run() -> None:
+        try:
+            call()
+        except BaseException as error:  # noqa: BLE001 - returned
+            raised.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"still running after {timeout_s} s"
+    return raised[0] if raised else None
 
 
 class RawConnection:
@@ -178,9 +207,14 @@ class TestProtocol:
     def test_hello_and_nack_codecs(self):
         assert protocol.decode_hello(
             protocol.encode_hello("s-1", "App")
-        ) == ("s-1", "App")
+        ) == ("s-1", "App", None, "gui")
+        assert protocol.decode_hello(
+            protocol.encode_hello("s-1", "App", family="io_service")
+        ) == ("s-1", "App", None, "io_service")
         with pytest.raises(protocol.ProtocolError, match="non-empty"):
             protocol.decode_hello(protocol.encode_hello(""))
+        with pytest.raises(protocol.ProtocolError, match="malformed HELLO"):
+            protocol.decode_hello(b"[]")
         assert protocol.decode_nack(
             protocol.encode_nack(250, "backpressure: full")
         ) == (250, "backpressure: full")
@@ -312,6 +346,18 @@ class TestServerWire:
             assert b"truncated" in reply.payload
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("family", ("", 3), ids=("empty", "number"))
+    def test_hello_with_a_bad_family_answered_with_error(self, server, family):
+        conn = RawConnection(server.address)
+        try:
+            payload = json.dumps({"family": family, "session": "fam"})
+            reply = conn.send(protocol.T_HELLO, 0, payload.encode("utf-8"))
+            assert reply.type == protocol.T_ERROR
+            assert b"'family'" in reply.payload
+        finally:
+            conn.close()
+        assert server.sessions() == []
 
     def test_first_frame_must_be_hello(self, server):
         conn = RawConnection(server.address)
@@ -519,9 +565,7 @@ class TestDurability:
     def test_close_raises_when_its_wait_runs_out(self):
         """Against a port where no daemon listens, close() names the
         records never acked, and the sender stops retrying."""
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = closed_port()
         lines = golden_lines("CrosswordSage-session-0.lila")
         assert len(lines) == 1187
         client = TraceClient(("127.0.0.1", port), session="nowhere")
@@ -541,27 +585,74 @@ class TestDurability:
         assert client.records_sent == 0
         assert client.dropped_records == 0
 
-    def test_client_drop_mode_counts_overflow(self, tmp_path):
-        # A plan that nacks every delivery of every frame: with
-        # max_retries bounded and overflow="drop", the client sheds
-        # load gracefully and counts every shed record.
-        plan = FaultPlan(seed=3, rules=(
-            FaultRule(kind="task_error", site="ingest.frame",
+    def test_refused_batch_is_dropped_and_counted(self, tmp_path):
+        """A batch the daemon refuses for good is dropped and counted;
+        every other batch is spooled in order, and END is acked."""
+        lines = golden_lines("CrosswordSage-session-0.lila")
+        batches = [lines[at:at + 64] for at in range(0, len(lines), 64)]
+        kept = [
+            batch for batch in batches
+            if len(protocol.encode_batch(batch)) <= 600
+        ]
+        assert len(batches) - len(kept) == 2
+        with IngestServer(
+            spool_dir=tmp_path / "spools", max_payload=600
+        ) as srv:
+            client = TraceClient(srv.address, session="big", batch_records=64)
+            assert bounded(lambda: (client.extend(lines), client.close())) is None
+            state = srv.sessions()[0]
+            assert state.ended
+            spooled = state.spool.path.read_text().splitlines()
+        assert (client.dropped_batches, client.dropped_records) == (2, 128)
+        assert client.nacks_received == 2
+        assert spooled == [line for batch in kept for line in batch]
+        assert client.records_sent == len(spooled) == 1059
+
+    def test_extend_raises_when_no_slot_frees(self):
+        """Against a port where no daemon listens, a seal that waits for
+        a queue slot gives up after the send wait, and every later call
+        raises the same error."""
+        port = closed_port()
+        client = TraceClient(
+            ("127.0.0.1", port), session="full", batch_records=1,
+            timeout_s=0.25,
+        )
+        started = time.monotonic()
+        error = bounded(lambda: client.extend(f"line {i}" for i in range(100)))
+        assert time.monotonic() - started < 2.0
+        message = (
+            f"{MAX_PENDING_BATCHES + 1} record(s) not acked by the daemon "
+            f"at 127.0.0.1:{port} before the send wait ran out"
+        )
+        assert isinstance(error, IngestClientError)
+        assert str(error) == message
+        again = bounded(client.close)
+        assert isinstance(again, IngestClientError) and str(again) == message
+        assert wait_until(lambda: not any(
+            thread.name == "ingest-client-full"
+            for thread in threading.enumerate()
+        ))
+        assert client.records_sent == 0
+
+    def test_end_refused_raises(self, tmp_path):
+        """A daemon that cannot flush the session answers END with an
+        ERROR, and close() raises it."""
+        plan = FaultPlan(seed=2, rules=(
+            FaultRule(kind="task_error", site="ingest.flush",
                       probability=1.0, times=None),
         ))
-        lines = sample_lines(session="shed")
+        lines = sample_lines(session="unflushed")
         with faults_runtime.installed(FaultInjector(plan)):
             with IngestServer(spool_dir=tmp_path / "spools") as srv:
-                client = TraceClient(
-                    srv.address, session="shed", batch_records=4,
-                    max_pending_batches=2, overflow="drop", max_retries=2,
-                )
+                client = TraceClient(srv.address, session="unflushed")
                 client.extend(lines)
-                client.close()
-        assert client.records_sent == 0
-        assert client.dropped_records == len(lines)
-        assert client.dropped_batches > 0
-        assert client.nacks_received > 0
+                error = bounded(client.close)
+        assert isinstance(error, IngestClientError)
+        assert str(error) == (
+            "ingest client failed: daemon error on END: "
+            "final flush did not complete"
+        )
+        assert client.records_sent == len(lines)
 
 
 # ----------------------------------------------------------------------
@@ -815,9 +906,7 @@ class TestIngestCli:
     ):
         """The same damage in a replayed trace is one ``error:`` line and
         exit 1, raised while reading: the closed port is never tried."""
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = closed_port()
         code = main([
             "ingest", "replay", str(undecodable_trace),
             "--address", f"127.0.0.1:{port}",
@@ -851,9 +940,7 @@ class TestIngestCli:
             client_module, "TraceClient",
             partial(client_module.TraceClient, timeout_s=0.25),
         )
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = closed_port()
         trace = GOLDEN_DIR / "CrosswordSage-session-0.lila"
         started = time.monotonic()
         code = main([
@@ -865,6 +952,33 @@ class TestIngestCli:
         assert line == (
             f"error: {trace}: 1187 record(s) not acked by the daemon at "
             f"127.0.0.1:{port} before the close wait ran out"
+        )
+
+    def test_replay_to_a_closed_port_fails_at_the_send_wait(
+        self, monkeypatch, capsys
+    ):
+        """A replay whose batches outnumber the queue's slots fails at
+        the send wait: one ``error:`` line and exit 1."""
+        monkeypatch.setattr(
+            client_module, "TraceClient",
+            partial(client_module.TraceClient, timeout_s=0.25),
+        )
+        port = closed_port()
+        trace = GOLDEN_DIR / "CrosswordSage-session-0.lila"
+        assert -(-len(golden_lines(trace.name)) // 8) > MAX_PENDING_BATCHES
+        codes = []
+        started = time.monotonic()
+        assert bounded(lambda: codes.append(main([
+            "ingest", "replay", str(trace), "--batch-records", "8",
+            "--address", f"127.0.0.1:{port}",
+        ]))) is None
+        assert time.monotonic() - started < 5.0
+        assert codes == [1]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: {trace}: {(MAX_PENDING_BATCHES + 1) * 8} record(s) not "
+            f"acked by the daemon at 127.0.0.1:{port} before the send wait "
+            "ran out"
         )
 
     @pytest.mark.parametrize(

@@ -95,17 +95,14 @@ class TestBatchWireFormat:
         payload = protocol.encode_hello(
             "s-hello", "App", context=context.to_dict()
         )
-        session, application, raw = protocol.decode_hello_context(payload)
-        assert (session, application) == ("s-hello", "App")
+        session, application, raw, family = protocol.decode_hello(payload)
+        assert (session, application, family) == ("s-hello", "App", "gui")
         assert TraceContext.from_dict(raw) == context
-        # Legacy decoder ignores the extra key entirely.
-        assert protocol.decode_hello(payload) == ("s-hello", "App")
 
     def test_hello_without_context(self):
         payload = protocol.encode_hello("s0", "App")
         assert b"trace" not in payload
-        _, _, raw = protocol.decode_hello_context(payload)
-        assert raw is None
+        assert protocol.decode_hello(payload) == ("s0", "App", None, "gui")
 
 
 # ----------------------------------------------------------------------
